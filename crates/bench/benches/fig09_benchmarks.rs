@@ -8,11 +8,11 @@
 //! `<dir>` (machine-readable: per-workload cycles/speedups plus the headline geomeans); CI
 //! uploads that file as an artifact so the benchmark trajectory is preserved across commits.
 
-use tis_bench::{evaluate_catalog, geomean_ratio, write_fig09_json_if_requested, Harness, Platform};
+use tis_bench::{evaluate_catalog_counted, geomean_ratio, write_fig09_json_if_requested, Harness, Platform};
 
 fn main() {
     let harness = Harness::paper_prototype();
-    let results = evaluate_catalog(&harness, &Platform::FIGURE9);
+    let (results, work) = evaluate_catalog_counted(&harness, &Platform::FIGURE9);
 
     println!("Figure 9: speedup over serial execution, 8 cores");
     println!(
@@ -59,6 +59,18 @@ fn main() {
         wins(Platform::Phentos, Platform::NanosSw),
         wins(Platform::Phentos, Platform::NanosRv)
     );
+    let steps: Vec<String> = work
+        .iter()
+        .map(|w| {
+            format!(
+                "{} {:.1} ({} polls skipped)",
+                w.platform.label(),
+                w.steps_per_task(),
+                w.engine.skipped_polls
+            )
+        })
+        .collect();
+    println!("  engine steps per task: {}", steps.join(", "));
 
     match write_fig09_json_if_requested(&results) {
         Ok(Some(path)) => println!("\nwrote machine-readable results to {}", path.display()),

@@ -17,7 +17,8 @@ pub use json::{Json, JsonParseError};
 
 use tis_core::{PhentosConfig, Phentos, TisConfig, TisFabric};
 use tis_machine::{
-    run_machine, run_machine_observed, EngineError, ExecutionReport, MachineConfig, NullFabric,
+    run_machine, run_machine_counted, EngineError, EngineStats, ExecutionReport, MachineConfig,
+    NullFabric,
 };
 use tis_nanos::{AxiConfig, AxiFabric, Nanos, NanosTuning, NanosVariant};
 use tis_sim::geomean;
@@ -143,7 +144,7 @@ impl Harness {
     ///
     /// Propagates any [`EngineError`] (deadlock / cycle-cap) from the simulation.
     pub fn run(&self, platform: Platform, program: &TaskProgram) -> Result<ExecutionReport, EngineError> {
-        self.run_inner(platform, program, None)
+        self.run_counted(platform, program, None).0
     }
 
     /// [`Harness::run`] with an observer attached (see
@@ -160,7 +161,7 @@ impl Harness {
         program: &TaskProgram,
         obs: &mut dyn tis_obs::Observer,
     ) -> Result<ExecutionReport, EngineError> {
-        self.run_inner(platform, program, Some(obs))
+        self.run_counted(platform, program, Some(obs)).0
     }
 
     /// Runs a streamed workload ([`TaskSource`]) on the given platform.
@@ -238,16 +239,27 @@ impl Harness {
         platform: Platform,
         source: TenantSource,
         collect_records: bool,
-        mut obs: Option<&mut dyn tis_obs::Observer>,
+        obs: Option<&mut dyn tis_obs::Observer>,
     ) -> Result<(ExecutionReport, TenantRunData), EngineError> {
+        self.run_tenants_counted(platform, source, collect_records, obs).0
+    }
+
+    /// [`Harness::run_tenants`] that also returns the run's engine work counters.
+    pub fn run_tenants_counted(
+        &self,
+        platform: Platform,
+        source: TenantSource,
+        collect_records: bool,
+        mut obs: Option<&mut dyn tis_obs::Observer>,
+    ) -> (Result<(ExecutionReport, TenantRunData), EngineError>, EngineStats) {
         let cores = self.machine.cores;
         let boxed: Box<dyn TaskSource> = Box::new(source);
+        let mut engine = EngineStats::default();
         let mut launch = |runtime: &mut dyn tis_machine::RuntimeSystem,
                           fabric: &mut dyn tis_machine::SchedulerFabric| {
-            match obs.as_deref_mut() {
-                Some(o) => run_machine_observed(&self.machine, runtime, fabric, o),
-                None => run_machine(&self.machine, runtime, fabric),
-            }
+            let (result, stats) = run_machine_counted(&self.machine, runtime, fabric, obs.take());
+            engine = stats;
+            result
         };
         let take = |src: &mut dyn TaskSource| -> TenantRunData {
             src.as_any_mut()
@@ -255,44 +267,43 @@ impl Harness {
                 .map(TenantSource::take_run_data)
                 .expect("run_tenants runtime must hold a TenantSource")
         };
-        match platform {
+        let result = match platform {
             Platform::Phentos => {
                 let mut runtime = Phentos::from_source(boxed, cores, self.phentos);
                 runtime.set_collect_records(collect_records);
                 let mut fabric = TisFabric::new(cores, self.tis);
-                let report = launch(&mut runtime, &mut fabric)?;
-                Ok((report, take(runtime.source_mut())))
+                launch(&mut runtime, &mut fabric).map(|report| (report, take(runtime.source_mut())))
             }
             Platform::NanosRv => {
                 let mut runtime = Nanos::from_source(boxed, cores, NanosVariant::PicosRocc, self.nanos);
                 runtime.set_collect_records(collect_records);
                 let mut fabric = TisFabric::new(cores, self.tis);
-                let report = launch(&mut runtime, &mut fabric)?;
-                Ok((report, take(runtime.source_mut())))
+                launch(&mut runtime, &mut fabric).map(|report| (report, take(runtime.source_mut())))
             }
             Platform::NanosAxi => {
                 let mut runtime = Nanos::from_source(boxed, cores, NanosVariant::PicosAxi, self.nanos);
                 runtime.set_collect_records(collect_records);
                 let mut fabric = AxiFabric::new(cores, self.axi);
-                let report = launch(&mut runtime, &mut fabric)?;
-                Ok((report, take(runtime.source_mut())))
+                launch(&mut runtime, &mut fabric).map(|report| (report, take(runtime.source_mut())))
             }
             Platform::NanosSw => {
                 let mut runtime = Nanos::from_source(boxed, cores, NanosVariant::Software, self.nanos);
                 runtime.set_collect_records(collect_records);
                 let mut fabric = NullFabric::new();
-                let report = launch(&mut runtime, &mut fabric)?;
-                Ok((report, take(runtime.source_mut())))
+                launch(&mut runtime, &mut fabric).map(|report| (report, take(runtime.source_mut())))
             }
-        }
+        };
+        (result, engine)
     }
 
-    fn run_inner(
+    /// [`Harness::run`], or [`Harness::run_observed`] when `obs` is given, that also returns
+    /// the run's engine work counters.
+    pub fn run_counted(
         &self,
         platform: Platform,
         program: &TaskProgram,
         obs: Option<&mut dyn tis_obs::Observer>,
-    ) -> Result<ExecutionReport, EngineError> {
+    ) -> (Result<ExecutionReport, EngineError>, EngineStats) {
         // In debug builds every program entering the harness is preflighted: acyclic,
         // reference-clean, conflict-covered. Release benches skip the pass so pinned
         // figure timings are untouched; the generators' own chokepoints still cover them.
@@ -303,10 +314,7 @@ impl Harness {
         let cores = self.machine.cores;
         let launch = |runtime: &mut dyn tis_machine::RuntimeSystem,
                       fabric: &mut dyn tis_machine::SchedulerFabric| {
-            match obs {
-                Some(o) => run_machine_observed(&self.machine, runtime, fabric, o),
-                None => run_machine(&self.machine, runtime, fabric),
-            }
+            run_machine_counted(&self.machine, runtime, fabric, obs)
         };
         match platform {
             Platform::Phentos => {
@@ -432,6 +440,25 @@ impl WorkloadResult {
     }
 }
 
+/// Engine work counters of one platform summed over a set of runs, with the tasks those runs
+/// retired (steps per task is the engine's host-work trajectory).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlatformWork {
+    /// Which platform ran.
+    pub platform: Platform,
+    /// Summed engine counters.
+    pub engine: EngineStats,
+    /// Tasks retired by the runs.
+    pub tasks: u64,
+}
+
+impl PlatformWork {
+    /// Engine steps per retired task.
+    pub fn steps_per_task(&self) -> f64 {
+        self.engine.steps_per_task(self.tasks)
+    }
+}
+
 /// Evaluates one workload on the given platforms, validating every schedule against the
 /// reference dependence graph.
 pub fn evaluate_workload(
@@ -439,6 +466,15 @@ pub fn evaluate_workload(
     workload: &WorkloadInstance,
     platforms: &[Platform],
 ) -> WorkloadResult {
+    evaluate_workload_counted(harness, workload, platforms).0
+}
+
+/// [`evaluate_workload`] that also returns each platform's engine work, in `platforms` order.
+pub fn evaluate_workload_counted(
+    harness: &Harness,
+    workload: &WorkloadInstance,
+    platforms: &[Platform],
+) -> (WorkloadResult, Vec<PlatformWork>) {
     // Catalog entries were preflighted at generation; hand-built instances get the same
     // soundness proof here before any platform simulates them.
     if let Err(e) = tis_analyze::analyze_program(&workload.program) {
@@ -446,10 +482,10 @@ pub fn evaluate_workload(
     }
     let serial = harness.serial_cycles(&workload.program);
     let mut results = Vec::new();
+    let mut work = Vec::new();
     for &p in platforms {
-        let report = harness
-            .run(p, &workload.program)
-            .unwrap_or_else(|e| panic!("{} on {}: {e}", workload.label(), p.label()));
+        let (result, engine) = harness.run_counted(p, &workload.program, None);
+        let report = result.unwrap_or_else(|e| panic!("{} on {}: {e}", workload.label(), p.label()));
         report
             .validate_against(&workload.program)
             .unwrap_or_else(|e| panic!("{} on {} produced an invalid schedule: {e}", workload.label(), p.label()));
@@ -458,22 +494,42 @@ pub fn evaluate_workload(
             cycles: report.total_cycles,
             speedup_vs_serial: report.speedup_over(serial),
         });
+        work.push(PlatformWork { platform: p, engine, tasks: report.tasks_retired });
     }
-    WorkloadResult {
+    let result = WorkloadResult {
         benchmark: workload.benchmark,
         input: workload.input.clone(),
         mean_task_cycles: workload.program.stats(harness.machine.dram_bytes_per_cycle).mean_task_cycles,
         serial_cycles: serial,
         platforms: results,
-    }
+    };
+    (result, work)
 }
 
 /// Evaluates the whole 37-workload catalog of Figure 9 on the given platforms.
 pub fn evaluate_catalog(harness: &Harness, platforms: &[Platform]) -> Vec<WorkloadResult> {
-    paper_catalog()
+    evaluate_catalog_counted(harness, platforms).0
+}
+
+/// [`evaluate_catalog`] that also returns each platform's engine work over the whole catalog,
+/// in `platforms` order.
+pub fn evaluate_catalog_counted(harness: &Harness, platforms: &[Platform]) -> (Vec<WorkloadResult>, Vec<PlatformWork>) {
+    let mut total: Vec<PlatformWork> = platforms
         .iter()
-        .map(|w| evaluate_workload(harness, w, platforms))
-        .collect()
+        .map(|&platform| PlatformWork { platform, engine: EngineStats::default(), tasks: 0 })
+        .collect();
+    let results = paper_catalog()
+        .iter()
+        .map(|w| {
+            let (result, work) = evaluate_workload_counted(harness, w, platforms);
+            for (sum, run) in total.iter_mut().zip(&work) {
+                sum.engine.add(&run.engine);
+                sum.tasks += run.tasks;
+            }
+            result
+        })
+        .collect();
+    (results, total)
 }
 
 /// Geometric mean of the ratio `num / den` over a set of workload results (the paper's headline

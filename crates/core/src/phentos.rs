@@ -20,8 +20,8 @@
 //! The only simulated-memory data structures are therefore the metadata array, the shared
 //! retirement counter and the done flag; everything else is per-core state.
 
-use tis_machine::fabric::{FabricOutcome, SchedulerFabric};
-use tis_machine::{CoreCtx, CoreStatus, RuntimeSystem};
+use tis_machine::fabric::{FabricOutcome, FailedOps, SchedulerFabric};
+use tis_machine::{AccessKind, CoreCtx, CoreStatus, PollLoop, PollTouch, RuntimeSystem};
 use tis_obs::TaskStage;
 use tis_picos::encode_prefix_into;
 use tis_sim::Cycle;
@@ -80,6 +80,9 @@ struct WorkerState {
     outstanding_requests: u32,
     /// The worker observed the done flag and terminated.
     finished: bool,
+    /// The last step was a failed poll that repeats identically (see
+    /// [`RuntimeSystem::poll_loop`]).
+    poll: Option<PollLoop>,
 }
 
 /// The Phentos runtime plugged into the machine engine.
@@ -165,34 +168,42 @@ impl Phentos {
     }
 
     /// Worker-side fast path: request / fetch / execute / retire one task.
-    /// Returns `true` if a task was executed.
-    fn try_execute_one(&mut self, ctx: &mut CoreCtx<'_>, fabric: &mut dyn SchedulerFabric) -> bool {
+    fn try_execute_one(&mut self, ctx: &mut CoreCtx<'_>, fabric: &mut dyn SchedulerFabric) -> Fetch {
         let core = ctx.core();
+        let mut failed = FailedOps::default();
+        let mut changed = false;
         if self.workers[core].outstanding_requests == 0 {
             let (lat, out) = fabric.ready_task_request(core, ctx.now());
             ctx.spend(lat);
             if out.is_success() {
                 self.workers[core].outstanding_requests += 1;
+                changed = true;
+            } else {
+                failed.ready_task_request = true;
             }
         }
         let (lat, out) = fabric.fetch_sw_id(core, ctx.now());
         ctx.spend(lat);
-        let FabricOutcome::Success(sw_id) = out else { return false };
+        let FabricOutcome::Success(sw_id) = out else {
+            failed.fetch_sw_id = true;
+            return Fetch::Empty((!changed).then_some(failed));
+        };
         let (lat, out) = fabric.fetch_picos_id(core, ctx.now());
         ctx.spend(lat);
-        let FabricOutcome::Success(picos_id) = out else { return false };
+        let FabricOutcome::Success(picos_id) = out else { return Fetch::Empty(None) };
         ctx.observe_task(TaskStage::Dispatched, sw_id);
         self.workers[core].outstanding_requests =
             self.workers[core].outstanding_requests.saturating_sub(1);
 
         // Read the task metadata element (one or two cache lines, written by the submitter).
         ctx.read(self.meta_addr(sw_id), self.element_bytes);
-        let spec = self.source.spec(sw_id).clone();
+        let spec = self.source.spec(sw_id);
+        let (task, payload) = (spec.id, spec.payload);
         let start = ctx.now();
-        ctx.execute_task_payload(sw_id, spec.payload);
+        ctx.execute_task_payload(sw_id, payload);
         let end = ctx.now();
         if self.collect_records {
-            self.records.push(ExecRecord { task: spec.id, core, start, end });
+            self.records.push(ExecRecord { task, core, start, end });
         }
 
         let lat = fabric.retire_task(core, picos_id, ctx.now());
@@ -205,7 +216,7 @@ impl Phentos {
         if self.cfg.eager_shared_counter {
             self.flush_private(ctx);
         }
-        true
+        Fetch::Ran
     }
 
     /// Folds a core's private retirement counter into the shared atomic counter.
@@ -243,10 +254,33 @@ impl Phentos {
         true
     }
 
+    /// One poll of a barrier (a `taskwait`, or the implicit final one): fold this core's
+    /// private retirements, read the shared counter, and help with the work while it lags.
+    /// Returns `None` once every submitted task has retired.
+    fn wait_for_retirements(&mut self, ctx: &mut CoreCtx<'_>, fabric: &mut dyn SchedulerFabric) -> Option<CoreStatus> {
+        let core = ctx.core();
+        let target = self.submitted;
+        let flushed = self.workers[core].private_retired > 0;
+        self.flush_private(ctx);
+        ctx.read(SHARED_RETIRE_COUNTER, 8);
+        if self.shared_retired >= target {
+            return None;
+        }
+        let Fetch::Empty(failed) = self.try_execute_one(ctx, fabric) else {
+            return Some(CoreStatus::Progressed);
+        };
+        if !flushed {
+            let touch = PollTouch { addr: SHARED_RETIRE_COUNTER, bytes: 8, kind: AccessKind::Read };
+            self.workers[core].poll = failed.map(|ops| PollLoop { touch: Some(touch), ..poll(ops) });
+        }
+        Some(CoreStatus::Waiting { until: ctx.now() + self.cfg.taskwait_poll_interval })
+    }
+
     fn step_main(&mut self, ctx: &mut CoreCtx<'_>, fabric: &mut dyn SchedulerFabric) -> CoreStatus {
         if self.done {
             return CoreStatus::Finished;
         }
+        let core = ctx.core();
         // Pull the next op on demand. A blocked source (in-flight window full) is handled like
         // saturated hardware: execute resident work so retirements free the window. Streamed
         // dependences only point backwards, so the in-flight set always holds runnable work and
@@ -258,55 +292,55 @@ impl Phentos {
             match self.source.poll() {
                 SourcePoll::Op(op) => self.pending = Some(op),
                 SourcePoll::Blocked => {
-                    if !self.try_execute_one(ctx, fabric) {
+                    if let Fetch::Empty(failed) = self.try_execute_one(ctx, fabric) {
                         ctx.spin_backoff();
+                        // The source answers the same until its next arrival or a retire.
+                        self.workers[core].poll = failed
+                            .zip(self.source.blocked_until())
+                            .map(|(ops, until)| PollLoop { until, ..poll(ops) });
                     }
                     return CoreStatus::Progressed;
                 }
                 SourcePoll::Done => self.source_done = true,
             }
         }
-        match self.pending.clone() {
+        match self.pending.take() {
             Some(ProgramOp::Spawn(spec)) => {
-                if self.submit_current(ctx, fabric, &spec) {
-                    self.pending = None;
-                } else {
+                if !self.submit_current(ctx, fabric, &spec) {
                     // Non-blocking submission failed (hardware saturated): do useful work
                     // instead of stalling — the deadlock-avoidance pattern of Section IV-C.
-                    if !self.try_execute_one(ctx, fabric) {
+                    if let Fetch::Empty(failed) = self.try_execute_one(ctx, fabric) {
                         ctx.spin_backoff();
+                        let sw_id = spec.id.raw();
+                        let submission_packets = self.packet_scratch.len() as u32;
+                        let touch =
+                            PollTouch { addr: self.meta_addr(sw_id), bytes: self.element_bytes, kind: AccessKind::Write };
+                        self.workers[core].poll = failed.map(|ops| PollLoop {
+                            touch: Some(touch),
+                            event: Some((TaskStage::Submitted, sw_id)),
+                            ..poll(FailedOps { submission_packets, ..ops })
+                        });
                     }
+                    self.pending = Some(ProgramOp::Spawn(spec));
                 }
                 CoreStatus::Progressed
             }
-            Some(ProgramOp::TaskWait) => {
-                let target = self.submitted;
-                self.flush_private(ctx);
-                ctx.read(SHARED_RETIRE_COUNTER, 8);
-                if self.shared_retired >= target {
-                    self.pending = None;
-                    return CoreStatus::Progressed;
+            Some(ProgramOp::TaskWait) => match self.wait_for_retirements(ctx, fabric) {
+                Some(status) => {
+                    self.pending = Some(ProgramOp::TaskWait);
+                    status
                 }
-                if self.try_execute_one(ctx, fabric) {
-                    return CoreStatus::Progressed;
-                }
-                CoreStatus::Waiting { until: ctx.now() + self.cfg.taskwait_poll_interval }
-            }
+                None => CoreStatus::Progressed,
+            },
             None => {
                 // Implicit final barrier, then publish the done flag.
-                let target = self.submitted;
-                self.flush_private(ctx);
-                ctx.read(SHARED_RETIRE_COUNTER, 8);
-                if self.shared_retired >= target {
-                    ctx.write(DONE_FLAG, 8);
-                    self.done = true;
-                    self.workers[ctx.core()].finished = true;
-                    return CoreStatus::Progressed;
+                if let Some(status) = self.wait_for_retirements(ctx, fabric) {
+                    return status;
                 }
-                if self.try_execute_one(ctx, fabric) {
-                    return CoreStatus::Progressed;
-                }
-                CoreStatus::Waiting { until: ctx.now() + self.cfg.taskwait_poll_interval }
+                ctx.write(DONE_FLAG, 8);
+                self.done = true;
+                self.workers[core].finished = true;
+                CoreStatus::Progressed
             }
         }
     }
@@ -316,13 +350,13 @@ impl Phentos {
         if self.workers[core].finished {
             return CoreStatus::Finished;
         }
-        if self.try_execute_one(ctx, fabric) {
+        let Fetch::Empty(failed) = self.try_execute_one(ctx, fabric) else {
             return CoreStatus::Progressed;
-        }
-        self.workers[core].failures_since_flush += 1;
-        if self.workers[core].private_retired > 0
-            && self.workers[core].failures_since_flush >= self.cfg.flush_after_failures
-        {
+        };
+        let threshold = self.cfg.flush_after_failures;
+        let worker = &mut self.workers[core];
+        worker.failures_since_flush = worker.failures_since_flush.saturating_add(1);
+        if worker.private_retired > 0 && worker.failures_since_flush >= threshold {
             self.flush_private(ctx);
             return CoreStatus::Progressed;
         }
@@ -332,8 +366,29 @@ impl Phentos {
             self.workers[core].finished = true;
             return CoreStatus::Finished;
         }
+        // Failed fetches repeat identically until the one that reaches the flush threshold.
+        let repeats = if worker.private_retired > 0 {
+            u64::from(threshold - worker.failures_since_flush - 1)
+        } else {
+            u64::MAX
+        };
+        worker.poll = failed.map(|ops| PollLoop { repeats, ..poll(ops) });
         CoreStatus::Waiting { until: ctx.now() + self.cfg.worker_backoff }
     }
+}
+
+/// What one work-fetch attempt did.
+enum Fetch {
+    /// A task was executed and retired.
+    Ran,
+    /// No task was available. Holds the attempt's failed operations if it changed no state, so
+    /// that a repeat does the same; `None` if an accepted ready request changed the fabric.
+    Empty(Option<FailedOps>),
+}
+
+/// A poll loop of fabric traffic only, with no bound on its repeats.
+fn poll(ops: FailedOps) -> PollLoop {
+    PollLoop { ops, touch: None, event: None, repeats: u64::MAX, until: Cycle::MAX }
 }
 
 impl RuntimeSystem for Phentos {
@@ -342,6 +397,7 @@ impl RuntimeSystem for Phentos {
     }
 
     fn step_core(&mut self, ctx: &mut CoreCtx<'_>, fabric: &mut dyn SchedulerFabric) -> CoreStatus {
+        self.workers[ctx.core()].poll = None;
         if ctx.core() == 0 {
             self.step_main(ctx, fabric)
         } else {
@@ -367,6 +423,34 @@ impl RuntimeSystem for Phentos {
 
     fn tenant_reports(&self) -> Vec<tis_taskmodel::TenantReport> {
         self.source.tenant_reports()
+    }
+
+    fn poll_loop(&self, core: usize) -> Option<PollLoop> {
+        self.workers[core].poll
+    }
+
+    fn observed_epoch(&self, core: usize) -> u64 {
+        if core != 0 {
+            // A worker's failed fetch reads only the fabric and the done flag.
+            return u64::from(self.done);
+        }
+        match self.pending {
+            // A refused submission reads only the fabric and its own metadata line.
+            Some(ProgramOp::Spawn(_)) => 0,
+            // A blocked source moves on retirements; a barrier on the shared counter.
+            None if !self.source_done => self.total_retired,
+            _ => self.shared_retired,
+        }
+    }
+
+    fn skip_polls(&mut self, core: usize, polls: u64, last_start: Cycle) {
+        if core != 0 {
+            let worker = &mut self.workers[core];
+            let polls = u32::try_from(polls).unwrap_or(u32::MAX);
+            worker.failures_since_flush = worker.failures_since_flush.saturating_add(polls);
+        } else if self.pending.is_none() && !self.source_done {
+            self.source.advance_to(last_start);
+        }
     }
 }
 
@@ -485,6 +569,64 @@ mod tests {
         big.spawn(Payload::empty(), (0..15u64).map(|i| Dependence::write(i * 64)).collect());
         assert_eq!(Phentos::new(&small.build(), 2, PhentosConfig::default()).metadata_element_bytes(), 64);
         assert_eq!(Phentos::new(&big.build(), 2, PhentosConfig::default()).metadata_element_bytes(), 128);
+    }
+
+    #[test]
+    fn a_parked_worker_still_flushes_on_its_fourth_failed_fetch() {
+        use tis_machine::{run_machine_counted, run_machine_reference};
+        use tis_obs::{MemAccessKind, MemEvent, Observer, TaskEvent};
+
+        /// Every task and memory event, in order.
+        #[derive(Default)]
+        struct Log(Vec<(Option<TaskEvent>, Option<MemEvent>)>);
+        impl Observer for Log {
+            fn on_task(&mut self, e: &TaskEvent) {
+                self.0.push((Some(*e), None));
+            }
+            fn on_mem(&mut self, e: &MemEvent) {
+                self.0.push((None, Some(*e)));
+            }
+            fn wants_mem_events(&self) -> bool {
+                true
+            }
+        }
+
+        // The worker runs the short task, retires it into its private counter and then idles
+        // while the main thread runs the long one.
+        let mut b = ProgramBuilder::new("flush");
+        b.spawn(Payload::compute(300), vec![Dependence::write(0xA_0000)]);
+        b.spawn(Payload::compute(30_000), vec![Dependence::write(0xA_0040)]);
+        b.taskwait();
+        let p = b.build();
+        let cfg = MachineConfig::rocket_with_cores(2);
+        let run = |fast: bool| {
+            let mut runtime = Phentos::new(&p, 2, PhentosConfig::default());
+            let mut log = Log::default();
+            let run = if fast { run_machine_counted } else { run_machine_reference };
+            let (result, stats) = run(&cfg, &mut runtime, &mut TisFabric::with_cores(2), Some(&mut log));
+            (result.expect("run completes"), stats, log.0)
+        };
+        let (fast, fast_stats, fast_log) = run(true);
+        let (reference, _, ref_log) = run(false);
+        assert_eq!(fast, reference);
+        assert_eq!(fast_log, ref_log);
+        assert!(fast_stats.skipped_polls > 0, "the idle worker parks");
+
+        let retired = fast_log
+            .iter()
+            .find_map(|(t, _)| t.filter(|t| t.core == Some(1) && t.stage == TaskStage::Retired))
+            .expect("the worker retires a task")
+            .cycle;
+        let flush = fast_log
+            .iter()
+            .find_map(|(_, m)| match m {
+                Some(MemEvent::Coherence { cycle, core: 1, kind: MemAccessKind::Atomic, .. }) => Some(*cycle),
+                _ => None,
+            })
+            .expect("the worker folds its private counter");
+        // Failed fetch 1 re-arms a ready request (2 + 2 cycles, then 40 idle); fetches 2 and 3
+        // take 2 + 40 each; fetch 4 fails after 2 cycles and flushes.
+        assert_eq!(flush, retired + 44 + 2 * 42 + 2);
     }
 
     #[test]

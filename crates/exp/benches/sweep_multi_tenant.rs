@@ -201,6 +201,18 @@ fn main() {
         }
     }
 
+    let mut engine = tis_machine::EngineStats::default();
+    for cell in &report.cells {
+        engine.add(&cell.engine);
+    }
+    let tasks: u64 = report.cells.iter().map(|c| c.tasks as u64).sum();
+    println!(
+        "engine: {:.1} steps per task over {} cells ({} polls skipped)",
+        engine.steps_per_task(tasks),
+        report.cells.len(),
+        engine.skipped_polls
+    );
+
     let violations = report.bound_violations();
     for c in &violations {
         // Co-scheduled cells measure speedup against the summed serial baseline, which the

@@ -2,7 +2,7 @@
 
 use tis_analyze::AnalysisConfig;
 use tis_bench::{Json, Platform};
-use tis_machine::{FaultConfig, MemoryModel};
+use tis_machine::{EngineStats, FaultConfig, MemoryModel};
 use tis_obs::{CriticalPath, ObsConfig};
 use tis_picos::TrackerConfig;
 use tis_taskmodel::TenantReport;
@@ -86,6 +86,9 @@ pub struct SweepCell {
     /// Conflicting frontier pairs the race detector proved happens-before-ordered in this
     /// cell's trace (zero when race detection was off).
     pub race_pairs_checked: u64,
+    /// The engine's work counters for the cell's run: host work, not a simulated result, so
+    /// they stay out of the rendered JSON.
+    pub engine: EngineStats,
     /// Per-tenant serving metrics for co-scheduled cells (`None` on the single-program path,
     /// so legacy sweeps — and every checked-in baseline — render byte-identical JSON). Boxed
     /// so the common single-tenant cell stays small.
@@ -488,6 +491,7 @@ mod tests {
             fault_recovery_cycles: 0,
             analysis: AnalysisConfig::off(),
             race_pairs_checked: 0,
+            engine: EngineStats::default(),
             tenant: None,
             obs: None,
         }

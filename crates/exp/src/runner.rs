@@ -221,11 +221,9 @@ fn run_cell(
     // cells of one report remain directly comparable.
     let cell_obs = sweep.cell_obs(cell.index);
     let mut recorder = cell_obs.map(tis_obs::Recorder::new);
-    let report = match recorder.as_mut() {
-        Some(r) => harness.run_observed(platform, program, r),
-        None => harness.run(platform, program),
-    }
-    .unwrap_or_else(|e| panic!("{} failed: {e}", context()));
+    let (result, engine) =
+        harness.run_counted(platform, program, recorder.as_mut().map(|r| r as &mut dyn tis_obs::Observer));
+    let report = result.unwrap_or_else(|e| panic!("{} failed: {e}", context()));
     if sweep.validate {
         report
             .validate_against(program)
@@ -304,6 +302,7 @@ fn run_cell(
             + report.fabric_stats.tracker_recovery_cycles,
         analysis: sweep.analysis,
         race_pairs_checked,
+        engine,
         tenant: None,
         obs,
     }
@@ -381,14 +380,13 @@ fn run_tenant_cell(
     let source = set.into_source(arrivals);
     let cell_obs = sweep.cell_obs(cell.index);
     let mut recorder = cell_obs.map(tis_obs::Recorder::new);
-    let (report, run_data) = harness
-        .run_tenants(
-            platform,
-            source,
-            false,
-            recorder.as_mut().map(|r| r as &mut dyn tis_obs::Observer),
-        )
-        .unwrap_or_else(|e| panic!("{} failed: {e}", context()));
+    let (result, engine) = harness.run_tenants_counted(
+        platform,
+        source,
+        false,
+        recorder.as_mut().map(|r| r as &mut dyn tis_obs::Observer),
+    );
+    let (report, run_data) = result.unwrap_or_else(|e| panic!("{} failed: {e}", context()));
     let obs = recorder.map(|r| {
         // The merged run's happens-before edges are each tenant's program edges remapped to
         // global task IDs through the release-order assignment (tenant t's k-th release is
@@ -475,6 +473,7 @@ fn run_tenant_cell(
             + report.fabric_stats.tracker_recovery_cycles,
         analysis: sweep.analysis,
         race_pairs_checked: 0,
+        engine,
         tenant: Some(Box::new(TenantCellData {
             scenario: scenario.key(),
             reports: report.tenants.clone(),

@@ -189,6 +189,11 @@ impl TaskSource for StreamingSynth {
         debug_assert!(freed.is_some(), "retire of non-resident task T{sw_id}");
     }
 
+    fn blocked_until(&self) -> Option<u64> {
+        // The source only blocks on a full window, and only a retire frees a slot.
+        Some(u64::MAX)
+    }
+
     fn max_deps(&self) -> usize {
         match self.spec.family {
             SynthFamily::Chain => 2,

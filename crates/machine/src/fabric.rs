@@ -68,10 +68,41 @@ pub struct FabricStats {
     pub tracker_recovery_cycles: u64,
 }
 
+/// The Table-I operations one failed poll issues, each of which returned the failure flag.
+///
+/// A runtime that declares a [`PollLoop`](crate::engine::PollLoop) names its fabric traffic
+/// with this, so the fabric can charge skipped repeats in closed form
+/// ([`SchedulerFabric::charge_failed_polls`]) and say when a repeat could stop failing
+/// ([`SchedulerFabric::poll_blocked_until`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FailedOps {
+    /// Packet count of a refused *Submission Request*, or 0 if the poll issues none.
+    pub submission_packets: u32,
+    /// The poll issues a refused *Ready Task Request*.
+    pub ready_task_request: bool,
+    /// The poll issues a *Fetch SW ID* that finds the ready queue empty.
+    pub fetch_sw_id: bool,
+}
+
+impl FailedOps {
+    /// Number of fabric operations one poll issues.
+    pub fn count(&self) -> u64 {
+        u64::from(self.submission_packets > 0) + u64::from(self.ready_task_request) + u64::from(self.fetch_sw_id)
+    }
+}
+
 /// The per-core task-scheduling interface (Table I of the paper).
 ///
 /// All operations take the issuing core and the current cycle, and return the number of cycles
 /// the core is occupied by the operation together with its outcome.
+///
+/// # Idle fast-forward
+///
+/// The last four methods let the engine park a core whose step was a pure failed poll (see
+/// [`PollLoop`](crate::engine::PollLoop)) instead of stepping every repeat. A fabric that
+/// supports it returns `Some` from [`SchedulerFabric::park_epoch`] and must then keep the
+/// promises of the other three exactly; the defaults opt out, so every existing fabric (and
+/// every wrapper that does not forward them) keeps the per-poll behaviour.
 pub trait SchedulerFabric {
     /// Human-readable name of the fabric (used in reports).
     fn name(&self) -> &'static str;
@@ -125,6 +156,31 @@ pub trait SchedulerFabric {
     fn occupancy(&self) -> (usize, usize) {
         (0, 0)
     }
+
+    /// Version of the fabric's state, bumped by every operation or internal event that changes
+    /// anything a later operation could observe (statistics counters excluded). `None`, the
+    /// default, means the fabric does not support idle fast-forward and no core ever parks.
+    fn park_epoch(&self) -> Option<u64> {
+        None
+    }
+
+    /// Earliest operation time at which any operation would find internal work due (a timed
+    /// completion, or a queue that can drain now) and so change the state. `Cycle::MAX` if
+    /// nothing is pending. Only consulted when [`SchedulerFabric::park_epoch`] is `Some`.
+    fn next_internal_event(&self) -> Cycle {
+        0
+    }
+
+    /// Earliest operation time at which `core` repeating the failed operations `ops` could see
+    /// a different outcome, assuming no other operation changes the state first and ignoring
+    /// [`SchedulerFabric::next_internal_event`]. `Cycle::MAX` if only a state change can.
+    fn poll_blocked_until(&self, _core: CoreId, _ops: FailedOps) -> Cycle {
+        0
+    }
+
+    /// Charges `polls` repeats of the failed operations `ops` by `core` to every statistic the
+    /// real operations would have counted, without touching any other state.
+    fn charge_failed_polls(&mut self, _core: CoreId, _ops: FailedOps, _polls: u64) {}
 }
 
 /// A fabric with no hardware behind it: every operation fails immediately.

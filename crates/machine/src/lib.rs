@@ -38,12 +38,15 @@ pub use context::{CoreCtx, CoreStats};
 // Re-exported so harness-level crates can select the interconnect without a direct `tis_mem`
 // dependency.
 pub use tis_mem::{
-    DegradedOutcome, FaultConfig, FaultDiagnosis, FaultStats, LinkContention, MemoryModel,
+    AccessKind, DegradedOutcome, FaultConfig, FaultDiagnosis, FaultStats, LinkContention, MemoryModel,
     NocConfig, NocContention,
 };
 pub use cost::CostModel;
-pub use engine::{run_machine, run_machine_observed, CoreStatus, EngineError, RuntimeSystem};
-pub use fabric::{FabricStats, NullFabric, SchedulerFabric};
+pub use engine::{
+    run_machine, run_machine_counted, run_machine_observed, run_machine_reference, CoreStatus,
+    EngineError, EngineStats, PollLoop, PollTouch, RuntimeSystem,
+};
+pub use fabric::{FabricStats, FailedOps, NullFabric, SchedulerFabric};
 pub use report::{
     mtt_speedup_bound, mtt_speedup_bound_from_throughput, CoreUtilisation, ExecutionReport,
     TaskLifetimeBreakdown,

@@ -109,6 +109,9 @@ pub struct Picos {
     /// dependency — and nothing is buffered while disarmed (the default).
     observing: bool,
     ready_log: Vec<(Cycle, u64)>,
+    /// Count of state changes (accepted submissions, retirements, applied retirements, ready
+    /// publications and pops): a version number for callers that skip repeated failed polls.
+    changes: u64,
 }
 
 impl Picos {
@@ -128,6 +131,7 @@ impl Picos {
             stats: PicosStats::default(),
             observing: false,
             ready_log: Vec::new(),
+            changes: 0,
         }
     }
 
@@ -184,6 +188,7 @@ impl Picos {
             None => now,
         };
         while let Some((t, id)) = self.pending_retire.pop_due(retire_gate) {
+            self.changes += 1;
             self.tracker
                 .retire_into(id, &mut self.woken_scratch)
                 .expect("pending retirement refers to an in-flight task (validated at queue time)");
@@ -196,6 +201,7 @@ impl Picos {
                 break;
             }
             let (_, id) = self.pending_ready.pop_due(now).expect("head checked due above");
+            self.changes += 1;
             let sw_id = self
                 .tracker
                 .sw_id(id)
@@ -227,6 +233,7 @@ impl Picos {
         let (id, ready) = self.tracker.insert(task).inspect_err(|_e| {
             self.stats.submissions_rejected += 1;
         })?;
+        self.changes += 1;
         // Injected tracker-entry loss: the descriptor may be lost (a bounded number of times)
         // before the insert above commits. A lost attempt leaves no semantic trace — detection
         // is a timeout at the submission port, recovery is a resubmit — so the fault shows up
@@ -253,7 +260,10 @@ impl Picos {
     pub fn pop_ready(&mut self, now: Cycle) -> Option<ReadyTask> {
         self.advance(now);
         match self.ready_queue.front() {
-            Some(rt) if rt.available_at <= now => self.ready_queue.pop(),
+            Some(rt) if rt.available_at <= now => {
+                self.changes += 1;
+                self.ready_queue.pop()
+            }
             _ => None,
         }
     }
@@ -288,8 +298,33 @@ impl Picos {
         let done = start + self.config.timing.retirement_cycles(fanout);
         self.retire_busy_until = done;
         self.pending_retire.schedule(done, id);
+        self.changes += 1;
         self.advance(now);
         Ok(done)
+    }
+
+    /// Number of state changes so far: it moves whenever anything a later call could observe
+    /// changes, and never otherwise (rejected submissions only count statistics).
+    pub fn changes(&self) -> u64 {
+        self.changes
+    }
+
+    /// Earliest cycle at which [`Picos::advance`] would apply an internal completion: the
+    /// head of the retirement pipeline, or the head of pending ready publication while the
+    /// ready queue has room. `Cycle::MAX` if neither is pending.
+    pub fn next_event(&self) -> Cycle {
+        let retire = self.pending_retire.next_due().unwrap_or(Cycle::MAX);
+        let publish = if self.ready_queue.is_full() {
+            Cycle::MAX
+        } else {
+            self.pending_ready.next_due().unwrap_or(Cycle::MAX)
+        };
+        retire.min(publish)
+    }
+
+    /// Publication cycle of the oldest descriptor in the ready queue, if any.
+    pub fn ready_head(&self) -> Option<Cycle> {
+        self.ready_queue.front().map(|rt| rt.available_at)
     }
 
     /// Lifetime statistics.

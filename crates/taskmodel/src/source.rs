@@ -84,6 +84,16 @@ pub trait TaskSource: std::fmt::Debug {
     /// The default is a no-op, so time-blind sources are unaffected.
     fn advance_to(&mut self, _now: u64) {}
 
+    /// Called right after a [`poll`](TaskSource::poll) that answered [`SourcePoll::Blocked`]:
+    /// `Some(t)` promises that polling again, after [`advance_to`](TaskSource::advance_to) any
+    /// time before `t` and with no [`retire`](TaskSource::retire) in between, answers `Blocked`
+    /// again and changes nothing but the source's clock; `t` is `u64::MAX` if only a retire
+    /// can unblock it. The default, `None`, makes no promise, so a runtime keeps polling for
+    /// real.
+    fn blocked_until(&self) -> Option<u64> {
+        None
+    }
+
     /// Per-tenant serving metrics, if this source multiplexes tenants
     /// ([`crate::TenantSource`]). Single-tenant sources report none.
     fn tenant_reports(&self) -> Vec<crate::tenant::TenantReport> {

@@ -531,6 +531,26 @@ impl TaskSource for TenantSource {
         self.now = self.now.max(now);
     }
 
+    fn blocked_until(&self) -> Option<u64> {
+        let mut until = u64::MAX;
+        for (t, state) in self.tenants.iter().enumerate() {
+            // A finished tenant, a draining barrier or an admission cap only moves on a retire.
+            if state.done || (state.gated && state.resident > 0) {
+                continue;
+            }
+            match &state.pending {
+                Some(PendingOp::Spawn { .. }) if self.quota_full(t) => {}
+                Some(PendingOp::Spawn { arrival, .. }) if *arrival > self.now => {
+                    until = until.min(*arrival);
+                }
+                // An inner source that answered Blocked holds nothing pending.
+                None => until = until.min(state.source.blocked_until()?),
+                _ => return None,
+            }
+        }
+        Some(until)
+    }
+
     fn max_deps(&self) -> usize {
         self.max_deps
     }

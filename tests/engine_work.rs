@@ -1,0 +1,51 @@
+//! Host-work bounds of the engine's idle fast-forward, in deterministic engine steps per
+//! retired task. Before it, Phentos spent 146.7 steps per task on the Fig. 9 catalog and
+//! about 2,764 on the 8-tenant serving scenario, almost all of them idle polls.
+
+use tis::bench::{evaluate_catalog_counted, Harness, Platform};
+use tis::exp::{SynthFamily, SynthSpec};
+use tis::obs::{ObsConfig, Recorder};
+use tis::picos::TrackerConfig;
+use tis::sim::SimRng;
+use tis::taskmodel::{ArrivalProcess, MaterializedSource, TenantSet, TenantTrackerPolicy};
+
+#[test]
+fn phentos_runs_the_fig09_catalog_in_at_most_ten_steps_per_task() {
+    let (_, work) = evaluate_catalog_counted(&Harness::paper_prototype(), &[Platform::Phentos]);
+    let steps = work[0].steps_per_task();
+    assert!(steps <= 10.0, "Phentos took {steps:.1} engine steps per task over the catalog");
+}
+
+/// The 8-tenant serving scenario of `sweep_multi_tenant` at 32 cores: dependence chains on a
+/// 16-entry tracker, a Poisson victim and bursty antagonists, observed by a recorder, under
+/// both tracker policies.
+#[test]
+fn eight_tenant_serving_runs_in_at_most_a_hundred_steps_per_task() {
+    const TENANTS: usize = 8;
+    let tracker = TrackerConfig::new(16, 1024);
+    let harness = Harness::with_cores(32).with_tracker(tracker);
+    let spec = SynthSpec { family: SynthFamily::Chain, tasks: 192, task_cycles: 30_000, jitter: 0.25 };
+    let rng = SimRng::new(1);
+    let programs: Vec<_> = (0..TENANTS).map(|t| spec.generate(&mut rng.stream("tenant", t as u64))).collect();
+    for policy in [
+        TenantTrackerPolicy::Shared,
+        TenantTrackerPolicy::Partitioned { per_tenant_entries: tracker.per_tenant_entries(TENANTS) },
+    ] {
+        let mut set = TenantSet::new().with_policy(policy);
+        for (t, program) in programs.iter().enumerate() {
+            let arrival = if t == 0 {
+                ArrivalProcess::Poisson { mean_interarrival: 36_000 }
+            } else {
+                ArrivalProcess::Bursty { burst: 96, period: 100_000 }
+            };
+            set = set.tenant(format!("t{t}"), Box::new(MaterializedSource::new(program)), arrival);
+        }
+        let source = set.into_source(rng.stream("tenant-arrivals", 0));
+        let mut recorder = Recorder::new(ObsConfig::default());
+        let (result, engine) = harness.run_tenants_counted(Platform::Phentos, source, false, Some(&mut recorder));
+        let (report, _) = result.expect("the serving scenario completes");
+        assert_eq!(report.tasks_retired, (TENANTS * spec.tasks) as u64);
+        let steps = engine.steps_per_task(report.tasks_retired);
+        assert!(steps <= 100.0, "{policy:?}: {steps:.1} engine steps per task");
+    }
+}

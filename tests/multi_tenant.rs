@@ -135,7 +135,7 @@ fn arbitrary_scenario() -> impl Strategy<Value = TenantScenario> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Satellite 2a: for arbitrary (seed, tenant count, arrival process, policy), the sweep
     /// artifact — down to the rendered JSON bytes — is identical at 1, 2 and 8 host workers,

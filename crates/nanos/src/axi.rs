@@ -109,9 +109,6 @@ impl SchedulerFabric for AxiFabric {
         self.stats.operations += 1;
         let ok = self.manager.push_packets(core, packets, now);
         let latency = self.config.dma_per_word * packets.len() as Cycle;
-        if ok && self.manager.stats().descriptors_forwarded > self.stats.tasks_submitted {
-            self.stats.tasks_submitted = self.manager.stats().descriptors_forwarded;
-        }
         (latency, if ok { FabricOutcome::Success(()) } else { FabricOutcome::Failure })
     }
 
@@ -157,6 +154,9 @@ impl SchedulerFabric for AxiFabric {
     fn stats(&self) -> FabricStats {
         let picos = self.manager.picos().stats();
         FabricStats {
+            // A descriptor may reach Picos during any later operation's advance, so the count
+            // comes from the manager rather than from the submit that completed it.
+            tasks_submitted: self.manager.stats().descriptors_forwarded,
             tracker_losses: picos.tracker_losses,
             tracker_resubmits: picos.tracker_resubmits,
             tracker_recovery_cycles: picos.tracker_recovery_cycles,

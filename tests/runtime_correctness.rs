@@ -109,3 +109,22 @@ fn speedup_never_exceeds_core_count() {
         }
     }
 }
+
+/// Under saturation a completed descriptor often reaches Picos only during a later
+/// operation's internal advance. Every one of them still counts as submitted, on both
+/// Picos-backed fabrics.
+#[test]
+fn saturated_hardware_counts_every_submission() {
+    let mut b = ProgramBuilder::new("saturate");
+    for i in 0..40u64 {
+        b.spawn(Payload::compute(200), vec![Dependence::write(0x8_0000 + i * 64)]);
+    }
+    b.taskwait();
+    let program = b.build();
+    let harness = Harness::with_cores(1).with_tracker(tis_picos::TrackerConfig::new(4, 64));
+    for platform in [Platform::Phentos, Platform::NanosRv, Platform::NanosAxi] {
+        let report = harness.run(platform, &program).expect("no deadlock despite saturation");
+        assert_eq!(report.tasks_retired, 40);
+        assert_eq!(report.fabric_stats.tasks_submitted, 40, "{}", platform.label());
+    }
+}

@@ -23,7 +23,7 @@
 use std::process::ExitCode;
 
 use tis_bench::diff::diff;
-use tis_bench::Json;
+use tis_sim::Json;
 
 fn usage() -> ExitCode {
     eprintln!("usage: bench-diff BASELINE.json CANDIDATE.json [--threshold FRACTION]");

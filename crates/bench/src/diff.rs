@@ -8,7 +8,7 @@
 //! reported but never gates. The `bench-diff` binary turns this into a human-readable report
 //! and a CI exit code.
 
-use crate::json::Json;
+use tis_sim::Json;
 
 /// Which direction of change is an improvement for a metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,8 +139,8 @@ impl BenchDiff {
 /// Key for an array element: prefer a human-stable identity over the positional index, so
 /// reordered or extended artifacts still line up. Catalog rows are keyed by benchmark+input;
 /// sweep cells additionally carry their axis coordinates (core count, memory model,
-/// NoC-contention point, platform, tracker capacities), because one sweep emits many cells
-/// sharing a workload label.
+/// NoC-contention point, platform, tracker capacities, fault schedule, tenant scenario,
+/// analysis passes), because one sweep emits many cells sharing a workload label.
 fn element_key(item: &Json, index: usize) -> String {
     let by = |k: &str| item.get(k).and_then(Json::as_str).map(str::to_string);
     let base = match (by("benchmark"), by("input")) {
@@ -150,28 +150,25 @@ fn element_key(item: &Json, index: usize) -> String {
     let Some(mut key) = base else {
         return index.to_string();
     };
-    if let Some(cores) = item.get("cores").and_then(Json::as_f64) {
-        key.push_str(&format!(" c{cores:.0}"));
-    }
-    if let Some(memory) = by("memory") {
-        key.push_str(&format!(" {memory}"));
-    }
-    if let Some(noc) = by("noc") {
-        key.push_str(&format!(" {noc}"));
-    }
-    if let Some(platform) = by("platform") {
-        key.push_str(&format!(" {platform}"));
-    }
-    if let Some(tracker) = item.get("tracker") {
-        if let (Some(tm), Some(at)) = (
-            tracker.get("task_memory_entries").and_then(Json::as_f64),
-            tracker.get("address_table_entries").and_then(Json::as_f64),
-        ) {
-            key.push_str(&format!(" tm{tm:.0}-at{at:.0}"));
-        }
-    }
-    if let Some(fault) = by("fault") {
-        key.push_str(&format!(" {fault}"));
+    let cores = item.get("cores").and_then(Json::as_f64).map(|c| format!("c{c:.0}"));
+    let tracker = item.get("tracker").and_then(|t| {
+        let tm = t.get("task_memory_entries")?.as_f64()?;
+        let at = t.get("address_table_entries")?.as_f64()?;
+        Some(format!("tm{tm:.0}-at{at:.0}"))
+    });
+    let coordinates = [
+        cores,
+        by("memory"),
+        by("noc"),
+        by("platform"),
+        tracker,
+        by("fault"),
+        by("tenants"),
+        by("analysis"),
+    ];
+    for coordinate in coordinates.into_iter().flatten() {
+        key.push(' ');
+        key.push_str(&coordinate);
     }
     key
 }
@@ -466,6 +463,33 @@ mod tests {
             changed[0].path
         );
         assert!(d.only_before.is_empty() && d.only_after.is_empty());
+    }
+
+    #[test]
+    fn tenant_cells_pair_by_scenario_when_one_is_removed() {
+        // A multi-tenant sweep emits one cell per scenario at each core count, identical in
+        // every other coordinate; removing one scenario must not shift the pairing of the rest.
+        let scenarios = ["t1-batch-shared", "t2-burst96-shared", "t2-burst96-part", "t4-burst96-shared"];
+        let cell = |(i, scenario): (usize, &&str)| {
+            Json::obj([
+                ("workload", Json::Str("chain x64 t5000".into())),
+                ("cores", Json::UInt(8)),
+                ("platform", Json::Str("phentos".into())),
+                ("tenants", Json::Str(scenario.to_string())),
+                ("cycles", Json::UInt(1_000 * (i as u64 + 1))),
+            ])
+        };
+        let before = Json::obj([("cells", Json::Arr(scenarios.iter().enumerate().map(cell).collect()))]);
+        let after = Json::obj([(
+            "cells",
+            Json::Arr(scenarios.iter().enumerate().filter(|&(i, _)| i != 1).map(cell).collect()),
+        )]);
+        let d = diff(&before, &after);
+        assert_eq!(d.changed().count(), 0, "every remaining cell pairs with its own scenario");
+        assert_eq!(d.rows.len(), 6, "three cells of two numeric leaves each");
+        assert!(d.only_after.is_empty());
+        assert_eq!(d.only_before.len(), 5, "every leaf of the removed cell");
+        assert!(d.only_before.iter().all(|p| p.contains("t2-burst96-shared")), "{:?}", d.only_before);
     }
 
     #[test]

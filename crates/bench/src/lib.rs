@@ -11,18 +11,15 @@
 #![warn(missing_docs)]
 
 pub mod diff;
-pub mod json;
-
-pub use json::{Json, JsonParseError};
 
 use tis_core::{PhentosConfig, Phentos, TisConfig, TisFabric};
 use tis_machine::{
-    run_machine, run_machine_counted, EngineError, EngineStats, ExecutionReport, MachineConfig,
-    NullFabric,
+    run_machine_counted, EngineError, EngineStats, ExecutionReport, MachineConfig, NullFabric,
+    RuntimeSystem, SchedulerFabric,
 };
 use tis_nanos::{AxiConfig, AxiFabric, Nanos, NanosTuning, NanosVariant};
-use tis_sim::geomean;
-use tis_taskmodel::{TaskProgram, TaskSource, TenantRunData, TenantSource};
+use tis_sim::{geomean, Json};
+use tis_taskmodel::{MaterializedSource, TaskProgram, TaskSource, TenantRunData, TenantSource};
 use tis_workloads::{paper_catalog, task_chain, task_free, WorkloadInstance};
 
 /// The four Task Scheduling platforms compared throughout the paper's evaluation.
@@ -186,33 +183,7 @@ impl Harness {
         source: Box<dyn TaskSource>,
         collect_records: bool,
     ) -> Result<ExecutionReport, EngineError> {
-        let cores = self.machine.cores;
-        match platform {
-            Platform::Phentos => {
-                let mut runtime = Phentos::from_source(source, cores, self.phentos);
-                runtime.set_collect_records(collect_records);
-                let mut fabric = TisFabric::new(cores, self.tis);
-                run_machine(&self.machine, &mut runtime, &mut fabric)
-            }
-            Platform::NanosRv => {
-                let mut runtime = Nanos::from_source(source, cores, NanosVariant::PicosRocc, self.nanos);
-                runtime.set_collect_records(collect_records);
-                let mut fabric = TisFabric::new(cores, self.tis);
-                run_machine(&self.machine, &mut runtime, &mut fabric)
-            }
-            Platform::NanosAxi => {
-                let mut runtime = Nanos::from_source(source, cores, NanosVariant::PicosAxi, self.nanos);
-                runtime.set_collect_records(collect_records);
-                let mut fabric = AxiFabric::new(cores, self.axi);
-                run_machine(&self.machine, &mut runtime, &mut fabric)
-            }
-            Platform::NanosSw => {
-                let mut runtime = Nanos::from_source(source, cores, NanosVariant::Software, self.nanos);
-                runtime.set_collect_records(collect_records);
-                let mut fabric = NullFabric::new();
-                run_machine(&self.machine, &mut runtime, &mut fabric)
-            }
-        }
+        self.launch(platform, source, collect_records, None, |_| ()).0.map(|(report, ())| report)
     }
 
     /// Runs a multi-tenant co-scheduled workload ([`TenantSource`]) on the given platform,
@@ -250,50 +221,14 @@ impl Harness {
         platform: Platform,
         source: TenantSource,
         collect_records: bool,
-        mut obs: Option<&mut dyn tis_obs::Observer>,
+        obs: Option<&mut dyn tis_obs::Observer>,
     ) -> (Result<(ExecutionReport, TenantRunData), EngineError>, EngineStats) {
-        let cores = self.machine.cores;
-        let boxed: Box<dyn TaskSource> = Box::new(source);
-        let mut engine = EngineStats::default();
-        let mut launch = |runtime: &mut dyn tis_machine::RuntimeSystem,
-                          fabric: &mut dyn tis_machine::SchedulerFabric| {
-            let (result, stats) = run_machine_counted(&self.machine, runtime, fabric, obs.take());
-            engine = stats;
-            result
-        };
-        let take = |src: &mut dyn TaskSource| -> TenantRunData {
+        self.launch(platform, Box::new(source), collect_records, obs, |src| {
             src.as_any_mut()
                 .and_then(|any| any.downcast_mut::<TenantSource>())
                 .map(TenantSource::take_run_data)
                 .expect("run_tenants runtime must hold a TenantSource")
-        };
-        let result = match platform {
-            Platform::Phentos => {
-                let mut runtime = Phentos::from_source(boxed, cores, self.phentos);
-                runtime.set_collect_records(collect_records);
-                let mut fabric = TisFabric::new(cores, self.tis);
-                launch(&mut runtime, &mut fabric).map(|report| (report, take(runtime.source_mut())))
-            }
-            Platform::NanosRv => {
-                let mut runtime = Nanos::from_source(boxed, cores, NanosVariant::PicosRocc, self.nanos);
-                runtime.set_collect_records(collect_records);
-                let mut fabric = TisFabric::new(cores, self.tis);
-                launch(&mut runtime, &mut fabric).map(|report| (report, take(runtime.source_mut())))
-            }
-            Platform::NanosAxi => {
-                let mut runtime = Nanos::from_source(boxed, cores, NanosVariant::PicosAxi, self.nanos);
-                runtime.set_collect_records(collect_records);
-                let mut fabric = AxiFabric::new(cores, self.axi);
-                launch(&mut runtime, &mut fabric).map(|report| (report, take(runtime.source_mut())))
-            }
-            Platform::NanosSw => {
-                let mut runtime = Nanos::from_source(boxed, cores, NanosVariant::Software, self.nanos);
-                runtime.set_collect_records(collect_records);
-                let mut fabric = NullFabric::new();
-                launch(&mut runtime, &mut fabric).map(|report| (report, take(runtime.source_mut())))
-            }
-        };
-        (result, engine)
+        })
     }
 
     /// [`Harness::run`], or [`Harness::run_observed`] when `obs` is given, that also returns
@@ -304,6 +239,7 @@ impl Harness {
         program: &TaskProgram,
         obs: Option<&mut dyn tis_obs::Observer>,
     ) -> (Result<ExecutionReport, EngineError>, EngineStats) {
+        program.validate().expect("program must satisfy the Picos descriptor constraints");
         // In debug builds every program entering the harness is preflighted: acyclic,
         // reference-clean, conflict-covered. Release benches skip the pass so pinned
         // figure timings are untouched; the generators' own chokepoints still cover them.
@@ -311,31 +247,44 @@ impl Harness {
         if let Err(e) = tis_analyze::analyze_program(program) {
             panic!("program failed preflight before simulation: {e}");
         }
+        let source = Box::new(MaterializedSource::new(program));
+        let (result, engine) = self.launch(platform, source, true, obs, |_| ());
+        (result.map(|(report, ())| report), engine)
+    }
+
+    /// The one launch path: builds `platform`'s runtime over `source` and its fabric, runs the
+    /// engine, and on success hands the runtime's source to `finish`.
+    fn launch<T>(
+        &self,
+        platform: Platform,
+        source: Box<dyn TaskSource>,
+        collect_records: bool,
+        obs: Option<&mut dyn tis_obs::Observer>,
+        finish: impl FnOnce(&mut dyn TaskSource) -> T,
+    ) -> (Result<(ExecutionReport, T), EngineError>, EngineStats) {
         let cores = self.machine.cores;
-        let launch = |runtime: &mut dyn tis_machine::RuntimeSystem,
-                      fabric: &mut dyn tis_machine::SchedulerFabric| {
-            run_machine_counted(&self.machine, runtime, fabric, obs)
+        let tis = || Box::new(TisFabric::new(cores, self.tis));
+        let (variant, mut fabric): (_, Box<dyn SchedulerFabric>) = match platform {
+            Platform::Phentos => (None, tis()),
+            Platform::NanosRv => (Some(NanosVariant::PicosRocc), tis()),
+            Platform::NanosAxi => (Some(NanosVariant::PicosAxi), Box::new(AxiFabric::new(cores, self.axi))),
+            Platform::NanosSw => (Some(NanosVariant::Software), Box::new(NullFabric::new())),
         };
-        match platform {
-            Platform::Phentos => {
-                let mut runtime = Phentos::new(program, cores, self.phentos);
-                let mut fabric = TisFabric::new(cores, self.tis);
-                launch(&mut runtime, &mut fabric)
+        let run = |runtime: &mut dyn RuntimeSystem| {
+            run_machine_counted(&self.machine, runtime, fabric.as_mut(), obs)
+        };
+        match variant {
+            None => {
+                let mut runtime = Phentos::from_source(source, cores, self.phentos);
+                runtime.set_collect_records(collect_records);
+                let (result, engine) = run(&mut runtime);
+                (result.map(|report| (report, finish(runtime.source_mut()))), engine)
             }
-            Platform::NanosRv => {
-                let mut runtime = Nanos::new(program, cores, NanosVariant::PicosRocc, self.nanos);
-                let mut fabric = TisFabric::new(cores, self.tis);
-                launch(&mut runtime, &mut fabric)
-            }
-            Platform::NanosAxi => {
-                let mut runtime = Nanos::new(program, cores, NanosVariant::PicosAxi, self.nanos);
-                let mut fabric = AxiFabric::new(cores, self.axi);
-                launch(&mut runtime, &mut fabric)
-            }
-            Platform::NanosSw => {
-                let mut runtime = Nanos::new(program, cores, NanosVariant::Software, self.nanos);
-                let mut fabric = NullFabric::new();
-                launch(&mut runtime, &mut fabric)
+            Some(variant) => {
+                let mut runtime = Nanos::from_source(source, cores, variant, self.nanos);
+                runtime.set_collect_records(collect_records);
+                let (result, engine) = run(&mut runtime);
+                (result.map(|report| (report, finish(runtime.source_mut()))), engine)
             }
         }
     }

@@ -19,13 +19,13 @@
 //! * [`phentos`] — the **Phentos** fly-weight runtime (Section V-B): no non-IO syscalls,
 //!   cache-line-sized task metadata, private retirement counters with batched atomic updates,
 //!   bounded spin polling;
-//! * [`resources`] — the FPGA resource model behind Table II;
-//! * [`system`] — a small facade for running a task program on the tightly-integrated system.
+//! * [`resources`] — the FPGA resource model behind Table II.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use tis_core::system::TisSystem;
+//! use tis_core::{Phentos, PhentosConfig, TisConfig, TisFabric};
+//! use tis_machine::{run_machine, MachineConfig};
 //! use tis_taskmodel::{Dependence, Payload, ProgramBuilder};
 //!
 //! let mut b = ProgramBuilder::new("demo");
@@ -35,7 +35,10 @@
 //! b.taskwait();
 //! let program = b.build();
 //!
-//! let report = TisSystem::eight_core().run_phentos(&program).expect("simulation succeeds");
+//! let machine = MachineConfig::rocket_octacore();
+//! let mut runtime = Phentos::new(&program, machine.cores, PhentosConfig::default());
+//! let mut fabric = TisFabric::new(machine.cores, TisConfig::default());
+//! let report = run_machine(&machine, &mut runtime, &mut fabric).expect("simulation succeeds");
 //! assert_eq!(report.tasks_retired, 2);
 //! report.validate_against(&program).expect("dependences honoured");
 //! ```
@@ -49,10 +52,8 @@ pub mod manager;
 pub mod phentos;
 pub mod resources;
 pub mod rocc;
-pub mod system;
 
 pub use fabric::{TisConfig, TisFabric};
 pub use phentos::{Phentos, PhentosConfig};
 pub use resources::{ResourceReport, ResourceRow};
 pub use rocc::{RoccInstruction, TaskSchedOp, CUSTOM0_OPCODE};
-pub use system::TisSystem;

@@ -1,10 +1,11 @@
 //! Structured sweep results and their machine-readable serialisation.
 
 use tis_analyze::AnalysisConfig;
-use tis_bench::{Json, Platform};
+use tis_bench::Platform;
 use tis_machine::{EngineStats, FaultConfig, MemoryModel};
 use tis_obs::{CriticalPath, ObsConfig};
 use tis_picos::TrackerConfig;
+use tis_sim::Json;
 use tis_taskmodel::TenantReport;
 
 /// Per-tenant serving measurements of one co-scheduled cell.

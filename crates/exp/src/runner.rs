@@ -11,13 +11,17 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use tis_bench::{measure_lifetime_overhead, measure_task_throughput, Harness};
-use tis_machine::{mtt_speedup_bound_from_throughput, FaultConfig};
+use tis_bench::{measure_lifetime_overhead, measure_task_throughput, Harness, Platform};
+use tis_machine::{
+    mtt_speedup_bound_from_throughput, EngineStats, ExecutionReport, FaultConfig, MemoryModel,
+};
+use tis_obs::{CriticalPath, ObsConfig, Observer, Recorder};
+use tis_picos::TrackerConfig;
 use tis_sim::SimRng;
-use tis_taskmodel::{MaterializedSource, TenantSet, TenantTrackerPolicy};
+use tis_taskmodel::{MaterializedSource, TaskProgram, TenantSet, TenantTrackerPolicy};
 use tis_workloads::task_chain;
 
-use crate::grid::{CellSpec, Sweep, TenantScenario};
+use crate::grid::{CellSpec, Sweep, TenantScenario, WorkloadSpec};
 use crate::report::{ObsCellData, SweepCell, SweepReport, TenantCellData};
 
 /// Number of tasks in the Task-Chain probe used to measure per-platform lifetime overhead.
@@ -146,7 +150,7 @@ pub fn run_sweep_with_workers(sweep: &Sweep, workers: usize) -> SweepReport {
     let mut slots: Vec<Option<SweepCell>> = vec![None; cells.len()];
     if workers <= 1 {
         for cell in &cells {
-            slots[cell.index] = Some(run_cell(sweep, cell, program_of(cell), &probes));
+            slots[cell.index] = Some(evaluate_cell(sweep, cell, program_of(cell), &probes));
         }
     } else {
         let next = AtomicUsize::new(0);
@@ -156,7 +160,7 @@ pub fn run_sweep_with_workers(sweep: &Sweep, workers: usize) -> SweepReport {
                 scope.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(cell) = cells.get(i) else { break };
-                    let done = run_cell(sweep, cell, program_of(cell), &probes);
+                    let done = evaluate_cell(sweep, cell, program_of(cell), &probes);
                     results.lock().expect("no worker panicked holding the slot lock")[cell.index] =
                         Some(done);
                 });
@@ -171,63 +175,189 @@ pub fn run_sweep_with_workers(sweep: &Sweep, workers: usize) -> SweepReport {
     }
 }
 
-/// Evaluates one cell on its grid point's shared program.
-fn run_cell(
+/// Evaluates one cell on its grid point's shared program: resolves the cell once, runs its
+/// single-program or co-scheduled path, and folds the run into a [`SweepCell`].
+fn evaluate_cell(
     sweep: &Sweep,
     cell: &CellSpec,
-    program: &tis_taskmodel::TaskProgram,
+    program: &TaskProgram,
     probes: &SchedulerProbes,
 ) -> SweepCell {
-    if let Some(scenario) = sweep.tenants[cell.tenant] {
-        return run_tenant_cell(sweep, cell, program, probes, scenario);
+    let setup = CellSetup::new(sweep, cell, probes);
+    let run = match setup.scenario {
+        None => run_cell(&setup, program),
+        Some(scenario) => run_tenant_cell(&setup, program, scenario),
+    };
+    setup.cell(run)
+}
+
+/// A cell's resolved axis values, machine and probe figures: everything both run paths share.
+struct CellSetup<'a> {
+    sweep: &'a Sweep,
+    cell: &'a CellSpec,
+    spec: &'a WorkloadSpec,
+    platform: Platform,
+    tracker: TrackerConfig,
+    memory: MemoryModel,
+    fault: FaultConfig,
+    scenario: Option<TenantScenario>,
+    harness: Harness,
+    lifetime_overhead: f64,
+    tasks_per_cycle: f64,
+    obs: Option<ObsConfig>,
+}
+
+/// What one cell's run measured: the engine's report and work, the workload totals its speedup
+/// and bound are taken against, and the path-specific extras.
+struct CellRun {
+    report: ExecutionReport,
+    engine: EngineStats,
+    tasks: usize,
+    mean_task_cycles: f64,
+    serial_cycles: u64,
+    race_pairs_checked: u64,
+    tenant: Option<Box<TenantCellData>>,
+    obs: Option<Box<ObsCellData>>,
+}
+
+impl<'a> CellSetup<'a> {
+    fn new(sweep: &'a Sweep, cell: &'a CellSpec, probes: &SchedulerProbes) -> Self {
+        let tracker = sweep.trackers[cell.tracker];
+        let memory = sweep.memory_models[cell.memory];
+        // Each engaging cell replays its own fault schedule: the schedule seed is a pure
+        // function of the sweep seed and the cell's grid index, so it is identical at any
+        // worker count and the resolved config recorded in the report replays the cell exactly.
+        // A non-engaging config is passed through untouched, constructing no fault layer at all.
+        let base_fault = sweep.faults[cell.fault];
+        let fault = if base_fault.engages() {
+            let mut seeds = SimRng::new(sweep.seed).stream("sweep-fault", cell.index as u64);
+            FaultConfig { seed: seeds.next_u64(), ..base_fault }
+        } else {
+            base_fault
+        };
+        CellSetup {
+            sweep,
+            cell,
+            spec: &sweep.workloads[cell.workload],
+            platform: sweep.platforms[cell.platform],
+            tracker,
+            memory,
+            fault,
+            scenario: sweep.tenants[cell.tenant],
+            harness: Harness::with_cores(cell.cores)
+                .with_tracker(tracker)
+                .with_memory_model(memory)
+                .with_faults(fault),
+            lifetime_overhead: probes.lifetime_overhead(sweep, cell),
+            tasks_per_cycle: probes.throughput(sweep, cell),
+            obs: sweep.cell_obs(cell.index),
+        }
     }
-    let lifetime_overhead = probes.lifetime_overhead(sweep, cell);
-    let tasks_per_cycle = probes.throughput(sweep, cell);
-    let spec = &sweep.workloads[cell.workload];
-    let platform = sweep.platforms[cell.platform];
-    let tracker = sweep.trackers[cell.tracker];
-    let memory = sweep.memory_models[cell.memory];
-    // Each engaging cell replays its own fault schedule: the schedule seed is a pure function
-    // of the sweep seed and the cell's grid index, so it is identical at any worker count and
-    // the resolved config recorded in the report replays the cell exactly. A non-engaging
-    // config is passed through untouched, constructing no fault layer at all.
-    let base_fault = sweep.faults[cell.fault];
-    let fault = if base_fault.engages() {
-        let mut seeds = SimRng::new(sweep.seed).stream("sweep-fault", cell.index as u64);
-        FaultConfig { seed: seeds.next_u64(), ..base_fault }
-    } else {
-        base_fault
-    };
-    let harness = Harness::with_cores(cell.cores)
-        .with_tracker(tracker)
-        .with_memory_model(memory)
-        .with_faults(fault);
-    let context = || {
+
+    /// The cell's coordinates, for failure messages.
+    fn context(&self) -> String {
+        let scenario = self.scenario.map(|s| format!(" ({})", s.key())).unwrap_or_default();
         format!(
-            "sweep '{}' cell {}: {} on {} cores, {}, {}, {}, fault {}",
-            sweep.name,
-            cell.index,
-            spec.label(),
-            cell.cores,
-            memory.label(),
-            platform.label(),
-            tracker.label(),
-            fault.key()
+            "sweep '{}' cell {}: {}{scenario} on {} cores, {}, {}, {}, fault {}",
+            self.sweep.name,
+            self.cell.index,
+            self.spec.label(),
+            self.cell.cores,
+            self.memory.label(),
+            self.platform.label(),
+            self.tracker.label(),
+            self.fault.key()
         )
-    };
+    }
+
+    /// Title of the cell's trace and metrics documents.
+    fn label(&self) -> String {
+        format!("{} cell {} ({})", self.sweep.name, self.cell.index, self.spec.label())
+    }
+
+    /// Folds the cell's recorder into its observability data: the critical path over the run's
+    /// happens-before `edges` plus the rendered trace and metrics documents.
+    fn obs_data(
+        &self,
+        recorder: &Recorder,
+        edges: &[(usize, usize)],
+        total_cycles: u64,
+        tenant_critical: Vec<CriticalPath>,
+        trace_json: String,
+    ) -> Box<ObsCellData> {
+        Box::new(ObsCellData {
+            config: self.obs.expect("a recorder implies an engaged obs config"),
+            task_events: recorder.task_events(),
+            samples: recorder.metrics().samples().len() as u64,
+            critical: recorder.critical_path(edges, total_cycles),
+            tenant_critical,
+            trace_json,
+            metrics_json: recorder.metrics_json(&self.label(), total_cycles).render(),
+        })
+    }
+
+    /// The cell's row of the report.
+    fn cell(&self, run: CellRun) -> SweepCell {
+        let mem = &run.report.memory_stats;
+        let fabric = &run.report.fabric_stats;
+        SweepCell {
+            workload: self.spec.label(),
+            family: self.spec.family(),
+            cores: self.cell.cores,
+            memory: self.memory,
+            platform: self.platform,
+            tracker: self.tracker,
+            tasks: run.tasks,
+            mean_task_cycles: run.mean_task_cycles,
+            serial_cycles: run.serial_cycles,
+            total_cycles: run.report.total_cycles,
+            speedup: run.report.speedup_over(run.serial_cycles),
+            lifetime_overhead: self.lifetime_overhead,
+            mtt_tasks_per_cycle: self.tasks_per_cycle,
+            mtt_bound: mtt_speedup_bound_from_throughput(
+                run.mean_task_cycles,
+                self.tasks_per_cycle,
+                self.cell.cores,
+            ),
+            mem_accesses: mem.accesses,
+            mem_stall_cycles: mem.stall_cycles,
+            mean_mem_latency: mem.mean_access_latency(),
+            noc_link_wait_cycles: mem.noc_link_wait_cycles,
+            max_link_occupancy: mem.max_link_occupancy,
+            fault: self.fault,
+            fault_drops: mem.fault.drops,
+            fault_delays: mem.fault.delays,
+            fault_retries: mem.fault.retries + fabric.tracker_resubmits,
+            fault_tracker_losses: fabric.tracker_losses,
+            fault_recovery_cycles: mem.fault.recovery_cycles + fabric.tracker_recovery_cycles,
+            analysis: self.sweep.analysis,
+            race_pairs_checked: run.race_pairs_checked,
+            engine: run.engine,
+            tenant: run.tenant,
+            obs: run.obs,
+        }
+    }
+}
+
+/// Runs a single-program cell, validating its schedule and race-checking its trace when the
+/// sweep asks for it.
+fn run_cell(setup: &CellSetup<'_>, program: &TaskProgram) -> CellRun {
+    let sweep = setup.sweep;
     // An observed cell runs with a recorder attached through the engine's observer
     // chokepoint. Observation is a pure tap — the simulated cycle counts are identical either
     // way (`observing_a_sweep_changes_no_measurement` pins this) — so observed and unobserved
     // cells of one report remain directly comparable.
-    let cell_obs = sweep.cell_obs(cell.index);
-    let mut recorder = cell_obs.map(tis_obs::Recorder::new);
-    let (result, engine) =
-        harness.run_counted(platform, program, recorder.as_mut().map(|r| r as &mut dyn tis_obs::Observer));
-    let report = result.unwrap_or_else(|e| panic!("{} failed: {e}", context()));
+    let mut recorder = setup.obs.map(Recorder::new);
+    let (result, engine) = setup.harness.run_counted(
+        setup.platform,
+        program,
+        recorder.as_mut().map(|r| r as &mut dyn Observer),
+    );
+    let report = result.unwrap_or_else(|e| panic!("{} failed: {e}", setup.context()));
     if sweep.validate {
         report
             .validate_against(program)
-            .unwrap_or_else(|e| panic!("{} produced an invalid schedule: {e}", context()));
+            .unwrap_or_else(|e| panic!("{} produced an invalid schedule: {e}", setup.context()));
     }
     // Dynamic race check over the dispatch/retire trace. A detected race means the
     // platform executed a conflicting pair without a happens-before path — like a
@@ -242,7 +372,7 @@ fn run_cell(
             }
             panic!(
                 "{} raced ({} of {} conflicting pairs unordered, {} unrecorded):{detail}",
-                context(),
+                setup.context(),
                 analysis.races.len(),
                 analysis.pairs_checked,
                 analysis.pairs_skipped
@@ -252,117 +382,49 @@ fn run_cell(
     } else {
         0
     };
-    // Fold the recorder into the cell: critical path over the program's happens-before edges
-    // (the same edges the race detector walks), plus the rendered trace/metrics documents.
+    // The critical path runs over the program's happens-before edges, the same edges the race
+    // detector walks.
     let obs = recorder.map(|r| {
         let edges = tis_analyze::GraphSpec::from_program(program).edges;
-        let label = format!("{} cell {} ({})", sweep.name, cell.index, spec.label());
-        Box::new(ObsCellData {
-            config: cell_obs.expect("a recorder implies an engaged obs config"),
-            task_events: r.task_events(),
-            samples: r.metrics().samples().len() as u64,
-            critical: r.critical_path(&edges, report.total_cycles),
-            tenant_critical: Vec::new(),
-            trace_json: r.perfetto_json(&label, cell.cores).render(),
-            metrics_json: r.metrics_json(&label, report.total_cycles).render(),
-        })
+        let trace_json = r.perfetto_json(&setup.label(), setup.cell.cores).render();
+        setup.obs_data(&r, &edges, report.total_cycles, Vec::new(), trace_json)
     });
-    let stats = program.stats(harness.machine.dram_bytes_per_cycle);
-    let serial = harness.serial_cycles(program);
-    SweepCell {
-        workload: spec.label(),
-        family: spec.family(),
-        cores: cell.cores,
-        memory,
-        platform,
-        tracker,
+    let stats = program.stats(setup.harness.machine.dram_bytes_per_cycle);
+    CellRun {
+        engine,
         tasks: stats.tasks,
         mean_task_cycles: stats.mean_task_cycles,
-        serial_cycles: serial,
-        total_cycles: report.total_cycles,
-        speedup: report.speedup_over(serial),
-        lifetime_overhead,
-        mtt_tasks_per_cycle: tasks_per_cycle,
-        mtt_bound: mtt_speedup_bound_from_throughput(
-            stats.mean_task_cycles,
-            tasks_per_cycle,
-            cell.cores,
-        ),
-        mem_accesses: report.memory_stats.accesses,
-        mem_stall_cycles: report.memory_stats.stall_cycles,
-        mean_mem_latency: report.memory_stats.mean_access_latency(),
-        noc_link_wait_cycles: report.memory_stats.noc_link_wait_cycles,
-        max_link_occupancy: report.memory_stats.max_link_occupancy,
-        fault,
-        fault_drops: report.memory_stats.fault.drops,
-        fault_delays: report.memory_stats.fault.delays,
-        fault_retries: report.memory_stats.fault.retries + report.fabric_stats.tracker_resubmits,
-        fault_tracker_losses: report.fabric_stats.tracker_losses,
-        fault_recovery_cycles: report.memory_stats.fault.recovery_cycles
-            + report.fabric_stats.tracker_recovery_cycles,
-        analysis: sweep.analysis,
+        serial_cycles: setup.harness.serial_cycles(program),
         race_pairs_checked,
-        engine,
         tenant: None,
         obs,
+        report,
     }
 }
 
-/// Evaluates one co-scheduled cell. Tenant 0 runs the grid point's shared program
-/// batch-at-zero — so the 1-tenant batch/shared scenario is the degenerate case, pinned
-/// cycle-identical to the plain single-program cell — and tenants `1..n` run independent
-/// instances of the same workload spec drawn from per-tenant substreams of the cell RNG.
-/// The whole scenario replays bit-exactly from `(sweep seed, cell coordinates)` alone.
+/// Runs a co-scheduled cell. Tenant 0 runs the grid point's shared program batch-at-zero — so
+/// the 1-tenant batch/shared scenario is the degenerate case, pinned cycle-identical to the
+/// plain single-program cell — and tenants `1..n` run independent instances of the same
+/// workload spec drawn from per-tenant substreams of the cell RNG. The whole scenario replays
+/// bit-exactly from `(sweep seed, cell coordinates)` alone.
 ///
 /// Schedule validation and race detection are skipped here: both check against a single
 /// program's reference graph, and a merged run's global task IDs span all tenants. The
 /// per-tenant critical paths (observed cells) cover the merged run instead.
 fn run_tenant_cell(
-    sweep: &Sweep,
-    cell: &CellSpec,
-    program: &tis_taskmodel::TaskProgram,
-    probes: &SchedulerProbes,
+    setup: &CellSetup<'_>,
+    program: &TaskProgram,
     scenario: TenantScenario,
-) -> SweepCell {
-    let lifetime_overhead = probes.lifetime_overhead(sweep, cell);
-    let tasks_per_cycle = probes.throughput(sweep, cell);
-    let spec = &sweep.workloads[cell.workload];
-    let platform = sweep.platforms[cell.platform];
-    let tracker = sweep.trackers[cell.tracker];
-    let memory = sweep.memory_models[cell.memory];
-    let base_fault = sweep.faults[cell.fault];
-    let fault = if base_fault.engages() {
-        let mut seeds = SimRng::new(sweep.seed).stream("sweep-fault", cell.index as u64);
-        FaultConfig { seed: seeds.next_u64(), ..base_fault }
-    } else {
-        base_fault
-    };
-    let harness = Harness::with_cores(cell.cores)
-        .with_tracker(tracker)
-        .with_memory_model(memory)
-        .with_faults(fault);
-    let context = || {
-        format!(
-            "sweep '{}' cell {}: {} ({}) on {} cores, {}, {}, {}, fault {}",
-            sweep.name,
-            cell.index,
-            spec.label(),
-            scenario.key(),
-            cell.cores,
-            memory.label(),
-            platform.label(),
-            tracker.label(),
-            fault.key()
-        )
-    };
+) -> CellRun {
+    let (sweep, cell) = (setup.sweep, setup.cell);
     let mut tenant_programs = vec![program.clone()];
     for t in 1..scenario.tenants {
         let mut rng = sweep.cell_rng(cell.workload, cell.cores).stream("tenant", t as u64);
-        tenant_programs.push(spec.instantiate(cell.cores, &mut rng));
+        tenant_programs.push(setup.spec.instantiate(cell.cores, &mut rng));
     }
     let policy = if scenario.partitioned {
         TenantTrackerPolicy::Partitioned {
-            per_tenant_entries: tracker.per_tenant_entries(scenario.tenants),
+            per_tenant_entries: setup.tracker.per_tenant_entries(scenario.tenants),
         }
     } else {
         TenantTrackerPolicy::Shared
@@ -378,15 +440,14 @@ fn run_tenant_cell(
     // isolates the tracker policy and nothing else.
     let arrivals = sweep.cell_rng(cell.workload, cell.cores).stream("tenant-arrivals", 0);
     let source = set.into_source(arrivals);
-    let cell_obs = sweep.cell_obs(cell.index);
-    let mut recorder = cell_obs.map(tis_obs::Recorder::new);
-    let (result, engine) = harness.run_tenants_counted(
-        platform,
+    let mut recorder = setup.obs.map(Recorder::new);
+    let (result, engine) = setup.harness.run_tenants_counted(
+        setup.platform,
         source,
         false,
-        recorder.as_mut().map(|r| r as &mut dyn tis_obs::Observer),
+        recorder.as_mut().map(|r| r as &mut dyn Observer),
     );
-    let (report, run_data) = result.unwrap_or_else(|e| panic!("{} failed: {e}", context()));
+    let (report, run_data) = result.unwrap_or_else(|e| panic!("{} failed: {e}", setup.context()));
     let obs = recorder.map(|r| {
         // The merged run's happens-before edges are each tenant's program edges remapped to
         // global task IDs through the release-order assignment (tenant t's k-th release is
@@ -408,28 +469,18 @@ fn run_tenant_cell(
                 edges.iter().map(move |&(a, b)| (map[a], map[b]))
             })
             .collect();
-        let label = format!("{} cell {} ({})", sweep.name, cell.index, spec.label());
-        Box::new(ObsCellData {
-            config: cell_obs.expect("a recorder implies an engaged obs config"),
-            task_events: r.task_events(),
-            samples: r.metrics().samples().len() as u64,
-            critical: r.critical_path(&merged_edges, report.total_cycles),
-            tenant_critical: tis_obs::critical_path_per_tenant(
-                r.spans(),
-                &run_data.assignment,
-                &tenant_edges,
-            ),
-            trace_json: tis_obs::trace_json_tenants(
-                &label,
-                cell.cores,
-                r.spans(),
-                r.metrics().samples(),
-                &run_data.names,
-                &run_data.assignment,
-            )
-            .render(),
-            metrics_json: r.metrics_json(&label, report.total_cycles).render(),
-        })
+        let tenant_critical =
+            tis_obs::critical_path_per_tenant(r.spans(), &run_data.assignment, &tenant_edges);
+        let trace_json = tis_obs::trace_json_tenants(
+            &setup.label(),
+            cell.cores,
+            r.spans(),
+            r.metrics().samples(),
+            &run_data.names,
+            &run_data.assignment,
+        )
+        .render();
+        setup.obs_data(&r, &merged_edges, report.total_cycles, tenant_critical, trace_json)
     });
     // Aggregate workload statistics across tenants; the serial baseline is one machine doing
     // every tenant's work back to back, so speedup stays speedup-over-serial for the whole
@@ -438,48 +489,25 @@ fn run_tenant_cell(
     let mut weighted_cycles = 0.0;
     let mut serial = 0u64;
     for p in &tenant_programs {
-        let stats = p.stats(harness.machine.dram_bytes_per_cycle);
+        let stats = p.stats(setup.harness.machine.dram_bytes_per_cycle);
         weighted_cycles += stats.mean_task_cycles * stats.tasks as f64;
         tasks += stats.tasks;
-        serial += harness.serial_cycles(p);
+        serial += setup.harness.serial_cycles(p);
     }
-    let mean_task_cycles = if tasks == 0 { 0.0 } else { weighted_cycles / tasks as f64 };
-    SweepCell {
-        workload: spec.label(),
-        family: spec.family(),
-        cores: cell.cores,
-        memory,
-        platform,
-        tracker,
-        tasks,
-        mean_task_cycles,
-        serial_cycles: serial,
-        total_cycles: report.total_cycles,
-        speedup: report.speedup_over(serial),
-        lifetime_overhead,
-        mtt_tasks_per_cycle: tasks_per_cycle,
-        mtt_bound: mtt_speedup_bound_from_throughput(mean_task_cycles, tasks_per_cycle, cell.cores),
-        mem_accesses: report.memory_stats.accesses,
-        mem_stall_cycles: report.memory_stats.stall_cycles,
-        mean_mem_latency: report.memory_stats.mean_access_latency(),
-        noc_link_wait_cycles: report.memory_stats.noc_link_wait_cycles,
-        max_link_occupancy: report.memory_stats.max_link_occupancy,
-        fault,
-        fault_drops: report.memory_stats.fault.drops,
-        fault_delays: report.memory_stats.fault.delays,
-        fault_retries: report.memory_stats.fault.retries + report.fabric_stats.tracker_resubmits,
-        fault_tracker_losses: report.fabric_stats.tracker_losses,
-        fault_recovery_cycles: report.memory_stats.fault.recovery_cycles
-            + report.fabric_stats.tracker_recovery_cycles,
-        analysis: sweep.analysis,
-        race_pairs_checked: 0,
+    let tenant = Box::new(TenantCellData {
+        scenario: scenario.key(),
+        reports: report.tenants.clone(),
+        jain: report.tenant_jain_fairness(),
+    });
+    CellRun {
         engine,
-        tenant: Some(Box::new(TenantCellData {
-            scenario: scenario.key(),
-            reports: report.tenants.clone(),
-            jain: report.tenant_jain_fairness(),
-        })),
+        tasks,
+        mean_task_cycles: if tasks == 0 { 0.0 } else { weighted_cycles / tasks as f64 },
+        serial_cycles: serial,
+        race_pairs_checked: 0,
+        tenant: Some(tenant),
         obs,
+        report,
     }
 }
 
@@ -488,8 +516,6 @@ mod tests {
     use super::*;
     use crate::grid::WorkloadSpec;
     use crate::synth::{SynthFamily, SynthSpec};
-    use tis_bench::Platform;
-    use tis_picos::TrackerConfig;
 
     fn small_sweep() -> Sweep {
         Sweep::new("unit")

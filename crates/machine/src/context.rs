@@ -213,22 +213,12 @@ impl<'a> CoreCtx<'a> {
         }
     }
 
-    /// Executes a task payload: `compute_cycles` of private computation plus the DRAM time of
-    /// its `memory_bytes`, charged against the shared bandwidth channel.
+    /// Executes task `task`'s payload: `compute_cycles` of private computation plus the DRAM
+    /// time of its `memory_bytes`, charged against the shared bandwidth channel. Emits
+    /// `ExecStart` before and `ExecEnd` after, with the DRAM-stall share of the payload carried
+    /// in the event's `arg`; observation spends no cycles.
     ///
     /// Returns the total payload duration in cycles.
-    pub fn execute_payload(&mut self, payload: Payload) -> Cycle {
-        let mem_cycles = self.dram.transfer(self.time, payload.memory_bytes);
-        let total = payload.compute_cycles + mem_cycles;
-        self.time += total;
-        self.stats.payload_cycles += total;
-        self.stats.tasks_executed += 1;
-        total
-    }
-
-    /// [`CoreCtx::execute_payload`] plus task-span bracketing: emits `ExecStart` before and
-    /// `ExecEnd` after, with the DRAM-stall share of the payload carried in the event's `arg`.
-    /// Timing is identical to `execute_payload` — observation spends no cycles.
     pub fn execute_task_payload(&mut self, task: u64, payload: Payload) -> Cycle {
         self.observe_task(TaskStage::ExecStart, task);
         let mem_cycles = self.dram.transfer(self.time, payload.memory_bytes);
@@ -318,7 +308,7 @@ mod tests {
     fn payload_execution_charges_compute_and_bandwidth() {
         let (mut mem, mut dram, costs, mut stats) = harness();
         let mut ctx = CoreCtx::new(1, 0, &mut mem, &mut dram, &costs, &mut stats);
-        let d = ctx.execute_payload(Payload::new(100, 160));
+        let d = ctx.execute_task_payload(0, Payload::new(100, 160));
         assert_eq!(d, 110, "100 compute + 160 bytes at 16 B/cycle");
         assert_eq!(ctx.finish(), 110);
         assert_eq!(stats.payload_cycles, 110);

@@ -2,8 +2,8 @@
 //!
 //! Everything in the workspace measures time in **core clock cycles** of the simulated Rocket
 //! Chip (the paper's prototype runs at 80 MHz). [`Cycle`] is a plain `u64` so that arithmetic
-//! stays ergonomic in hot simulation loops; [`Frequency`] and [`ClockDomain`] provide the
-//! conversions needed when reasoning about the 667 MHz memory clock or wall-clock time.
+//! stays ergonomic in hot simulation loops; [`Frequency`] provides the conversions needed when
+//! reasoning about the 667 MHz memory clock or wall-clock time.
 
 /// A point in (or duration of) simulated time, measured in core clock cycles.
 pub type Cycle = u64;
@@ -74,91 +74,6 @@ impl core::fmt::Display for Frequency {
     }
 }
 
-/// Relationship between two clock domains.
-///
-/// Latencies published for one domain (e.g. DRAM cycles at 667 MHz) are converted into core
-/// cycles by [`ClockDomain::to_core_cycles`]. The paper exploits exactly this ratio: because the
-/// memory clock is much faster than the 80 MHz core clock, L1 misses are comparatively cheap on
-/// the prototype.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClockDomain {
-    /// Frequency of the core clock in which simulation time is expressed.
-    pub core: Frequency,
-    /// Frequency of the foreign clock whose latencies we want to convert.
-    pub foreign: Frequency,
-}
-
-impl ClockDomain {
-    /// Creates a clock-domain description.
-    pub const fn new(core: Frequency, foreign: Frequency) -> Self {
-        ClockDomain { core, foreign }
-    }
-
-    /// Converts `foreign_cycles` of the foreign clock into core cycles, rounding up.
-    ///
-    /// Rounding up is the conservative choice for latencies: hardware cannot finish in a
-    /// fraction of a core cycle.
-    pub fn to_core_cycles(&self, foreign_cycles: Cycle) -> Cycle {
-        let num = foreign_cycles as u128 * self.core.hz() as u128;
-        let den = self.foreign.hz() as u128;
-        num.div_ceil(den) as Cycle
-    }
-
-    /// Converts core cycles into cycles of the foreign clock, rounding up.
-    pub fn to_foreign_cycles(&self, core_cycles: Cycle) -> Cycle {
-        let num = core_cycles as u128 * self.foreign.hz() as u128;
-        let den = self.core.hz() as u128;
-        num.div_ceil(den) as Cycle
-    }
-}
-
-impl Default for ClockDomain {
-    fn default() -> Self {
-        ClockDomain::new(Frequency::ROCKET_FPGA, Frequency::ZCU102_DDR)
-    }
-}
-
-/// A monotone simulated clock.
-///
-/// `CycleClock` never moves backwards; attempting to do so is a programming error in the
-/// simulator and triggers a panic in debug builds via `debug_assert!`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CycleClock {
-    now: Cycle,
-}
-
-impl CycleClock {
-    /// Creates a clock starting at cycle zero.
-    pub fn new() -> Self {
-        CycleClock { now: 0 }
-    }
-
-    /// Creates a clock starting at an arbitrary cycle.
-    pub fn starting_at(now: Cycle) -> Self {
-        CycleClock { now }
-    }
-
-    /// Returns the current cycle.
-    pub fn now(&self) -> Cycle {
-        self.now
-    }
-
-    /// Advances the clock by `delta` cycles and returns the new time.
-    pub fn advance(&mut self, delta: Cycle) -> Cycle {
-        self.now = self.now.saturating_add(delta);
-        self.now
-    }
-
-    /// Moves the clock forward to `target` if `target` is in the future; otherwise leaves it
-    /// unchanged. Returns the (possibly unchanged) current time.
-    pub fn advance_to(&mut self, target: Cycle) -> Cycle {
-        if target > self.now {
-            self.now = target;
-        }
-        self.now
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,42 +100,5 @@ mod tests {
         let s = f.cycles_to_seconds(80_000_000);
         assert!((s - 1.0).abs() < 1e-12);
         assert_eq!(f.seconds_to_cycles(0.5), 40_000_000);
-    }
-
-    #[test]
-    fn domain_conversion_is_ceiling() {
-        // 1 DDR cycle at 667 MHz is a fraction of a core cycle at 80 MHz -> rounds up to 1.
-        let d = ClockDomain::default();
-        assert_eq!(d.to_core_cycles(1), 1);
-        // 667 DDR cycles are exactly 80 core cycles worth of time? 667/667*80 = 80.
-        assert_eq!(d.to_core_cycles(667_000_000), 80_000_000);
-        // And the reverse direction expands.
-        assert_eq!(d.to_foreign_cycles(80), 667);
-    }
-
-    #[test]
-    fn domain_roundtrip_never_shrinks() {
-        let d = ClockDomain::new(Frequency::from_mhz(80), Frequency::from_mhz(667));
-        for cycles in [1u64, 7, 80, 1000, 123_456] {
-            let rt = d.to_core_cycles(d.to_foreign_cycles(cycles));
-            assert!(rt >= cycles, "roundtrip shrank {cycles} to {rt}");
-        }
-    }
-
-    #[test]
-    fn clock_is_monotone() {
-        let mut c = CycleClock::new();
-        assert_eq!(c.now(), 0);
-        assert_eq!(c.advance(10), 10);
-        assert_eq!(c.advance_to(5), 10, "advance_to must not move backwards");
-        assert_eq!(c.advance_to(25), 25);
-        let mut c2 = CycleClock::starting_at(100);
-        assert_eq!(c2.advance(1), 101);
-    }
-
-    #[test]
-    fn clock_saturates_instead_of_overflowing() {
-        let mut c = CycleClock::starting_at(Cycle::MAX - 1);
-        assert_eq!(c.advance(10), Cycle::MAX);
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run -p tis-bench --release --example quickstart`.
 
-use tis_core::system::TisSystem;
+use tis_bench::{Harness, Platform};
 use tis_taskmodel::{Dependence, Payload, ProgramBuilder};
 
 fn main() {
@@ -26,12 +26,12 @@ fn main() {
     let graph = program.reference_graph();
     println!("program '{}' spawns {} tasks with {} dependence edges", program.name(), program.task_count(), graph.edge_count());
 
-    let system = TisSystem::eight_core();
-    let report = system.run_phentos(&program).expect("simulation completes");
+    let harness = Harness::paper_prototype();
+    let report = harness.run(Platform::Phentos, &program).expect("simulation completes");
     report.validate_against(&program).expect("the schedule honours every dependence");
 
     println!("ran on {} cores in {} cycles using the {} fabric", report.cores, report.total_cycles, report.fabric);
-    println!("speedup over serial execution: {:.2}x", report.speedup_over(system.serial_cycles(&program)));
+    println!("speedup over serial execution: {:.2}x", report.speedup_over(harness.serial_cycles(&program)));
     for rec in &report.records {
         println!("  {} ran on core {} from cycle {} to {}", rec.task, rec.core, rec.start, rec.end);
     }

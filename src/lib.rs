@@ -8,7 +8,7 @@
 //!
 //! | Layer | Crate | Role |
 //! |-------|-------|------|
-//! | substrate | [`sim`] | deterministic clocks, stats, RNG, bounded hardware queues, traces |
+//! | substrate | [`sim`] | deterministic clocks, stats, RNG, bounded hardware queues |
 //! | model | [`taskmodel`] | task-parallel programs and the reference dependence graph |
 //! | substrate | [`fault`] | deterministic fault injection: replayable drop/delay/dead-link and tracker-loss schedules |
 //! | substrate | [`mem`] | MESI L1 caches, snooping interconnect, DRAM model |

@@ -208,16 +208,18 @@ pub fn critical_path_per_tenant(
     tenant_edges: &[Vec<(usize, usize)>],
 ) -> Vec<CriticalPath> {
     let tenants = tenant_edges.len();
-    // Global → local id maps, derived from the dense release-order assignment.
-    let mut locals: Vec<FxHashMap<u64, u64>> = vec![FxHashMap::default(); tenants];
+    // Local id of every global id, derived from the dense release-order assignment (global
+    // ids index it directly).
     let mut counters = vec![0u64; tenants];
-    for (global, &t) in assignment.iter().enumerate() {
-        let t = t as usize;
-        if t < tenants {
-            locals[t].insert(global as u64, counters[t]);
-            counters[t] += 1;
-        }
-    }
+    let locals: Vec<u64> = assignment
+        .iter()
+        .map(|&t| {
+            counters.get_mut(t as usize).map_or(0, |next| {
+                *next += 1;
+                *next - 1
+            })
+        })
+        .collect();
     let mut per_tenant: Vec<Vec<TaskSpan>> = vec![Vec::new(); tenants];
     for s in spans {
         let Some(&t) = assignment.get(s.task as usize) else { continue };
@@ -226,7 +228,7 @@ pub fn critical_path_per_tenant(
             continue;
         }
         let mut local = *s;
-        local.task = locals[t][&s.task];
+        local.task = locals[s.task as usize];
         per_tenant[t].push(local);
     }
     per_tenant

@@ -13,13 +13,25 @@
 //!   and NoC legs) and [`MetricsSample`] (a cycle-bucketed gauge snapshot), all flowing
 //!   through the single [`Observer`] trait chokepoint;
 //! * [`metrics`] — a registry of counters, gauges and histograms with cycle-bucketed
-//!   time-series sampling, exported as a hand-rolled JSON document ([`tis_sim::json`] — no new
-//!   dependencies);
-//! * [`perfetto`] — a Chrome trace-event exporter: task spans become per-core tracks and
-//!   tracker/NoC activity become counter tracks, loadable in `ui.perfetto.dev`;
+//!   time-series sampling, exported as the `tis-metrics-v1` JSON document;
+//! * [`perfetto`] — a Chrome trace-event exporter: task spans become per-core tracks (one
+//!   track group per tenant for co-scheduled runs) and tracker/NoC activity become counter
+//!   tracks, loadable in `ui.perfetto.dev`;
 //! * [`critical`] — a critical-path profiler that walks the executed happens-before graph and
 //!   attributes the makespan to task-body vs memory-stall vs dispatch-wait vs
 //!   scheduler-overhead cycles, machine-checked to sum exactly to the makespan.
+//!
+//! # Exports
+//!
+//! The exporters ([`trace_json`], [`trace_json_tenants`], [`Recorder::perfetto_json`],
+//! [`Recorder::metrics_json`]) return document views, [`TraceDoc`] and [`MetricsDoc`], that
+//! borrow the recorded spans and samples. Their `render()` reserves the output up front and
+//! streams the document through [`tis_sim::json::JsonWriter`], the workspace's one
+//! pretty-printer, without building a value tree. The tree builders they replaced are kept
+//! in the crate's tests as the reference the streamed bytes must equal, and three exports are
+//! byte-pinned in `bench-baselines/`: `TRACE_diamond_golden.json`,
+//! `METRICS_diamond_golden.json` and `TRACE_tenants_golden.json` (regenerate with
+//! `TIS_REPIN=1 cargo test --test observability`).
 //!
 //! # The chokepoint contract
 //!
@@ -36,6 +48,8 @@
 pub mod critical;
 pub mod events;
 pub mod metrics;
+#[cfg(test)]
+mod oracle;
 pub mod perfetto;
 pub mod recorder;
 pub mod span;
@@ -44,9 +58,9 @@ pub use critical::{
     critical_path, critical_path_for_run, critical_path_per_tenant, CriticalPath,
     CriticalPathError, PathCategory, PathSegment,
 };
-pub use perfetto::{trace_json, trace_json_tenants};
+pub use perfetto::{trace_json, trace_json_tenants, TraceDoc};
 pub use events::{MemAccessKind, MemEvent, MetricsSample, TaskEvent, TaskStage};
-pub use metrics::MetricsRegistry;
+pub use metrics::{MetricsDoc, MetricsRegistry};
 pub use recorder::{ObsConfig, Recorder};
 pub use span::{SpanCollector, TaskSpan};
 

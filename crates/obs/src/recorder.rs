@@ -2,11 +2,10 @@
 
 use crate::critical::{critical_path, CriticalPath};
 use crate::events::{MemEvent, MetricsSample, TaskEvent};
-use crate::metrics::MetricsRegistry;
-use crate::perfetto;
+use crate::metrics::{MetricsDoc, MetricsRegistry};
+use crate::perfetto::{self, TraceDoc};
 use crate::span::{SpanCollector, TaskSpan};
 use crate::Observer;
-use tis_sim::json::Json;
 use tis_sim::Cycle;
 
 /// What a [`Recorder`] collects.
@@ -63,13 +62,13 @@ impl Recorder {
         self.task_events
     }
 
-    /// Renders the Chrome trace-event / Perfetto document for this run.
-    pub fn perfetto_json(&self, label: &str, cores: usize) -> Json {
+    /// The Chrome trace-event / Perfetto document for this run; `render()` streams it.
+    pub fn perfetto_json<'a>(&'a self, label: &'a str, cores: usize) -> TraceDoc<'a> {
         perfetto::trace_json(label, cores, self.spans.spans(), self.metrics.samples())
     }
 
-    /// Renders the metrics document for this run.
-    pub fn metrics_json(&self, label: &str, makespan: Cycle) -> Json {
+    /// The metrics document for this run; `render()` streams it.
+    pub fn metrics_json<'a>(&'a self, label: &'a str, makespan: Cycle) -> MetricsDoc<'a> {
         self.metrics.to_json(label, makespan)
     }
 

@@ -2,9 +2,13 @@
 //!
 //! The workspace vendors no serialisation crate (the build environment has no registry
 //! access), and the benchmark output is a small, fixed shape — so a hand-rolled value tree
-//! with a compliant renderer is all that is needed. The renderer escapes strings per RFC 8259,
-//! emits non-finite numbers as `null` (JSON has no NaN/Infinity), and pretty-prints with
-//! two-space indentation so the artifacts diff cleanly between CI runs.
+//! with a compliant renderer is all that is needed. There is one pretty-printer,
+//! [`JsonWriter`]: it streams values into a `String`, escapes strings per RFC 8259, emits
+//! non-finite numbers as `null` (JSON has no NaN/Infinity), and indents by two spaces so the
+//! artifacts diff cleanly between CI runs. [`Json::render`] walks a value tree through it;
+//! large documents (the Perfetto and metrics exports) call it directly and never build a tree.
+
+use core::fmt::{self, Write as _};
 
 /// A JSON value tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,7 +74,7 @@ impl Json {
     ///
     /// Returns a [`JsonParseError`] with a byte offset and message on malformed input.
     pub fn parse(input: &str) -> Result<Json, JsonParseError> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser { input, bytes: input.as_bytes(), pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -82,68 +86,213 @@ impl Json {
 
     /// Renders the value as pretty-printed JSON with two-space indentation.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out, 0);
-        out.push('\n');
-        out
+        let mut w = JsonWriter::with_capacity(0);
+        w.value(self);
+        w.finish()
+    }
+}
+
+/// An item separator followed by the indentation of 32 levels: [`JsonWriter`] starts every
+/// line with one slice of it (deeper levels take the spaces in chunks).
+const LINE_BREAK: &str = ",\n                                                                ";
+
+/// A streaming pretty-printer: writes one JSON document straight into a `String`, byte for
+/// byte what [`Json::render`] produces for the equivalent value tree.
+///
+/// Values are written in document order. Inside an object every value follows its
+/// [`JsonWriter::key`]; containers open with `begin_*` and close with the matching `end_*`.
+/// Empty containers render compactly (`[]`, `{}`); otherwise every item sits on its own line
+/// with two spaces of indentation per level, and [`JsonWriter::finish`] ends the document with
+/// a newline. Closing a container that was never opened panics.
+///
+/// ```
+/// use tis_sim::json::{Json, JsonWriter};
+///
+/// let mut w = JsonWriter::with_capacity(64);
+/// w.begin_obj();
+/// w.key("name").str("fig09");
+/// w.key("cycles").begin_arr().uint(7).uint(9).end_arr();
+/// w.end_obj();
+/// let tree = Json::obj([
+///     ("name", Json::Str("fig09".into())),
+///     ("cycles", Json::Arr(vec![Json::UInt(7), Json::UInt(9)])),
+/// ]);
+/// assert_eq!(w.finish(), tree.render());
+/// ```
+#[derive(Debug, Default)]
+pub struct JsonWriter {
+    out: String,
+    depth: usize,
+    /// Whether the innermost open container has no items yet.
+    empty: bool,
+    /// Whether a key was just written, so the next value continues its line.
+    after_key: bool,
+}
+
+impl JsonWriter {
+    /// Creates a writer whose output buffer holds `bytes` before it first grows.
+    pub fn with_capacity(bytes: usize) -> Self {
+        JsonWriter { out: String::with_capacity(bytes), ..JsonWriter::default() }
     }
 
-    fn render_into(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => out.push_str(&i.to_string()),
-            Json::UInt(u) => out.push_str(&u.to_string()),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    // `{:?}` keeps full round-trip precision and always marks the value as
-                    // non-integer where relevant (e.g. "1.0"), which keeps column types stable
-                    // for downstream tooling.
-                    out.push_str(&format!("{n:?}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => escape_into(s, out),
+    /// Ends the document with a newline and returns it.
+    pub fn finish(mut self) -> String {
+        debug_assert_eq!(self.depth, 0, "every container must be closed before finishing");
+        self.out.push('\n');
+        self.out
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) -> &mut Self {
+        self.item();
+        self.out.push_str("null");
+        self
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, b: bool) -> &mut Self {
+        self.item();
+        self.out.push_str(if b { "true" } else { "false" });
+        self
+    }
+
+    /// Writes a signed integer.
+    pub fn int(&mut self, i: i64) -> &mut Self {
+        self.item();
+        if i < 0 {
+            self.out.push('-');
+        }
+        push_u64(&mut self.out, i.unsigned_abs());
+        self
+    }
+
+    /// Writes an unsigned integer.
+    pub fn uint(&mut self, u: u64) -> &mut Self {
+        self.item();
+        push_u64(&mut self.out, u);
+        self
+    }
+
+    /// Writes an unsigned integer, or `null` for `None`.
+    pub fn opt_uint(&mut self, u: Option<u64>) -> &mut Self {
+        match u {
+            Some(u) => self.uint(u),
+            None => self.null(),
+        }
+    }
+
+    /// Writes a floating-point number; non-finite values become `null`.
+    pub fn num(&mut self, n: f64) -> &mut Self {
+        if !n.is_finite() {
+            return self.null();
+        }
+        self.item();
+        // `{:?}` keeps full round-trip precision and always marks the value as non-integer
+        // (e.g. "1.0"), which keeps column types stable for downstream tooling.
+        write!(self.out, "{n:?}").expect("writing to a String cannot fail");
+        self
+    }
+
+    /// Writes a string, escaped and quoted.
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        self.item();
+        escape_into(s, &mut self.out);
+        self
+    }
+
+    /// Writes the formatted text as one escaped, quoted string without allocating it first,
+    /// e.g. `w.str_fmt(format_args!("task {id}"))`.
+    pub fn str_fmt(&mut self, args: fmt::Arguments<'_>) -> &mut Self {
+        self.item();
+        self.out.push('"');
+        Escaped(&mut self.out).write_fmt(args).expect("writing to a String cannot fail");
+        self.out.push('"');
+        self
+    }
+
+    /// Writes an object key; the next value written is its value.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.item();
+        escape_into(key, &mut self.out);
+        self.out.push_str(": ");
+        self.after_key = true;
+        self
+    }
+
+    /// Opens an array.
+    pub fn begin_arr(&mut self) -> &mut Self {
+        self.open('[')
+    }
+
+    /// Closes the innermost array.
+    pub fn end_arr(&mut self) -> &mut Self {
+        self.close(']')
+    }
+
+    /// Opens an object.
+    pub fn begin_obj(&mut self) -> &mut Self {
+        self.open('{')
+    }
+
+    /// Closes the innermost object.
+    pub fn end_obj(&mut self) -> &mut Self {
+        self.close('}')
+    }
+
+    /// Writes a whole value tree.
+    fn value(&mut self, v: &Json) -> &mut Self {
+        match v {
+            Json::Null => self.null(),
+            Json::Bool(b) => self.bool(*b),
+            Json::Int(i) => self.int(*i),
+            Json::UInt(u) => self.uint(*u),
+            Json::Num(n) => self.num(*n),
+            Json::Str(s) => self.str(s),
             Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
+                self.begin_arr();
+                for item in items {
+                    self.value(item);
                 }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
-                    item.render_into(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push(']');
+                self.end_arr()
             }
             Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
+                self.begin_obj();
+                for (key, value) in pairs {
+                    self.key(key).value(value);
                 }
-                out.push('{');
-                for (i, (key, value)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
-                    escape_into(key, out);
-                    out.push_str(": ");
-                    value.render_into(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push('}');
+                self.end_obj()
             }
         }
+    }
+
+    /// Starts a value: after a key it continues the key's line; inside a container it ends
+    /// the previous item and starts a new indented line.
+    fn item(&mut self) {
+        if self.after_key {
+            self.after_key = false;
+        } else if self.depth > 0 {
+            push_line_break(&mut self.out, !self.empty, self.depth);
+            self.empty = false;
+        }
+    }
+
+    fn open(&mut self, bracket: char) -> &mut Self {
+        self.item();
+        self.out.push(bracket);
+        self.depth += 1;
+        self.empty = true;
+        self
+    }
+
+    fn close(&mut self, bracket: char) -> &mut Self {
+        self.depth = self.depth.checked_sub(1).expect("a container closed without being opened");
+        if !self.empty {
+            push_line_break(&mut self.out, false, self.depth);
+        }
+        self.out.push(bracket);
+        // The closed container was an item of its parent, so the parent is not empty.
+        self.empty = false;
+        self
     }
 }
 
@@ -166,6 +315,7 @@ impl std::error::Error for JsonParseError {}
 
 /// Recursive-descent parser over the input bytes.
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -304,12 +454,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input came from &str, so boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = core::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash as one slice: both are
+                    // ASCII, so the run ends on a character boundary of the `&str` input.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.input[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -365,27 +517,82 @@ impl<'a> Parser<'a> {
     }
 }
 
-fn push_indent(out: &mut String, levels: usize) {
-    for _ in 0..levels {
-        out.push_str("  ");
+/// Appends an optional comma, a newline and the indentation of `levels` levels.
+fn push_line_break(out: &mut String, comma: bool, levels: usize) {
+    let start = usize::from(!comma);
+    let mut spaces = 2 * levels;
+    if 2 + spaces <= LINE_BREAK.len() {
+        out.push_str(&LINE_BREAK[start..2 + spaces]);
+        return;
+    }
+    out.push_str(&LINE_BREAK[start..2]);
+    while spaces > 0 {
+        let chunk = spaces.min(LINE_BREAK.len() - 2);
+        out.push_str(&LINE_BREAK[2..2 + chunk]);
+        spaces -= chunk;
+    }
+}
+
+/// Appends the decimal digits of `v`, formatted in a stack buffer.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    for &d in &buf[at..] {
+        out.push(char::from(d));
     }
 }
 
 /// Escapes a string per RFC 8259 and appends it, quotes included.
 fn escape_into(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    escape_body(s, out);
     out.push('"');
+}
+
+/// Appends `s` escaped, without quotes. Every character that needs an escape is ASCII, so the
+/// text between two of them is copied as one slice — a string with nothing to escape in one
+/// `push_str`.
+fn escape_body(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xf)] as char);
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+}
+
+/// Escapes everything formatted through it into the wrapped string.
+struct Escaped<'a>(&'a mut String);
+
+impl fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        escape_body(s, self.0);
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -479,5 +686,85 @@ mod tests {
         let parsed: f64 = rendered.trim().parse().unwrap();
         assert_eq!(parsed, 13.190000000000001);
         assert_eq!(Json::Num(1.0).render(), "1.0\n", "floats keep a decimal point");
+    }
+
+    #[test]
+    fn writer_streams_what_the_tree_renders() {
+        let mut w = JsonWriter::with_capacity(0);
+        w.begin_obj();
+        w.key("empty_arr").begin_arr().end_arr();
+        w.key("empty_obj").begin_obj().end_obj();
+        w.key("mixed").begin_arr().null().bool(true).int(i64::MIN).uint(u64::MAX).num(0.5);
+        w.num(f64::NEG_INFINITY).opt_uint(None).opt_uint(Some(0)).end_arr();
+        w.key("label").str_fmt(format_args!("{} / tenant {}: {}", "a\"b", 3, "c\\\u{1}é"));
+        w.end_obj();
+        let tree = Json::obj([
+            ("empty_arr", Json::Arr(vec![])),
+            ("empty_obj", Json::Obj(vec![])),
+            ("mixed", Json::Arr(vec![
+                Json::Null,
+                Json::Bool(true),
+                Json::Int(i64::MIN),
+                Json::UInt(u64::MAX),
+                Json::Num(0.5),
+                Json::Null,
+                Json::Null,
+                Json::UInt(0),
+            ])),
+            ("label", Json::Str("a\"b / tenant 3: c\\\u{1}é".into())),
+        ]);
+        assert_eq!(w.finish(), tree.render());
+        assert_eq!(Json::Int(i64::MIN).render(), format!("{}\n", i64::MIN));
+        assert_eq!(Json::UInt(0).render(), "0\n");
+    }
+
+    #[test]
+    fn indentation_continues_past_the_static_slice() {
+        // 40 nested arrays: deeper than the 32 levels the indent slice holds in one piece.
+        let depth = 40;
+        let mut v = Json::UInt(1);
+        for _ in 0..depth {
+            v = Json::Arr(vec![v]);
+        }
+        let mut expected = String::new();
+        for level in 0..depth {
+            expected.push_str(&format!("{}[\n", "  ".repeat(level)));
+        }
+        expected.push_str(&format!("{}1\n", "  ".repeat(depth)));
+        for level in (0..depth).rev() {
+            expected.push_str(&format!("{}]\n", "  ".repeat(level)));
+        }
+        assert_eq!(v.render(), expected);
+    }
+
+    #[test]
+    fn every_control_character_escapes() {
+        for b in 0u8..0x20 {
+            let c = char::from(b);
+            let expected = match c {
+                '\n' => "\"\\n\"\n".to_string(),
+                '\r' => "\"\\r\"\n".to_string(),
+                '\t' => "\"\\t\"\n".to_string(),
+                _ => format!("\"\\u{:04x}\"\n", b),
+            };
+            assert_eq!(Json::Str(c.to_string()).render(), expected);
+            let mut w = JsonWriter::with_capacity(0);
+            w.str_fmt(format_args!("{c}"));
+            assert_eq!(w.finish(), expected, "str_fmt escapes like str");
+        }
+        let unescaped = "\u{7f}é→";
+        assert_eq!(Json::Str(unescaped.into()).render(), format!("\"{unescaped}\"\n"), "only C0 escapes");
+    }
+
+    #[test]
+    fn parse_round_trips_multibyte_text_and_every_escape() {
+        let text = "é → 😀 \" \\ / \u{8} \u{c} \n \r \t \u{1} \u{1f} plain";
+        let parsed = Json::parse(&Json::Str(text.into()).render()).unwrap();
+        assert_eq!(parsed, Json::Str(text.into()));
+        let escaped = r#""\" \\ \/ \b \f \n \r \t \u00e9 \u2192 é😀""#;
+        assert_eq!(
+            Json::parse(escaped).unwrap(),
+            Json::Str("\" \\ / \u{8} \u{c} \n \r \t é → é😀".into())
+        );
     }
 }

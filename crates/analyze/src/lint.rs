@@ -8,9 +8,9 @@
 //!   clock) outside the host-side benchmark harness (`crates/bench`) and the
 //!   criterion shim. Simulated time comes from the engine, never the host.
 //! - **std-hash-hot-path**: no `std::collections` hash containers in the
-//!   hot-path crates (`sim`, `picos`, `core`, `nanos`) outside test modules —
-//!   their iteration order is randomised per process; hot paths use the
-//!   deterministic `FxHash` containers from `tis-sim`.
+//!   hot-path crates (`sim`, `picos`, `core`, `nanos`, `mem`, `machine`)
+//!   outside test modules — their iteration order is randomised per process;
+//!   hot paths use the deterministic `FxHash` containers from `tis-sim`.
 //! - **thread-spawn**: no thread creation outside the sweep runner, the one
 //!   place that proved byte-identical results at any worker count.
 //! - **ambient-rng**: no `rand` crate usage anywhere; all randomness derives
@@ -97,6 +97,8 @@ pub fn default_rules() -> Vec<LintRule> {
                 "crates/picos/",
                 "crates/core/",
                 "crates/nanos/",
+                "crates/mem/",
+                "crates/machine/",
             ]),
             exempt_test_code: true,
         },
@@ -255,9 +257,10 @@ mod tests {
         let hits = findings_for("crates/picos/src/tracker.rs", &src);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].rule, "std-hash-hot-path");
+        assert_eq!(findings_for("crates/mem/src/system.rs", &src).len(), 1);
+        assert_eq!(findings_for("crates/machine/src/engine.rs", &src).len(), 1);
         // Cold-path crates may use std maps (e.g. the report writers).
         assert!(findings_for("crates/exp/src/report.rs", &src).is_empty());
-        assert!(findings_for("crates/mem/src/system.rs", &src).is_empty());
     }
 
     #[test]

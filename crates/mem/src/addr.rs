@@ -17,14 +17,10 @@ pub fn line_base(addr: Addr) -> Addr {
     addr & !(LINE_SIZE - 1)
 }
 
-/// Returns the set of distinct cache lines touched by an access of `bytes` bytes at `addr`.
-pub fn lines_touched(addr: Addr, bytes: u64) -> Vec<u64> {
-    if bytes == 0 {
-        return vec![line_of(addr)];
-    }
-    let first = line_of(addr);
-    let last = line_of(addr + bytes - 1);
-    (first..=last).collect()
+/// Returns the distinct cache lines an access of `bytes` bytes at `addr` touches, in order. A
+/// zero-byte access touches the line containing `addr`.
+pub fn line_range(addr: Addr, bytes: u64) -> std::ops::RangeInclusive<u64> {
+    line_of(addr)..=line_of(addr + bytes.max(1) - 1)
 }
 
 #[cfg(test)]
@@ -47,12 +43,13 @@ mod tests {
     }
 
     #[test]
-    fn lines_touched_spans() {
-        assert_eq!(lines_touched(0, 1), vec![0]);
-        assert_eq!(lines_touched(0, 64), vec![0]);
-        assert_eq!(lines_touched(0, 65), vec![0, 1]);
-        assert_eq!(lines_touched(60, 8), vec![0, 1]);
-        assert_eq!(lines_touched(128, 0), vec![2]);
-        assert_eq!(lines_touched(0, 256), vec![0, 1, 2, 3]);
+    fn line_range_spans() {
+        let lines = |addr, bytes| line_range(addr, bytes).collect::<Vec<_>>();
+        assert_eq!(lines(0, 1), vec![0]);
+        assert_eq!(lines(0, 64), vec![0]);
+        assert_eq!(lines(0, 65), vec![0, 1]);
+        assert_eq!(lines(60, 8), vec![0, 1]);
+        assert_eq!(lines(128, 0), vec![2]);
+        assert_eq!(lines(0, 256), vec![0, 1, 2, 3]);
     }
 }

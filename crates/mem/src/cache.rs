@@ -4,6 +4,19 @@
 //! 64-byte-line data cache ([`CacheConfig::rocket_l1d`]). The cache tracks *which* lines are
 //! present and in what coherence state; data values are never simulated because only timing and
 //! traffic matter for the reproduction.
+//!
+//! # Layout
+//!
+//! Every memory access looks lines up here, so the cache is three flat `sets × ways` arrays
+//! rather than a list per set: line tags (with a sentinel for a free way), MESI states and
+//! recency stamps, indexed by slot `set * ways + way`. A set's tags sit side by side, so a
+//! lookup is one short scan, and the slot it returns lets a caller read a line's state and then
+//! update it without looking it up again.
+//!
+//! Way order carries no meaning. Every fill and hit takes a fresh value of a per-cache use
+//! clock as its recency stamp, so no two resident lines share a stamp and the LRU victim — the
+//! way with the lowest stamp — is the same line wherever the lines sit in their set. A fill
+//! takes any free way, and an invalidation frees its way in place.
 
 use crate::addr::{line_of, Addr, LINE_SIZE};
 use crate::mesi::MesiState;
@@ -86,21 +99,24 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone)]
-struct LineEntry {
-    line: u64,
-    state: MesiState,
-    last_use: u64,
-}
+/// Tag of a way that holds no line. A line number is a byte address divided by [`LINE_SIZE`], so
+/// no real line ever reaches it.
+const EMPTY: u64 = u64::MAX;
 
 /// A single core's L1 cache directory.
 #[derive(Debug, Clone)]
 pub struct L1Cache {
     config: CacheConfig,
-    sets: Vec<Vec<LineEntry>>,
+    /// Line held by each slot, [`EMPTY`] when the way is free. Way `w` of set `s` is slot
+    /// `s * ways + w` in this and the two arrays below.
+    tags: Vec<u64>,
+    /// MESI state of each occupied slot.
+    states: Vec<MesiState>,
+    /// Use-clock stamp of each occupied slot's last fill or hit: the LRU key.
+    last_use: Vec<u64>,
     use_clock: u64,
     stats: CacheStats,
-    /// Fast lookup from line number to set index cache (lines map to sets by modulo).
+    /// Lines map to sets by modulo, and the set count is a power of two.
     set_mask: u64,
 }
 
@@ -116,13 +132,15 @@ pub struct Eviction {
 impl L1Cache {
     /// Creates an empty cache with the given geometry.
     pub fn new(config: CacheConfig) -> Self {
-        let sets = config.sets();
+        let slots = config.total_lines();
         L1Cache {
             config,
-            sets: vec![Vec::new(); sets],
+            tags: vec![EMPTY; slots],
+            states: vec![MesiState::Invalid; slots],
+            last_use: vec![0; slots],
             use_clock: 0,
             stats: CacheStats::default(),
-            set_mask: sets as u64 - 1,
+            set_mask: config.sets() as u64 - 1,
         }
     }
 
@@ -136,18 +154,29 @@ impl L1Cache {
         &self.stats
     }
 
-    fn set_index(&self, line: u64) -> usize {
-        (line & self.set_mask) as usize
+    /// The slots of the set `line` maps to.
+    fn set_slots(&self, line: u64) -> std::ops::Range<usize> {
+        let first = (line & self.set_mask) as usize * self.config.ways;
+        first..first + self.config.ways
+    }
+
+    /// The slot holding `line`, if it is resident. Every lookup goes through here, and a caller
+    /// that reads a line's state and then updates it passes the slot on instead of looking the
+    /// line up again.
+    pub(crate) fn slot_of(&self, line: u64) -> Option<usize> {
+        let set = self.set_slots(line);
+        let first = set.start;
+        self.tags[set].iter().position(|&tag| tag == line).map(|way| first + way)
+    }
+
+    /// MESI state of the line in `slot`.
+    pub(crate) fn state_at(&self, slot: usize) -> MesiState {
+        self.states[slot]
     }
 
     /// Current MESI state of the line containing `addr`.
     pub fn state_of(&self, addr: Addr) -> MesiState {
-        let line = line_of(addr);
-        let set = &self.sets[self.set_index(line)];
-        set.iter()
-            .find(|e| e.line == line)
-            .map(|e| e.state)
-            .unwrap_or(MesiState::Invalid)
+        self.slot_of(line_of(addr)).map_or(MesiState::Invalid, |slot| self.states[slot])
     }
 
     /// Records a processor access outcome for statistics purposes.
@@ -171,16 +200,15 @@ impl L1Cache {
     ///
     /// Panics if the line is not present; callers must only touch resident lines.
     pub fn touch(&mut self, addr: Addr, state: MesiState) {
+        let slot = self.slot_of(line_of(addr)).expect("touch() requires the line to be resident");
+        self.touch_slot(slot, state);
+    }
+
+    /// [`L1Cache::touch`] of the line in `slot`.
+    pub(crate) fn touch_slot(&mut self, slot: usize, state: MesiState) {
         self.use_clock += 1;
-        let line = line_of(addr);
-        let idx = self.set_index(line);
-        let clock = self.use_clock;
-        let entry = self.sets[idx]
-            .iter_mut()
-            .find(|e| e.line == line)
-            .expect("touch() requires the line to be resident");
-        entry.state = state;
-        entry.last_use = clock;
+        self.states[slot] = state;
+        self.last_use[slot] = self.use_clock;
     }
 
     /// Replays `times` back-to-back hits on `lines` (line numbers, touched in order on every
@@ -194,9 +222,8 @@ impl L1Cache {
         self.use_clock += times * per_round;
         self.stats.hits += times * per_round;
         for (i, line) in lines.enumerate() {
-            let idx = self.set_index(line);
-            if let Some(entry) = self.sets[idx].iter_mut().find(|e| e.line == line) {
-                entry.last_use = last_round + i as u64 + 1;
+            if let Some(slot) = self.slot_of(line) {
+                self.last_use[slot] = last_round + i as u64 + 1;
             }
         }
     }
@@ -204,61 +231,75 @@ impl L1Cache {
     /// Installs (fills) the line containing `addr` in the given state, evicting the LRU way of
     /// its set if the set is full. Returns the eviction, if one happened.
     pub fn install(&mut self, addr: Addr, state: MesiState) -> Option<Eviction> {
-        self.use_clock += 1;
         let line = line_of(addr);
-        let idx = self.set_index(line);
-        let clock = self.use_clock;
-        if let Some(entry) = self.sets[idx].iter_mut().find(|e| e.line == line) {
-            entry.state = state;
-            entry.last_use = clock;
-            return None;
-        }
-        let mut eviction = None;
-        if self.sets[idx].len() >= self.config.ways {
-            let lru_pos = self.sets[idx]
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_use)
-                .map(|(i, _)| i)
-                .expect("set is non-empty");
-            let victim = self.sets[idx].swap_remove(lru_pos);
-            self.stats.evictions += 1;
-            let dirty = victim.state.is_dirty();
-            if dirty {
-                self.stats.writebacks += 1;
+        // One pass over the set finds the line itself, else a free way, else the LRU way.
+        let mut free = None;
+        let mut lru = None::<usize>;
+        for slot in self.set_slots(line) {
+            match self.tags[slot] {
+                tag if tag == line => {
+                    self.touch_slot(slot, state);
+                    return None;
+                }
+                EMPTY => {
+                    free.get_or_insert(slot);
+                }
+                _ => {
+                    if lru.is_none_or(|l| self.last_use[slot] < self.last_use[l]) {
+                        lru = Some(slot);
+                    }
+                }
             }
-            eviction = Some(Eviction { line: victim.line, dirty });
         }
-        self.sets[idx].push(LineEntry { line, state, last_use: clock });
+        let (slot, eviction) = match free {
+            Some(slot) => (slot, None),
+            None => {
+                let victim = lru.expect("a full set has an LRU way");
+                let dirty = self.states[victim].is_dirty();
+                self.stats.evictions += 1;
+                if dirty {
+                    self.stats.writebacks += 1;
+                }
+                (victim, Some(Eviction { line: self.tags[victim], dirty }))
+            }
+        };
+        self.tags[slot] = line;
+        self.touch_slot(slot, state);
         eviction
     }
 
     /// Applies a snoop result: sets the line's state (possibly Invalid), recording writeback and
     /// invalidation statistics. Does nothing if the line is not resident.
     pub fn apply_snoop(&mut self, addr: Addr, new_state: MesiState, wrote_back: bool) {
-        let line = line_of(addr);
-        let idx = self.set_index(line);
-        if let Some(pos) = self.sets[idx].iter().position(|e| e.line == line) {
-            if wrote_back {
-                self.stats.writebacks += 1;
-            }
-            if new_state == MesiState::Invalid {
-                self.sets[idx].swap_remove(pos);
-                self.stats.snoop_invalidations += 1;
-            } else {
-                self.sets[idx][pos].state = new_state;
-            }
+        if let Some(slot) = self.slot_of(line_of(addr)) {
+            self.snoop_slot(slot, new_state, wrote_back);
         }
+    }
+
+    /// [`L1Cache::apply_snoop`] to the line in `slot`.
+    pub(crate) fn snoop_slot(&mut self, slot: usize, new_state: MesiState, wrote_back: bool) {
+        if wrote_back {
+            self.stats.writebacks += 1;
+        }
+        if new_state == MesiState::Invalid {
+            self.tags[slot] = EMPTY;
+            self.stats.snoop_invalidations += 1;
+        }
+        self.states[slot] = new_state;
     }
 
     /// Number of currently resident lines.
     pub fn resident_lines(&self) -> usize {
-        self.sets.iter().map(|s| s.len()).sum()
+        self.tags.iter().filter(|&&tag| tag != EMPTY).count()
     }
 
     /// Iterates over `(line, state)` of resident lines (test helper).
     pub fn resident(&self) -> impl Iterator<Item = (u64, MesiState)> + '_ {
-        self.sets.iter().flatten().map(|e| (e.line, e.state))
+        self.tags
+            .iter()
+            .zip(&self.states)
+            .filter(|(&tag, _)| tag != EMPTY)
+            .map(|(&tag, &state)| (tag, state))
     }
 }
 
@@ -379,10 +420,196 @@ mod proptests {
                     _ => { c.apply_snoop(addr, MesiState::Invalid, false); }
                 }
                 prop_assert!(c.resident_lines() <= cfg.total_lines());
-                for set in &c.sets {
-                    prop_assert!(set.len() <= cfg.ways);
+                for set in 0..cfg.sets() as u64 {
+                    let held =
+                        c.resident().filter(|(line, _)| line % cfg.sets() as u64 == set).count();
+                    prop_assert!(held <= cfg.ways);
                 }
             }
+        }
+    }
+
+    /// Line `k` of a pool crowded into four sets, so that the eight-way geometry evicts too.
+    fn pool_line(cfg: CacheConfig, k: u64) -> u64 {
+        k % 4 + k / 4 * cfg.sets() as u64
+    }
+
+    fn resident_set(lines: impl Iterator<Item = (u64, MesiState)>) -> Vec<(u64, MesiState)> {
+        let mut v: Vec<_> = lines.collect();
+        v.sort_unstable();
+        v
+    }
+
+    proptest! {
+        /// The flat cache and the original per-set `Vec` cache agree on every eviction, state,
+        /// statistic and resident set under the same random operation sequence.
+        #[test]
+        fn flat_cache_matches_the_reference(
+            rocket in any::<bool>(),
+            ops in proptest::collection::vec(
+                (0u8..5, 0u64..48, 0usize..3, 1u64..4, 1u64..5, any::<bool>()),
+                1..400,
+            ),
+        ) {
+            let cfg = if rocket { CacheConfig::rocket_l1d() } else { CacheConfig::tiny() };
+            let mut flat = L1Cache::new(cfg);
+            let mut reference = reference::RefCache::new(cfg);
+            for (op, k, state, n, times, wrote_back) in ops {
+                let first = pool_line(cfg, k);
+                let addr = first * LINE_SIZE;
+                let state = [MesiState::Modified, MesiState::Exclusive, MesiState::Shared][state];
+                match op {
+                    0 => prop_assert_eq!(flat.install(addr, state), reference.install(addr, state)),
+                    1 => {
+                        if reference.state_of(addr) != MesiState::Invalid {
+                            flat.touch(addr, state);
+                            reference.touch(addr, state);
+                        }
+                    }
+                    2 => {
+                        // A snoop leaves a line Shared or takes it away.
+                        let next =
+                            if state == MesiState::Shared { state } else { MesiState::Invalid };
+                        flat.apply_snoop(addr, next, wrote_back);
+                        reference.apply_snoop(addr, next, wrote_back);
+                    }
+                    3 => {
+                        flat.repeat_hits(first..=first + n - 1, times);
+                        reference.repeat_hits(first..=first + n - 1, times);
+                    }
+                    _ => prop_assert_eq!(flat.state_of(addr), reference.state_of(addr)),
+                }
+                prop_assert_eq!(flat.stats(), reference.stats());
+                prop_assert_eq!(resident_set(flat.resident()), resident_set(reference.resident()));
+            }
+        }
+    }
+}
+
+/// The original cache, one `Vec` of entries per set, kept as the oracle the flat [`L1Cache`] is
+/// checked against.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    #[derive(Debug, Clone)]
+    struct LineEntry {
+        line: u64,
+        state: MesiState,
+        last_use: u64,
+    }
+
+    pub(super) struct RefCache {
+        config: CacheConfig,
+        sets: Vec<Vec<LineEntry>>,
+        use_clock: u64,
+        stats: CacheStats,
+        set_mask: u64,
+    }
+
+    impl RefCache {
+        pub(super) fn new(config: CacheConfig) -> Self {
+            let sets = config.sets();
+            RefCache {
+                config,
+                sets: vec![Vec::new(); sets],
+                use_clock: 0,
+                stats: CacheStats::default(),
+                set_mask: sets as u64 - 1,
+            }
+        }
+
+        pub(super) fn stats(&self) -> &CacheStats {
+            &self.stats
+        }
+
+        fn set_index(&self, line: u64) -> usize {
+            (line & self.set_mask) as usize
+        }
+
+        pub(super) fn state_of(&self, addr: Addr) -> MesiState {
+            let line = line_of(addr);
+            let set = &self.sets[self.set_index(line)];
+            set.iter()
+                .find(|e| e.line == line)
+                .map(|e| e.state)
+                .unwrap_or(MesiState::Invalid)
+        }
+
+        pub(super) fn touch(&mut self, addr: Addr, state: MesiState) {
+            self.use_clock += 1;
+            let line = line_of(addr);
+            let idx = self.set_index(line);
+            let clock = self.use_clock;
+            let entry = self.sets[idx]
+                .iter_mut()
+                .find(|e| e.line == line)
+                .expect("touch() requires the line to be resident");
+            entry.state = state;
+            entry.last_use = clock;
+        }
+
+        pub(super) fn repeat_hits(&mut self, lines: std::ops::RangeInclusive<u64>, times: u64) {
+            let per_round = lines.end() - lines.start() + 1;
+            let last_round = self.use_clock + (times - 1) * per_round;
+            self.use_clock += times * per_round;
+            self.stats.hits += times * per_round;
+            for (i, line) in lines.enumerate() {
+                let idx = self.set_index(line);
+                if let Some(entry) = self.sets[idx].iter_mut().find(|e| e.line == line) {
+                    entry.last_use = last_round + i as u64 + 1;
+                }
+            }
+        }
+
+        pub(super) fn install(&mut self, addr: Addr, state: MesiState) -> Option<Eviction> {
+            self.use_clock += 1;
+            let line = line_of(addr);
+            let idx = self.set_index(line);
+            let clock = self.use_clock;
+            if let Some(entry) = self.sets[idx].iter_mut().find(|e| e.line == line) {
+                entry.state = state;
+                entry.last_use = clock;
+                return None;
+            }
+            let mut eviction = None;
+            if self.sets[idx].len() >= self.config.ways {
+                let lru_pos = self.sets[idx]
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, e)| e.last_use)
+                    .map(|(i, _)| i)
+                    .expect("set is non-empty");
+                let victim = self.sets[idx].swap_remove(lru_pos);
+                self.stats.evictions += 1;
+                let dirty = victim.state.is_dirty();
+                if dirty {
+                    self.stats.writebacks += 1;
+                }
+                eviction = Some(Eviction { line: victim.line, dirty });
+            }
+            self.sets[idx].push(LineEntry { line, state, last_use: clock });
+            eviction
+        }
+
+        pub(super) fn apply_snoop(&mut self, addr: Addr, new_state: MesiState, wrote_back: bool) {
+            let line = line_of(addr);
+            let idx = self.set_index(line);
+            if let Some(pos) = self.sets[idx].iter().position(|e| e.line == line) {
+                if wrote_back {
+                    self.stats.writebacks += 1;
+                }
+                if new_state == MesiState::Invalid {
+                    self.sets[idx].swap_remove(pos);
+                    self.stats.snoop_invalidations += 1;
+                } else {
+                    self.sets[idx][pos].state = new_state;
+                }
+            }
+        }
+
+        pub(super) fn resident(&self) -> impl Iterator<Item = (u64, MesiState)> + '_ {
+            self.sets.iter().flatten().map(|e| (e.line, e.state))
         }
     }
 }

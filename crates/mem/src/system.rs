@@ -22,12 +22,12 @@
 //! difference between, say, Phentos' per-core metadata layout and Nanos' centralised queues shows
 //! up as genuine simulated coherence traffic rather than as a hand-tuned constant.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use tis_fault::{FaultConfig, FaultDiagnosis, FaultStats, LinkFaults};
-use tis_sim::Cycle;
+use tis_sim::{Cycle, FxHashMap};
 
-use crate::addr::{line_of, lines_touched, Addr, LINE_SIZE};
+use crate::addr::{line_of, line_range, Addr, LINE_SIZE};
 use crate::cache::{CacheConfig, CacheStats, L1Cache};
 use crate::directory::{dir_transition, DirAction, DirOp, DirState};
 use crate::mesi::{local_transition, snoop_transition, AccessKind, BusOp, LocalAction, MesiState, SnoopAction};
@@ -193,7 +193,7 @@ pub struct MemorySystem {
     /// Per-line directory state, keyed by line number; only populated under
     /// [`MemoryModel::DirectoryMesh`]. Entries are removed when a line returns to `Uncached`,
     /// so the map tracks exactly the lines some cache holds.
-    directory: HashMap<u64, DirState>,
+    directory: FxHashMap<u64, DirState>,
     /// Per-link occupancy state; populated only under a [`MemoryModel::DirectoryMesh`] whose
     /// [`NocConfig::contention`] is [`NocContention::Contended`]. `None` means messages are
     /// priced by the closed-form ideal formula, bit-identical to the bandwidth-free model.
@@ -236,10 +236,14 @@ pub struct NocLegRecord {
     pub wait_cycles: u64,
 }
 
-/// The line numbers an access of `bytes` bytes at `addr` touches, as [`lines_touched`] lists
-/// them, without allocating.
-fn line_range(addr: Addr, bytes: u64) -> std::ops::RangeInclusive<u64> {
-    line_of(addr)..=line_of(addr + bytes.max(1) - 1)
+/// The state a line is filled in after a miss: a read installs Exclusive when no other cache
+/// holds the line and Shared otherwise, a write or atomic installs Modified.
+fn fill_state(op: BusOp, alone: bool) -> MesiState {
+    match op {
+        BusOp::BusRead if alone => MesiState::Exclusive,
+        BusOp::BusRead => MesiState::Shared,
+        BusOp::BusReadExclusive => MesiState::Modified,
+    }
 }
 
 impl MemorySystem {
@@ -298,7 +302,7 @@ impl MemorySystem {
             latencies,
             model,
             mesh,
-            directory: HashMap::new(),
+            directory: FxHashMap::default(),
             noc,
             faults,
             bus_free_at: 0,
@@ -369,11 +373,12 @@ impl MemorySystem {
         now: Cycle,
     ) -> MemoryAccessOutcome {
         assert!(core < self.caches.len(), "core index out of range");
-        let lines = lines_touched(addr, bytes.max(1));
+        let lines = line_range(addr, bytes);
+        let count = (lines.end() - lines.start() + 1) as usize;
         let mut latency = 0;
         let mut all_hit = true;
         let mut any_remote_dirty = false;
-        for (i, line) in lines.iter().enumerate() {
+        for (i, line) in lines.enumerate() {
             let line_addr = line * LINE_SIZE;
             let (l, hit, dirty) = self.access_line(core, line_addr, kind, now + latency);
             // The first line's latency is fully exposed; subsequent lines of a multi-line access
@@ -395,7 +400,7 @@ impl MemorySystem {
             latency,
             l1_hit: all_hit,
             remote_dirty: any_remote_dirty,
-            lines: lines.len(),
+            lines: count,
         }
     }
 
@@ -424,7 +429,9 @@ impl MemorySystem {
         self.stall_cycles += times * latency;
     }
 
-    /// Access of a single line; returns (latency, was_hit, remote_was_dirty).
+    /// Access of a single line; returns (latency, was_hit, remote_was_dirty). The line is looked
+    /// up once: a hit is served here the same way under both models, and a miss or upgrade goes
+    /// to the model's interconnect with the slot of the line it upgrades.
     fn access_line(
         &mut self,
         core: usize,
@@ -432,109 +439,94 @@ impl MemorySystem {
         kind: AccessKind,
         now: Cycle,
     ) -> (Cycle, bool, bool) {
+        let cache = &mut self.caches[core];
+        let slot = cache.slot_of(line_of(line_addr));
+        let state = slot.map_or(MesiState::Invalid, |slot| cache.state_at(slot));
+        let (action, new_state) = local_transition(state, kind);
+        let op = match action {
+            LocalAction::Hit => {
+                cache.note_hit();
+                cache.touch_slot(slot.expect("only a resident line hits"), new_state);
+                return (self.latencies.l1_hit, true, false);
+            }
+            LocalAction::IssueBusRead => BusOp::BusRead,
+            LocalAction::IssueBusReadExclusive => BusOp::BusReadExclusive,
+        };
+        // A write to a Shared line upgrades it in place; every other miss fills the line.
+        let upgrade = slot.filter(|_| state == MesiState::Shared);
         match self.model {
-            MemoryModel::SnoopBus => self.access_line_snoop(core, line_addr, kind, now),
+            MemoryModel::SnoopBus => self.miss_snoop(core, line_addr, op, upgrade, now),
             MemoryModel::DirectoryMesh(noc) => {
-                self.access_line_directory(core, line_addr, kind, noc, now)
+                self.miss_directory(core, line_addr, op, upgrade, noc, now)
             }
         }
     }
 
-    /// Snoop-bus access of a single line (the paper's prototype path).
-    fn access_line_snoop(
+    /// Snoop-bus miss or upgrade of a single line (the paper's prototype path); `upgrade` is the
+    /// slot of a Shared line being written.
+    fn miss_snoop(
         &mut self,
         core: usize,
         line_addr: Addr,
-        kind: AccessKind,
+        op: BusOp,
+        upgrade: Option<usize>,
         now: Cycle,
     ) -> (Cycle, bool, bool) {
-        let state = self.caches[core].state_of(line_addr);
-        let (action, new_state) = local_transition(state, kind);
-        match action {
-            LocalAction::Hit => {
-                self.caches[core].note_hit();
-                self.caches[core].touch(line_addr, new_state);
-                (self.latencies.l1_hit, true, false)
+        let (mut lat, dirty, sharers) = self.bus_transaction(core, line_addr, op, now);
+        match upgrade {
+            Some(slot) => {
+                // Upgrade: the data is already local, only the invalidation round trip
+                // counts — so the data-less transaction performs no DRAM fetch. The bus
+                // charged one unconditionally (its latency is min'd away just below);
+                // correct the counter so both memory models report identical DRAM traffic
+                // on identical traces.
+                self.dram_fetches -= 1;
+                self.caches[core].note_upgrade();
+                lat = lat.min(self.latencies.upgrade + self.wait_for_bus(now));
+                self.caches[core].touch_slot(slot, MesiState::Modified);
             }
-            LocalAction::IssueBusRead => {
-                let (lat, dirty, sharers) = self.bus_transaction(core, line_addr, BusOp::BusRead, now);
+            None => {
                 self.caches[core].note_miss();
-                // If no other cache holds the line we may install it Exclusive (the E state).
-                let install_state = if sharers == 0 { MesiState::Exclusive } else { MesiState::Shared };
-                let final_state = if new_state == MesiState::Shared { install_state } else { new_state };
-                self.install_with_eviction(core, line_addr, final_state, now);
-                (lat, false, dirty)
-            }
-            LocalAction::IssueBusReadExclusive => {
-                let had_line = state == MesiState::Shared;
-                let (mut lat, dirty, _) =
-                    self.bus_transaction(core, line_addr, BusOp::BusReadExclusive, now);
-                if had_line {
-                    // Upgrade: the data is already local, only the invalidation round trip
-                    // counts — so the data-less transaction performs no DRAM fetch. The bus
-                    // charged one unconditionally (its latency is min'd away just below);
-                    // correct the counter so both memory models report identical DRAM traffic
-                    // on identical traces.
-                    self.dram_fetches -= 1;
-                    self.caches[core].note_upgrade();
-                    lat = lat.min(self.latencies.upgrade + self.wait_for_bus(now));
-                    self.caches[core].touch(line_addr, MesiState::Modified);
-                } else {
-                    self.caches[core].note_miss();
-                    self.install_with_eviction(core, line_addr, MesiState::Modified, now);
-                }
-                (lat, false, dirty)
+                self.install_with_eviction(core, line_addr, fill_state(op, sharers == 0), now);
             }
         }
+        (lat, false, dirty)
     }
 
-    /// Directory/NoC access of a single line. Functionally identical to the snoop path — same
-    /// local MESI transitions, same install states, same dirty-bounce semantics — but every
-    /// coherence action is routed through the line's home tile and priced in mesh hops.
-    fn access_line_directory(
+    /// Directory/NoC miss or upgrade of a single line. Functionally identical to the snoop path
+    /// — same install states, same dirty-bounce semantics — but every coherence action is
+    /// routed through the line's home tile and priced in mesh hops.
+    fn miss_directory(
         &mut self,
         core: usize,
         line_addr: Addr,
-        kind: AccessKind,
+        op: BusOp,
+        upgrade: Option<usize>,
         noc: NocConfig,
         now: Cycle,
     ) -> (Cycle, bool, bool) {
-        let state = self.caches[core].state_of(line_addr);
-        let (action, new_state) = local_transition(state, kind);
-        match action {
-            LocalAction::Hit => {
-                self.caches[core].note_hit();
-                self.caches[core].touch(line_addr, new_state);
-                (self.latencies.l1_hit, true, false)
+        let dir_op = match op {
+            BusOp::BusRead => DirOp::GetS(core),
+            BusOp::BusReadExclusive => DirOp::GetM(core),
+        };
+        let (lat, dirty, was_uncached) =
+            self.directory_transaction(core, line_addr, dir_op, noc, now);
+        match upgrade {
+            Some(slot) => {
+                self.caches[core].note_upgrade();
+                self.caches[core].touch_slot(slot, MesiState::Modified);
             }
-            LocalAction::IssueBusRead => {
-                let (lat, dirty, was_uncached) =
-                    self.directory_transaction(core, line_addr, DirOp::GetS(core), noc, now);
+            None => {
                 self.caches[core].note_miss();
                 // Same rule as the snoop model's zero-sharer answer: a cold line installs
                 // Exclusive, a line someone else holds installs Shared.
-                let install_state =
-                    if was_uncached { MesiState::Exclusive } else { MesiState::Shared };
-                let final_state = if new_state == MesiState::Shared { install_state } else { new_state };
+                let state = fill_state(op, was_uncached);
                 // The eviction (and its Put notification) happens when the fill arrives, one
                 // transaction latency after the access started.
-                self.install_with_eviction(core, line_addr, final_state, now + lat);
-                (lat, false, dirty)
-            }
-            LocalAction::IssueBusReadExclusive => {
-                let had_line = state == MesiState::Shared;
-                let (lat, dirty, _) =
-                    self.directory_transaction(core, line_addr, DirOp::GetM(core), noc, now);
-                if had_line {
-                    self.caches[core].note_upgrade();
-                    self.caches[core].touch(line_addr, MesiState::Modified);
-                } else {
-                    self.caches[core].note_miss();
-                    self.install_with_eviction(core, line_addr, MesiState::Modified, now + lat);
-                }
-                (lat, false, dirty)
+                self.install_with_eviction(core, line_addr, state, now + lat);
             }
         }
+        (lat, false, dirty)
     }
 
     /// Sends one protocol message over the NoC and returns its latency. Under the ideal link
@@ -618,7 +610,9 @@ impl MemorySystem {
                 // Forward to the owner; its reply carries the dirty line when a writeback is
                 // due, so the bounce costs proportionally to the payload on contended links.
                 latency += self.noc_send(home, owner, CTRL_MSG_BYTES, &noc, now + latency);
-                let owner_state = self.caches[owner].state_of(line_addr);
+                let owner_slot = self.caches[owner].slot_of(line);
+                let owner_state =
+                    owner_slot.map_or(MesiState::Invalid, |slot| self.caches[owner].state_at(slot));
                 let dirty = owner_state.is_dirty();
                 let reply = if dirty { DATA_MSG_BYTES } else { CTRL_MSG_BYTES };
                 latency += self.noc_send(owner, home, reply, &noc, now + latency);
@@ -633,7 +627,9 @@ impl MemorySystem {
                 } else {
                     MesiState::Invalid
                 };
-                self.caches[owner].apply_snoop(line_addr, owner_next, dirty);
+                if let Some(slot) = owner_slot {
+                    self.caches[owner].snoop_slot(slot, owner_next, dirty);
+                }
                 latency += self.latencies.dram_fetch;
                 self.dram_fetches += 1;
                 data_response = true;
@@ -715,11 +711,14 @@ impl MemorySystem {
         let mut latency = self.wait_for_bus(now);
         let mut remote_dirty = false;
         let mut sharers = 0usize;
+        let line = line_of(line_addr);
         for other in 0..self.caches.len() {
             if other == requester {
                 continue;
             }
-            let remote_state = self.caches[other].state_of(line_addr);
+            let cache = &mut self.caches[other];
+            let Some(slot) = cache.slot_of(line) else { continue };
+            let remote_state = cache.state_at(slot);
             if remote_state == MesiState::Invalid {
                 continue;
             }
@@ -732,7 +731,7 @@ impl MemorySystem {
                 // Without an L2, the dirty data goes to DRAM before the requester can fetch it.
                 latency += self.latencies.writeback;
             }
-            self.caches[other].apply_snoop(line_addr, next, wrote_back);
+            cache.snoop_slot(slot, next, wrote_back);
             if next != MesiState::Invalid {
                 sharers += 1;
             }
@@ -807,9 +806,10 @@ impl MemorySystem {
     /// Checks the fundamental MESI coherence invariants across all caches — and, under
     /// [`MemoryModel::DirectoryMesh`], that the directory is *precise* (its sharer sets and
     /// owners match the caches' actual resident states exactly). Returns an error message
-    /// describing the first violation found, if any. Used by property tests.
+    /// describing the first violation found, if any, checking lines in ascending order so that
+    /// the message is the same on every run. Used by property tests.
     pub fn check_coherence_invariants(&self) -> Result<(), String> {
-        let mut owners: HashMap<u64, Vec<(usize, MesiState)>> = HashMap::new();
+        let mut owners: BTreeMap<u64, Vec<(usize, MesiState)>> = BTreeMap::new();
         for (i, c) in self.caches.iter().enumerate() {
             for (line, state) in c.resident() {
                 owners.entry(line).or_default().push((i, state));
@@ -840,7 +840,7 @@ impl MemorySystem {
     /// its home with exactly the right holders, and the directory records no ghost lines.
     fn check_directory_precision(
         &self,
-        owners: &HashMap<u64, Vec<(usize, MesiState)>>,
+        owners: &BTreeMap<u64, Vec<(usize, MesiState)>>,
     ) -> Result<(), String> {
         for (&line, holders) in owners {
             match self.directory.get(&line) {
@@ -878,10 +878,9 @@ impl MemorySystem {
                 }
             }
         }
-        for &line in self.directory.keys() {
-            if !owners.contains_key(&line) {
-                return Err(format!("directory records ghost line {line:#x} no cache holds"));
-            }
+        let ghost = self.directory.keys().filter(|line| !owners.contains_key(line)).min();
+        if let Some(line) = ghost {
+            return Err(format!("directory records ghost line {line:#x} no cache holds"));
         }
         Ok(())
     }
@@ -1009,6 +1008,20 @@ mod tests {
             m.access(core, addr, kind, 8, i * 3);
         }
         m.check_coherence_invariants().expect("MESI invariants must hold");
+    }
+
+    #[test]
+    fn invariant_check_names_the_lowest_violating_line() {
+        // Eight lines each held Modified by two caches: every one violates, and the message must
+        // name the lowest on every run, whatever order the lines were found in.
+        let mut m = sys(2);
+        for line in (1..=8u64).rev() {
+            for core in 0..2 {
+                m.caches[core].install(line * 0x1000, MesiState::Modified);
+            }
+        }
+        let err = m.check_coherence_invariants().expect_err("planted violations");
+        assert_eq!(err, format!("line {:#x} is owned exclusively by 2 caches", line_of(0x1000)));
     }
 
     #[test]
@@ -1342,6 +1355,74 @@ mod proptests {
                 prop_assert!(out.latency >= MemLatencies::default().l1_hit);
                 now += out.latency.max(1);
                 prop_assert!(m.check_coherence_invariants().is_ok());
+            }
+        }
+
+        /// Whenever an access would hit without changing state, charging `times` repeats of it
+        /// in closed form leaves exactly what `times` real accesses leave: the same statistics and
+        /// the same recency, seen through the victims of later conflicting fills. A remote core
+        /// may write one of the lines between the repeats and their closed-form charge, as when
+        /// the engine replays a parked core's polls late.
+        #[test]
+        fn repeat_hits_match_real_accesses(
+            dir in any::<bool>(),
+            trace in proptest::collection::vec((0usize..3, 0u64..12, 0u8..3), 0..60),
+            probe in (0usize..3, 0u64..12, 0u64..LINE_SIZE, 1u64..100, 0u8..3),
+            times in 1u64..5,
+            remote in any::<Option<u64>>(),
+        ) {
+            let model = if dir { MemoryModel::directory_mesh() } else { MemoryModel::SnoopBus };
+            let mut m =
+                MemorySystem::with_model(3, CacheConfig::tiny(), MemLatencies::default(), model);
+            let kind_of =
+                |sel: u8| [AccessKind::Read, AccessKind::Write, AccessKind::Atomic][sel as usize];
+            let mut now = 0;
+            for (core, line, sel) in trace {
+                now += m.access(core, line * LINE_SIZE, kind_of(sel), 8, now).latency;
+            }
+            let (core, line, offset, bytes, sel) = probe;
+            let (addr, kind) = (line * LINE_SIZE + offset, kind_of(sel));
+            // One real access brings every probed line into a state the repeats keep; a read of
+            // another line in the first probed set then makes that line the more recent one,
+            // until the repeats are charged.
+            let sets = CacheConfig::tiny().sets() as u64;
+            now += m.access(core, addr, kind, bytes, now).latency;
+            now += m.access(core, (line + 32 * sets) * LINE_SIZE, AccessKind::Read, 8, now).latency;
+            prop_assume!(m.hit_keeps_state(core, addr, kind, bytes));
+            let mut real = m.clone();
+            let mut replayed = m;
+            for i in 0..times {
+                real.access(core, addr, kind, bytes, now + i);
+            }
+            // The remote write lands on one of the probed lines, after the real repeats but
+            // before the closed-form charge.
+            if let Some(pick) = remote {
+                let other = (core + 1 + (pick % 2) as usize) % 3;
+                let lines = line_range(addr, bytes);
+                let target = lines.start() + pick / 2 % (lines.end() - lines.start() + 1);
+                let at = now + times;
+                real.access(other, target * LINE_SIZE, AccessKind::Write, 8, at);
+                replayed.access(other, target * LINE_SIZE, AccessKind::Write, 8, at);
+            }
+            replayed.repeat_hits(core, addr, kind, bytes, times);
+            prop_assert_eq!(real.stats(), replayed.stats());
+            // Conflicting fills into every probed set: each evicts the least recent line, so
+            // any recency the closed form got wrong shows up as a different victim.
+            for (i, line) in line_range(addr, bytes).enumerate() {
+                for k in 1..=2 {
+                    let conflict = (line + 64 * sets * k) * LINE_SIZE;
+                    let at = now + 100 + i as u64 * 10 + k;
+                    real.access(core, conflict, AccessKind::Read, 8, at);
+                    replayed.access(core, conflict, AccessKind::Read, 8, at);
+                    prop_assert_eq!(real.stats(), replayed.stats());
+                    for c in 0..3 {
+                        let mut a: Vec<_> = real.cache(c).resident().collect();
+                        let mut b: Vec<_> = replayed.cache(c).resident().collect();
+                        a.sort_unstable();
+                        b.sort_unstable();
+                        prop_assert_eq!(a, b);
+                    }
+                }
             }
         }
 

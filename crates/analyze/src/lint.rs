@@ -127,6 +127,7 @@ pub fn default_rules() -> Vec<LintRule> {
             name: "observer-chokepoint",
             needles: vec![
                 format!(".{}(", "on_task"),
+                format!(".{}(", "on_task_repeated"),
                 format!(".{}(", "on_mem"),
                 format!(".{}(", "on_sample"),
             ],
@@ -316,6 +317,13 @@ mod tests {
         assert_eq!(findings_for("crates/picos/src/device.rs", &mem).len(), 1);
         let sample = format!("o.{}(&snapshot);\n", "on_sample");
         assert_eq!(findings_for("crates/core/src/fabric.rs", &sample).len(), 1);
+        // So is the batched form of the task stream.
+        let repeated = format!("o.{}(&e, 40, 3);\n", "on_task_repeated");
+        let hits = findings_for("crates/core/src/phentos.rs", &repeated);
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].rule, "observer-chokepoint");
+        assert!(findings_for("crates/machine/src/engine.rs", &repeated).is_empty());
+        assert!(findings_for("crates/machine/src/context.rs", &repeated).is_empty());
         // Unit-test modules (after the cfg marker) are exempt.
         let in_test = format!("#[cfg({})]\nmod tests {{\n    o.{}(&e);\n}}\n", "test", "on_task");
         assert!(findings_for("crates/nanos/src/runtime.rs", &in_test).is_empty());

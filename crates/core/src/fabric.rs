@@ -181,6 +181,11 @@ impl SchedulerFabric for TisFabric {
         self.manager.poll_blocked_until(core, ops)
     }
 
+    fn drain_fetch_changes(&mut self, sink: &mut dyn FnMut(CoreId)) -> bool {
+        self.manager.drain_moved_heads(sink);
+        true
+    }
+
     fn charge_failed_polls(&mut self, core: CoreId, ops: FailedOps, polls: u64) {
         self.stats.operations += polls * ops.count();
         if ops.submission_packets > 0 {

@@ -106,6 +106,10 @@ pub struct PicosManager {
     /// Count of the manager's own state changes; with the device's, a version number of
     /// everything an operation can observe (see [`PicosManager::epoch`]).
     changes: u64,
+    /// Cores whose ready-queue head changed since the last drain, each listed once, and
+    /// which of them are listed.
+    moved_heads: Vec<CoreId>,
+    head_moved: Vec<bool>,
 }
 
 impl PicosManager {
@@ -131,6 +135,8 @@ impl PicosManager {
             scratch_descriptor: Vec::with_capacity(PACKETS_PER_DESCRIPTOR),
             scratch_task: SubmittedTask::new(0, Vec::new()),
             changes: 0,
+            moved_heads: Vec::new(),
+            head_moved: vec![false; cores],
         }
     }
 
@@ -205,6 +211,9 @@ impl PicosManager {
                 sw_id: rt.sw_id,
                 available_at: now + self.config.protocol_crossing + self.config.packet_encode,
             };
+            if self.ready_queues[core].is_empty() {
+                self.note_head_moved(core);
+            }
             self.ready_queues[core]
                 .push(entry)
                 .expect("checked for space above");
@@ -290,6 +299,7 @@ impl PicosManager {
         match self.ready_queues[core].front() {
             Some(e) if e.available_at <= now => {
                 self.changes += 1;
+                self.note_head_moved(core);
                 self.ready_queues[core].pop()
             }
             _ => None,
@@ -353,6 +363,23 @@ impl PicosManager {
         match self.ready_queues[core].front() {
             Some(e) if ops.fetch_sw_id => e.available_at,
             _ => Cycle::MAX,
+        }
+    }
+
+    fn note_head_moved(&mut self, core: CoreId) {
+        if !self.head_moved[core] {
+            self.head_moved[core] = true;
+            self.moved_heads.push(core);
+        }
+    }
+
+    /// Hands `sink` every core whose ready-queue head changed since the last call: the only
+    /// cores whose [`PicosManager::poll_blocked_until`] can have moved for a poll that issues
+    /// neither a request nor a submission.
+    pub(crate) fn drain_moved_heads(&mut self, sink: &mut dyn FnMut(CoreId)) {
+        for core in self.moved_heads.drain(..) {
+            self.head_moved[core] = false;
+            sink(core);
         }
     }
 
@@ -429,6 +456,28 @@ mod tests {
         assert_eq!(m.tasks_in_flight(), 0);
         assert_eq!(m.stats().descriptors_forwarded, 1);
         assert_eq!(m.stats().zero_packets_padded, 45, "task with 0 deps pads 45 zero packets");
+    }
+
+    #[test]
+    fn moved_ready_heads_are_handed_over_once_per_drain() {
+        let mut m = manager(3);
+        let drain = |m: &mut PicosManager| {
+            let mut cores = Vec::new();
+            m.drain_moved_heads(&mut |core| cores.push(core));
+            cores
+        };
+        for sw_id in [1, 2] {
+            let pkts = packets_for(sw_id, vec![]);
+            assert!(m.submission_request(0, pkts.len() as u32, 0));
+            assert!(m.push_packets(0, &pkts, 0));
+            assert!(m.ready_task_request(2, 0));
+        }
+        m.advance(10_000);
+        assert_eq!(m.stats().ready_routed, 2);
+        assert_eq!(drain(&mut m), vec![2], "the second entry queues behind the first");
+        assert!(drain(&mut m).is_empty());
+        assert!(m.pop_ready(2, 20_000).is_some());
+        assert_eq!(drain(&mut m), vec![2], "a pop exposes the next entry");
     }
 
     #[test]

@@ -443,6 +443,11 @@ impl RuntimeSystem for Phentos {
         }
     }
 
+    fn observed_version(&self) -> u64 {
+        // Every epoch above reads these, or `pending`, which only core 0's own steps change.
+        self.total_retired + self.shared_retired + u64::from(self.done)
+    }
+
     fn skip_polls(&mut self, core: usize, polls: u64, last_start: Cycle) {
         if core != 0 {
             let worker = &mut self.workers[core];

@@ -140,6 +140,15 @@ pub trait RuntimeSystem {
         0
     }
 
+    /// One version of the whole runtime that moves, and never returns to an earlier value,
+    /// whenever [`RuntimeSystem::observed_epoch`] of any parked core could change. The engine
+    /// re-reads the per-core epochs only after a step that moved it. A change that only a
+    /// core's own steps make need not move it, since a core never steps while parked. The
+    /// default is constant, like the default epochs.
+    fn observed_version(&self) -> u64 {
+        0
+    }
+
     /// Applies `polls` skipped repeats of `core`'s poll loop to the runtime's own state; the
     /// last of them started at `last_start`.
     fn skip_polls(&mut self, _core: usize, _polls: u64, _last_start: Cycle) {}
@@ -162,6 +171,8 @@ pub struct EngineStats {
     /// Polls charged in closed form instead of stepped. Steps plus skipped polls equal the
     /// steps of the per-poll reference run.
     pub skipped_polls: u64,
+    /// Parked cores examined after a step for something that could wake them.
+    pub rechecks: u64,
 }
 
 impl EngineStats {
@@ -187,6 +198,7 @@ impl EngineStats {
         self.parks += other.parks;
         self.wakes += other.wakes;
         self.skipped_polls += other.skipped_polls;
+        self.rechecks += other.rechecks;
     }
 }
 /// Errors terminating a simulation without a result.
@@ -349,6 +361,21 @@ pub fn run_machine_reference(
 /// A position in the engine's step order: `(start cycle, core)`.
 type StepAt = (Cycle, usize);
 
+/// The first cycle at which a poll of core `me` would come after `step` in the step order.
+fn after(me: usize, step: StepAt) -> Cycle {
+    if me > step.1 {
+        step.0
+    } else {
+        step.0 + 1
+    }
+}
+
+/// Whether a poll's failed operations are a fetch alone (see
+/// [`SchedulerFabric::drain_fetch_changes`]).
+fn fetch_only(ops: FailedOps) -> bool {
+    !ops.ready_task_request && ops.submission_packets == 0
+}
+
 /// A parked core: out of the run queue, its polls charged in closed form until `wake`.
 #[derive(Debug)]
 struct Parked {
@@ -373,6 +400,8 @@ struct Parked {
     epoch: u64,
     /// Start of the first poll that must run for real.
     wake: Cycle,
+    /// Which park of the run this is, counted from 0.
+    id: u64,
 }
 
 impl Parked {
@@ -387,18 +416,19 @@ impl Parked {
 
     /// Start of this core's first poll that the step order puts after `step`.
     fn poll_after(&self, me: usize, step: StepAt) -> Cycle {
-        self.poll_at_or_after(if me > step.1 { step.0 } else { step.0 + 1 })
+        self.poll_at_or_after(after(me, step))
     }
 
     /// Start of the first poll at or after `from` whose operations could reach cycle `t`.
+    /// Equal to `poll_reaching(poll_at_or_after(from), t)`, with one grid rounding fewer.
     fn poll_reaching(&self, from: Cycle, t: Cycle) -> Cycle {
         self.poll_at_or_after(from.max(t.saturating_sub(self.runtime_cycles)))
     }
 
-    /// Number of uncharged polls that the step order puts before `bound`.
-    fn polls_before(&self, me: usize, bound: StepAt) -> u64 {
+    /// Number of polls from the one starting at `from` that the step order puts before `bound`.
+    fn polls_before(&self, from: Cycle, me: usize, bound: StepAt) -> u64 {
         let end = if me < bound.1 { bound.0.saturating_add(1) } else { bound.0 };
-        end.saturating_sub(self.next).div_ceil(self.period)
+        end.saturating_sub(from).div_ceil(self.period)
     }
 }
 
@@ -427,15 +457,30 @@ struct Engine<'a> {
     /// Min-heap of `(key, core)`: equal cycles step in core-index order.
     queue: BinaryHeap<Reverse<StepAt>>,
     parked: Vec<Option<Parked>>,
-    /// Cores currently parked, and those of them whose poll emits a task event.
+    /// Cores currently parked, those of them whose poll emits a task event, those whose poll
+    /// repeats a memory access, and those whose poll issues more than a fetch.
     parked_cores: Vec<usize>,
     event_cores: Vec<usize>,
+    touch_cores: Vec<usize>,
+    request_cores: Vec<usize>,
+    /// Scratch list of the cores [`SchedulerFabric::drain_fetch_changes`] hands over.
+    fetch_changes: Vec<usize>,
     /// Parked cores whose poll returns `Progressed`. While one is parked its skipped polls keep
     /// resetting the watchdog, so no step can trip it.
     progress_parked: usize,
     fabric_epoch: u64,
+    /// [`RuntimeSystem::observed_version`] after the last step that found parked cores.
+    runtime_version: u64,
     /// The fabric's next internal event, fetched when first needed after each change.
     next_internal: Option<Cycle>,
+    /// The next internal event that `reaches` and `first_reach` were found for.
+    reach_for: Cycle,
+    /// Min-heap of lower bounds on when each parked core's poll could reach that event, as
+    /// `(poll start, core, park id)`; entries of cores since unparked are dropped lazily.
+    reaches: BinaryHeap<Reverse<(Cycle, usize, u64)>>,
+    /// The parked core whose poll reaches that event first, as `(its poll's start, core)`,
+    /// once known; `None` after it unparks.
+    first_reach: Option<StepAt>,
     stats: EngineStats,
 }
 
@@ -485,9 +530,16 @@ impl<'a> Engine<'a> {
             parked: (0..cores).map(|_| None).collect(),
             parked_cores: Vec::new(),
             event_cores: Vec::new(),
+            touch_cores: Vec::new(),
+            request_cores: Vec::new(),
+            fetch_changes: Vec::new(),
             progress_parked: 0,
             fabric_epoch: fabric_epoch.unwrap_or(0),
+            runtime_version: runtime.observed_version(),
             next_internal: None,
+            reach_for: Cycle::MAX,
+            reaches: BinaryHeap::new(),
+            first_reach: None,
             stats: EngineStats::default(),
             runtime,
             fabric,
@@ -762,21 +814,31 @@ impl<'a> Engine<'a> {
         self.emit_events(bound);
     }
 
-    /// Emits the task events of every skipped poll ordered before `bound`, in step order.
+    /// Emits the task events of every skipped poll ordered before `bound`, in step order: the
+    /// first event core's run of repeats up to the next other event core's event goes to the
+    /// observer as one batch.
     fn emit_events(&mut self, bound: StepAt) {
         loop {
-            let next = self
-                .event_cores
-                .iter()
-                .map(|&p| (self.parked[p].as_ref().expect("listed cores are parked").next_event, p))
-                .min()
-                .filter(|&n| n < bound);
-            let Some((cycle, p)) = next else { return };
+            let mut first: Option<StepAt> = None;
+            let mut limit = bound;
+            for &p in &self.event_cores {
+                let at = (self.parked[p].as_ref().expect("listed cores are parked").next_event, p);
+                match first {
+                    Some(f) if f < at => limit = limit.min(at),
+                    _ => {
+                        limit = first.map_or(limit, |f| limit.min(f));
+                        first = Some(at);
+                    }
+                }
+            }
+            let Some((cycle, p)) = first.filter(|&f| f < bound) else { return };
             let park = self.parked[p].as_mut().expect("listed cores are parked");
-            park.next_event += park.period;
+            let count = park.polls_before(cycle, p, limit);
+            park.next_event += count * park.period;
             let (stage, task) = park.poll.event.expect("event cores declare an event");
+            let period = park.period;
             if let Some(o) = self.obs.as_deref_mut() {
-                o.on_task(&TaskEvent { cycle, task, core: Some(p), stage, arg: 0 });
+                o.on_task_repeated(&TaskEvent { cycle, task, core: Some(p), stage, arg: 0 }, period, count);
             }
         }
     }
@@ -793,7 +855,7 @@ impl<'a> Engine<'a> {
 
     /// Charges `core`'s skipped polls ordered before `bound`, in closed form.
     fn settle(&mut self, core: usize, park: &mut Parked, bound: StepAt) {
-        let polls = park.polls_before(core, bound);
+        let polls = park.polls_before(park.next, core, bound);
         if polls == 0 {
             return;
         }
@@ -846,6 +908,7 @@ impl<'a> Engine<'a> {
             next_event: next,
             epoch: self.runtime.observed_epoch(core),
             wake: Cycle::MAX,
+            id: self.stats.parks,
         };
         let blocked = self.fabric.poll_blocked_until(core, poll.ops);
         park.wake = next
@@ -863,6 +926,12 @@ impl<'a> Engine<'a> {
         if park.poll.event.is_some() {
             self.event_cores.push(core);
         }
+        if park.poll.touch.is_some() {
+            self.touch_cores.push(core);
+        }
+        if !fetch_only(park.poll.ops) {
+            self.request_cores.push(core);
+        }
         self.parked[core] = Some(park);
         self.parked_cores.push(core);
         self.stats.parks += 1;
@@ -874,6 +943,11 @@ impl<'a> Engine<'a> {
         let mut park = self.parked[core].take().expect("unpark of a parked core");
         self.parked_cores.retain(|&p| p != core);
         self.event_cores.retain(|&p| p != core);
+        self.touch_cores.retain(|&p| p != core);
+        self.request_cores.retain(|&p| p != core);
+        if self.first_reach.is_some_and(|(_, p)| p == core) {
+            self.first_reach = None;
+        }
         self.progress_parked -= usize::from(park.progressed);
         self.settle(core, &mut park, (now, core));
         debug_assert_eq!(park.next, now, "a parked core wakes on its own poll grid");
@@ -884,6 +958,10 @@ impl<'a> Engine<'a> {
     /// now behave differently: after a change to something its poll reads, or when its poll
     /// could reach the fabric's next internal event. Only the parked core whose poll reaches
     /// that event first is woken for it; its poll changes the fabric, which wakes the rest.
+    ///
+    /// Only the cores the step could wake are rechecked: those with a memory line, all of them
+    /// after a runtime change, and after a fabric change those whose answer from
+    /// [`SchedulerFabric::poll_blocked_until`] could have moved.
     fn wake_observers(&mut self, step: StepAt, fabric_changed: bool) {
         if fabric_changed {
             self.next_internal = None;
@@ -895,38 +973,128 @@ impl<'a> Engine<'a> {
             Some(cycle) => cycle,
             None => *self.next_internal.insert(self.fabric.next_internal_event()),
         };
-        let mut first_reach: Option<StepAt> = None;
-        for i in 0..self.parked_cores.len() {
-            let p = self.parked_cores[i];
+        let version = self.runtime.observed_version();
+        let runtime_changed = version != self.runtime_version;
+        self.runtime_version = version;
+        // The core that just parked saw the current state in its own step.
+        for i in 0..self.touch_cores.len() {
+            let p = self.touch_cores[i];
+            if p == step.1 {
+                continue;
+            }
+            self.stats.rechecks += 1;
             let park = self.parked[p].as_ref().expect("listed cores are parked");
-            let after = park.poll_after(p, step);
-            let mut wake = park.wake;
-            // The core that just parked saw the current state in its own step.
-            if p != step.1 {
-                if self.runtime.observed_epoch(p) != park.epoch {
-                    wake = wake.min(after);
-                }
-                if let Some(t) = park.poll.touch {
-                    if !self.mem.hit_keeps_state(p, t.addr, t.kind, t.bytes) {
-                        wake = wake.min(after);
-                    }
+            let t = park.poll.touch.expect("touch cores declare a touch");
+            if !self.mem.hit_keeps_state(p, t.addr, t.kind, t.bytes) {
+                let wake = park.poll_after(p, step);
+                self.lower_wake(p, wake);
+            }
+        }
+        // A fabric change moves the answer of every poll that requests or submits, but that
+        // of a fetch-only poll only if the fabric hands its core over (or tracks none).
+        let mut fetch_changes = std::mem::take(&mut self.fetch_changes);
+        fetch_changes.clear();
+        let every_fetch = fabric_changed && !self.fabric.drain_fetch_changes(&mut |core| fetch_changes.push(core));
+        if runtime_changed || every_fetch {
+            for i in 0..self.parked_cores.len() {
+                let p = self.parked_cores[i];
+                self.stats.rechecks += 1;
+                let park = self.parked[p].as_ref().expect("listed cores are parked");
+                if p != step.1 && runtime_changed && self.runtime.observed_epoch(p) != park.epoch {
+                    let wake = park.poll_after(p, step);
+                    self.lower_wake(p, wake);
                 }
                 if fabric_changed {
-                    let blocked = self.fabric.poll_blocked_until(p, park.poll.ops);
-                    if blocked != Cycle::MAX {
-                        wake = wake.min(park.poll_reaching(after, blocked));
-                    }
+                    self.recheck_blocked(p, step);
                 }
             }
-            if next_internal != Cycle::MAX {
-                let reach = (park.poll_reaching(after, next_internal), p);
-                first_reach = Some(first_reach.map_or(reach, |f| f.min(reach)));
+        } else if fabric_changed {
+            for i in 0..self.request_cores.len() {
+                self.stats.rechecks += 1;
+                self.recheck_blocked(self.request_cores[i], step);
             }
+            for &p in &fetch_changes {
+                if self.parked[p].as_ref().is_some_and(|park| fetch_only(park.poll.ops)) {
+                    self.stats.rechecks += 1;
+                    self.recheck_blocked(p, step);
+                }
+            }
+        }
+        self.fetch_changes = fetch_changes;
+        self.wake_first_reach(step, next_internal);
+    }
+
+    /// After a fabric change in the step `step`, moves parked `core`'s wake up to its first
+    /// poll that could reach the cycle from which its failed operations could succeed.
+    fn recheck_blocked(&mut self, core: usize, step: StepAt) {
+        // The core that just parked saw the current state in its own step.
+        if core == step.1 {
+            return;
+        }
+        let park = self.parked[core].as_ref().expect("only parked cores are rechecked");
+        let blocked = self.fabric.poll_blocked_until(core, park.poll.ops);
+        if blocked != Cycle::MAX {
+            let wake = park.poll_reaching(after(core, step), blocked);
+            self.lower_wake(core, wake);
+        }
+    }
+
+    /// After the step `step`, moves up the wake of the parked core whose poll first reaches
+    /// the fabric's next internal event `t`.
+    ///
+    /// A core's reach never decreases as the step order advances or as `t` moves later, so
+    /// the bounds in `reaches` stay valid until `t` moves earlier, and the core found first
+    /// stays first until `t` moves or it unparks. Only then is the least bound made exact
+    /// again, one core at a time; a newly parked core is compared with the first alone.
+    fn wake_first_reach(&mut self, step: StepAt, t: Cycle) {
+        // Entries of unparked cores are also dropped here, so that the heap stays O(cores).
+        let rebuild = t < self.reach_for || self.reaches.len() > 2 * self.parked_cores.len();
+        if t != self.reach_for || rebuild {
+            self.reach_for = t;
+            self.first_reach = None;
+        }
+        if t == Cycle::MAX {
+            self.reaches.clear();
+            return;
+        }
+        if rebuild {
+            self.reaches.clear();
+            for i in 0..self.parked_cores.len() {
+                let p = self.parked_cores[i];
+                self.push_reach(p, step, t);
+            }
+        } else if self.parked[step.1].is_some() {
+            // A newly parked core only has to be compared with the first.
+            let reach = self.push_reach(step.1, step, t);
+            self.first_reach = self.first_reach.map(|first| first.min(reach));
+        }
+        while self.first_reach.is_none() {
+            let Reverse((bound, p, id)) = *self.reaches.peek().expect("every parked core has a bound");
+            let Some(park) = self.parked[p].as_ref().filter(|park| park.id == id) else {
+                self.reaches.pop();
+                continue;
+            };
+            self.stats.rechecks += 1;
+            let reach = park.poll_reaching(after(p, step), t);
+            debug_assert!(reach >= bound, "a reach never decreases");
+            if reach == bound {
+                self.first_reach = Some((reach, p));
+            } else {
+                *self.reaches.peek_mut().expect("peeked above") = Reverse((reach, p, id));
+            }
+        }
+        if let Some((wake, p)) = self.first_reach {
             self.lower_wake(p, wake);
         }
-        if let Some((wake, p)) = first_reach {
-            self.lower_wake(p, wake);
-        }
+    }
+
+    /// Files parked `core`'s exact reach of `t` after `step` in `reaches`, and returns it.
+    fn push_reach(&mut self, core: usize, step: StepAt, t: Cycle) -> StepAt {
+        let park = self.parked[core].as_ref().expect("only parked cores reach");
+        let reach = park.poll_reaching(after(core, step), t);
+        self.reaches.push(Reverse((reach, core, park.id)));
+        self.stats.rechecks += 1;
+        (reach, core)
     }
 
     fn lower_wake(&mut self, core: usize, wake: Cycle) {
@@ -1215,9 +1383,19 @@ mod tests {
     }
 
     /// Cores that poll an empty fabric forever. Core 0 spins (`Progressed`, which keeps the
-    /// watchdog quiet) when `spinner` is set; every other core backs off (`Waiting`).
+    /// watchdog quiet) when `spinner` is set; every other core backs off (`Waiting`) for
+    /// `40 + stride * core` cycles. With `events`, every poll of core `c` first emits a
+    /// `Submitted` event for task `c`.
     struct Pollers {
         spinner: bool,
+        stride: Cycle,
+        events: bool,
+    }
+
+    impl Pollers {
+        fn new(spinner: bool) -> Self {
+            Pollers { spinner, stride: 1, events: false }
+        }
     }
 
     impl RuntimeSystem for Pollers {
@@ -1225,13 +1403,17 @@ mod tests {
             "pollers"
         }
         fn step_core(&mut self, ctx: &mut CoreCtx<'_>, fabric: &mut dyn SchedulerFabric) -> CoreStatus {
-            let (lat, _) = fabric.fetch_sw_id(ctx.core(), ctx.now());
+            let core = ctx.core();
+            if self.events {
+                ctx.observe_task(TaskStage::Submitted, core as u64);
+            }
+            let (lat, _) = fabric.fetch_sw_id(core, ctx.now());
             ctx.spend(lat);
-            if self.spinner && ctx.core() == 0 {
+            if self.spinner && core == 0 {
                 ctx.spin_backoff();
                 CoreStatus::Progressed
             } else {
-                CoreStatus::Waiting { until: ctx.now() + 40 + ctx.core() as Cycle }
+                CoreStatus::Waiting { until: ctx.now() + 40 + self.stride * core as Cycle }
             }
         }
         fn is_finished(&self) -> bool {
@@ -1243,17 +1425,18 @@ mod tests {
         fn tasks_retired(&self) -> u64 {
             0
         }
-        fn poll_loop(&self, _core: usize) -> Option<PollLoop> {
+        fn poll_loop(&self, core: usize) -> Option<PollLoop> {
             let ops = FailedOps { fetch_sw_id: true, ..FailedOps::default() };
-            Some(PollLoop { ops, touch: None, event: None, repeats: u64::MAX, until: Cycle::MAX })
+            let event = self.events.then_some((TaskStage::Submitted, core as u64));
+            Some(PollLoop { ops, touch: None, event, repeats: u64::MAX, until: Cycle::MAX })
         }
     }
 
     /// Runs `Pollers` on `cfg` through the fast path and the reference; both must fail alike.
     fn pollers_fail_alike(cfg: &MachineConfig, spinner: bool) -> EngineError {
-        let mut fast = Pollers { spinner };
+        let mut fast = Pollers::new(spinner);
         let (fast_result, fast_stats) = run_machine_counted(cfg, &mut fast, &mut IdleFabric::default(), None);
-        let mut reference = Pollers { spinner };
+        let mut reference = Pollers::new(spinner);
         let (ref_result, ref_stats) = run_machine_reference(cfg, &mut reference, &mut IdleFabric::default(), None);
         assert_eq!(fast_result, ref_result);
         assert!(fast_stats.skipped_polls > ref_stats.steps() / 2, "the fast path parks the pollers");
@@ -1308,6 +1491,52 @@ mod tests {
         cfg.max_cycles = 100_000;
         let err = pollers_fail_alike(&cfg, true);
         assert!(matches!(err, EngineError::CycleLimitExceeded { limit: 100_000, .. }), "{err:?}");
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Seen {
+        Task(TaskEvent),
+        Sample(MetricsSample),
+    }
+
+    /// Every task event and metrics sample, in the order the engine made them. Repeated
+    /// events arrive through the default `on_task_repeated`, one `on_task` each.
+    #[derive(Default)]
+    struct EventLog(Vec<Seen>);
+
+    impl Observer for EventLog {
+        fn on_task(&mut self, event: &TaskEvent) {
+            self.0.push(Seen::Task(*event));
+        }
+        fn on_sample(&mut self, sample: &MetricsSample) {
+            self.0.push(Seen::Sample(sample.clone()));
+        }
+        fn sample_interval(&self) -> Option<Cycle> {
+            Some(97)
+        }
+    }
+
+    #[test]
+    fn batched_replay_of_several_event_cores_matches_the_reference() {
+        let mut cfg = MachineConfig::rocket_with_cores(5);
+        cfg.max_cycles = 20_000;
+        let run = |fast: bool| {
+            let mut pollers = Pollers { spinner: true, stride: 37, events: true };
+            let mut log = EventLog::default();
+            let run = if fast { run_machine_counted } else { run_machine_reference };
+            let (result, stats) = run(&cfg, &mut pollers, &mut IdleFabric::default(), Some(&mut log));
+            (result, stats, log.0)
+        };
+        let (fast, fast_stats, fast_events) = run(true);
+        let (reference, ref_stats, ref_events) = run(false);
+        assert_eq!(fast, reference);
+        assert!(fast_stats.skipped_polls > ref_stats.steps() / 2, "the fast path parks the pollers");
+        assert_eq!(fast_events.len(), ref_events.len());
+        if let Some(i) = (0..fast_events.len()).find(|&i| fast_events[i] != ref_events[i]) {
+            panic!("event {i} differs: fast {:?}, reference {:?}", fast_events[i], ref_events[i]);
+        }
+        let emits = |c: usize| ref_events.iter().any(|e| matches!(e, Seen::Task(t) if t.core == Some(c)));
+        assert!((0..cfg.cores).all(emits), "every core emits events");
     }
 
     #[test]

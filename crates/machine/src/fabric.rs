@@ -98,11 +98,11 @@ impl FailedOps {
 ///
 /// # Idle fast-forward
 ///
-/// The last four methods let the engine park a core whose step was a pure failed poll (see
+/// The last five methods let the engine park a core whose step was a pure failed poll (see
 /// [`PollLoop`](crate::engine::PollLoop)) instead of stepping every repeat. A fabric that
 /// supports it returns `Some` from [`SchedulerFabric::park_epoch`] and must then keep the
-/// promises of the other three exactly; the defaults opt out, so every existing fabric (and
-/// every wrapper that does not forward them) keeps the per-poll behaviour.
+/// promises of the others exactly; the defaults opt out, so every existing fabric (and every
+/// wrapper that does not forward them) keeps the per-poll behaviour.
 pub trait SchedulerFabric {
     /// Human-readable name of the fabric (used in reports).
     fn name(&self) -> &'static str;
@@ -176,6 +176,15 @@ pub trait SchedulerFabric {
     /// [`SchedulerFabric::next_internal_event`]. `Cycle::MAX` if only a state change can.
     fn poll_blocked_until(&self, _core: CoreId, _ops: FailedOps) -> Cycle {
         0
+    }
+
+    /// Hands `sink` every core for which [`SchedulerFabric::poll_blocked_until`] of a fetch-only
+    /// poll (one whose [`FailedOps`] issue neither a request nor a submission) may have moved
+    /// since the last call, and returns `true`. A core not handed over keeps its answer. The
+    /// default returns `false`: the fabric does not track this, and any change may have moved
+    /// any core's answer.
+    fn drain_fetch_changes(&mut self, _sink: &mut dyn FnMut(CoreId)) -> bool {
+        false
     }
 
     /// Charges `polls` repeats of the failed operations `ops` by `core` to every statistic the

@@ -74,6 +74,15 @@ pub trait Observer {
     /// A task crossed a lifecycle stage (submit, deps-ready, dispatch, execute, retire).
     fn on_task(&mut self, _event: &TaskEvent) {}
 
+    /// `count` repeats of `event`, `period` cycles apart, with nothing else in between: the
+    /// engine replaying a parked core's skipped polls. The default hands each repeat to
+    /// [`Observer::on_task`] in turn.
+    fn on_task_repeated(&mut self, event: &TaskEvent, period: tis_sim::Cycle, count: u64) {
+        for i in 0..count {
+            self.on_task(&TaskEvent { cycle: event.cycle + i * period, ..*event });
+        }
+    }
+
     /// A coherence transaction completed or a NoC message traversed its route.
     fn on_mem(&mut self, _event: &MemEvent) {}
 

@@ -86,6 +86,15 @@ impl Observer for Recorder {
         self.spans.apply(event);
     }
 
+    /// In O(1): spans keep each stage's first stamp, and the repeats differ from the first
+    /// only in their cycle, so only the first changes a span.
+    fn on_task_repeated(&mut self, event: &TaskEvent, _period: Cycle, count: u64) {
+        if count > 0 {
+            self.task_events += count;
+            self.spans.apply(event);
+        }
+    }
+
     fn on_mem(&mut self, event: &MemEvent) {
         self.metrics.record_mem(event);
     }
@@ -118,6 +127,24 @@ mod tests {
         assert_eq!(r.task_events(), 1);
         assert_eq!(r.spans().len(), 1);
         assert_eq!(r.metrics().samples().len(), 1);
+    }
+
+    #[test]
+    fn repeated_events_leave_what_looped_events_leave() {
+        let first = TaskEvent { cycle: 40, task: 7, core: Some(2), stage: TaskStage::Submitted, arg: 0 };
+        let dispatch = TaskEvent { cycle: 900, stage: TaskStage::Dispatched, ..first };
+        let mut batched = Recorder::default();
+        let mut looped = Recorder::default();
+        for (event, count) in [(first, 5), (dispatch, 3), (TaskEvent { task: 8, ..first }, 0)] {
+            batched.on_task_repeated(&event, 44, count);
+            for i in 0..count {
+                looped.on_task(&TaskEvent { cycle: event.cycle + i * 44, ..event });
+            }
+        }
+        assert_eq!(batched.task_events(), 8);
+        assert_eq!(batched.task_events(), looped.task_events());
+        assert_eq!(batched.spans(), looped.spans());
+        assert_eq!(batched.spans()[0].submit, Some(40), "the first repeat's stamp is kept");
     }
 
     #[test]

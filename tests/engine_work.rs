@@ -1,6 +1,8 @@
 //! Host-work bounds of the engine's idle fast-forward, in deterministic engine steps per
 //! retired task. Before it, Phentos spent 146.7 steps per task on the Fig. 9 catalog and
-//! about 2,764 on the 8-tenant serving scenario, almost all of them idle polls.
+//! about 2,764 on the 8-tenant serving scenario, almost all of them idle polls. The parked
+//! cores are rechecked only when a step changed something they poll: 22.6 rechecks per step
+//! on the serving scenario when every parked core was rechecked after every step.
 
 use tis::bench::{evaluate_catalog_counted, Harness, Platform};
 use tis::exp::{SynthFamily, SynthSpec};
@@ -20,7 +22,7 @@ fn phentos_runs_the_fig09_catalog_in_at_most_ten_steps_per_task() {
 /// 16-entry tracker, a Poisson victim and bursty antagonists, observed by a recorder, under
 /// both tracker policies.
 #[test]
-fn eight_tenant_serving_runs_in_at_most_a_hundred_steps_per_task() {
+fn eight_tenant_serving_runs_in_at_most_seventeen_steps_and_twelve_rechecks_per_step() {
     const TENANTS: usize = 8;
     let tracker = TrackerConfig::new(16, 1024);
     let harness = Harness::with_cores(32).with_tracker(tracker);
@@ -46,6 +48,8 @@ fn eight_tenant_serving_runs_in_at_most_a_hundred_steps_per_task() {
         let (report, _) = result.expect("the serving scenario completes");
         assert_eq!(report.tasks_retired, (TENANTS * spec.tasks) as u64);
         let steps = engine.steps_per_task(report.tasks_retired);
-        assert!(steps <= 100.0, "{policy:?}: {steps:.1} engine steps per task");
+        assert!(steps <= 17.0, "{policy:?}: {steps:.1} engine steps per task");
+        let rechecks = engine.rechecks as f64 / engine.steps() as f64;
+        assert!(rechecks <= 12.0, "{policy:?}: {rechecks:.1} parked-core rechecks per step");
     }
 }

@@ -6,7 +6,8 @@
 //! platforms, materialized, streamed and multi-tenant sources, fault-injected machines and
 //! every observation mode, and requires them to agree on everything a caller can see: the
 //! `Result` (report or error), every observer event in order, and the recorder's spans,
-//! samples, event count and rendered Perfetto trace.
+//! samples, event count and rendered Perfetto trace. A many-core Phentos case also compares
+//! bare recorders, which take a parked core's repeated events as one batch.
 
 use proptest::prelude::*;
 use tis::bench::{Harness, Platform};
@@ -129,17 +130,42 @@ fn assert_fast_matches_reference(
         if let Some(i) = (0..f.events.len()).find(|&i| f.events[i] != r.events[i]) {
             panic!("{what}: event {i} differs: fast {:?}, reference {:?}", f.events[i], r.events[i]);
         }
-        assert_eq!(f.recorder.spans(), r.recorder.spans(), "{what}: spans differ");
-        assert_eq!(f.recorder.metrics().samples(), r.recorder.metrics().samples(), "{what}: samples differ");
-        assert_eq!(f.recorder.task_events(), r.recorder.task_events(), "{what}: task events differ");
-        let cores = harness.cores();
-        assert_eq!(
-            f.recorder.perfetto_json(what, cores).render(),
-            r.recorder.perfetto_json(what, cores).render(),
-            "{what}: Perfetto traces differ"
-        );
+        assert_recorders_equal(&f.recorder, &r.recorder, harness.cores(), what);
     }
     fast_stats
+}
+
+/// Runs `source()` through both loops observed by a bare `Recorder`, which takes repeated poll
+/// events in one batched call where `Logged` takes them one by one, and checks they agree.
+fn assert_bare_recorders_match(
+    harness: &Harness,
+    platform: Platform,
+    source: &dyn Fn() -> Box<dyn TaskSource>,
+    config: ObsConfig,
+    what: &str,
+) {
+    let record = |fast: bool| {
+        let (mut runtime, mut fabric) = machine(harness, platform, source());
+        let mut recorder = Recorder::new(config);
+        let run = if fast { run_machine_counted } else { run_machine_reference };
+        let (result, _) = run(&harness.machine, runtime.as_mut(), fabric.as_mut(), Some(&mut recorder));
+        (result, recorder)
+    };
+    let (fast, f) = record(true);
+    let (reference, r) = record(false);
+    assert_eq!(fast, reference, "{what}: results differ under a bare recorder");
+    assert_recorders_equal(&f, &r, harness.cores(), what);
+}
+
+fn assert_recorders_equal(f: &Recorder, r: &Recorder, cores: usize, what: &str) {
+    assert_eq!(f.spans(), r.spans(), "{what}: spans differ");
+    assert_eq!(f.metrics().samples(), r.metrics().samples(), "{what}: samples differ");
+    assert_eq!(f.task_events(), r.task_events(), "{what}: task events differ");
+    assert_eq!(
+        f.perfetto_json(what, cores).render(),
+        r.perfetto_json(what, cores).render(),
+        "{what}: Perfetto traces differ"
+    );
 }
 
 /// Observation modes: none, the default recorder, fine sampling, and everything on.
@@ -235,6 +261,40 @@ proptest! {
             for obs in observation_modes() {
                 let what = format!("{spec:?} seed {seed}, {cores} cores, shape {shape}, source {source_kind}, {} {obs:?}", platform.label());
                 assert_fast_matches_reference(&harness, platform, source.as_ref(), obs, &what);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Phentos on 8 to 32 cores, where many workers park at once and the engine rechecks only
+    /// the ones a step could wake, over streamed and tenant sources: the fast path equals the
+    /// reference in every observation mode, and also under a bare recorder.
+    #[test]
+    fn many_core_phentos_equals_the_per_poll_reference(
+        kind in 0u8..4,
+        width in 1usize..8,
+        tasks in 8usize..24,
+        task_cycles in 200u64..2_000,
+        seed in 0u64..10_000,
+        cores in 8usize..33,
+        shape in 0u8..5,
+        source_kind in 1u8..4,
+    ) {
+        let spec = spec_from(kind, width, tasks, task_cycles);
+        let harness = harness(shape, cores);
+        let tracker = harness.tis.picos.tracker;
+        let source: Box<dyn Fn() -> Box<dyn TaskSource>> = match source_kind {
+            1 => Box::new(|| Box::new(StreamingSynth::new(spec, 3, SimRng::new(seed)))),
+            k => Box::new(move || tenant_source(spec, seed, tracker, k == 3)),
+        };
+        for obs in observation_modes() {
+            let what = format!("{spec:?} seed {seed}, {cores} cores, shape {shape}, source {source_kind}, {obs:?}");
+            assert_fast_matches_reference(&harness, Platform::Phentos, source.as_ref(), obs, &what);
+            if let Some(config) = obs {
+                assert_bare_recorders_match(&harness, Platform::Phentos, source.as_ref(), config, &what);
             }
         }
     }

@@ -8,7 +8,10 @@
 //! `<dir>` (machine-readable: per-workload cycles/speedups plus the headline geomeans); CI
 //! uploads that file as an artifact so the benchmark trajectory is preserved across commits.
 
-use tis_bench::{evaluate_catalog_counted, geomean_ratio, write_fig09_json_if_requested, Harness, Platform};
+use tis_bench::{
+    evaluate_catalog_counted, fig09_json, geomean_ratio, write_artifacts_if_requested, Harness,
+    Platform,
+};
 
 fn main() {
     let harness = Harness::paper_prototype();
@@ -72,9 +75,13 @@ fn main() {
         .collect();
     println!("  engine steps per task: {}", steps.join(", "));
 
-    match write_fig09_json_if_requested(&results) {
-        Ok(Some(path)) => println!("\nwrote machine-readable results to {}", path.display()),
-        Ok(None) => {}
+    let json = fig09_json(&results).render();
+    match write_artifacts_if_requested(&[("BENCH_fig09.json".to_string(), &json)]) {
+        Ok(paths) => {
+            for path in paths {
+                println!("\nwrote machine-readable results to {}", path.display());
+            }
+        }
         Err(e) => {
             eprintln!("failed to write BENCH_fig09.json: {e}");
             std::process::exit(1);

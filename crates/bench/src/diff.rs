@@ -3,19 +3,19 @@
 //! [`diff`] walks two parsed JSON trees in parallel and collects every numeric leaf present in
 //! both, keyed by its path (e.g. `workloads[3].platforms.phentos.speedup_over_serial`). The
 //! result classifies each changed leaf by whether the change is an improvement, a regression or
-//! direction-neutral, using the metric's name: `speedup`/`geomean`/`utilisation` metrics are
-//! better when higher, `cycles`/`overhead` metrics are better when lower, and anything else is
-//! reported but never gates. The `bench-diff` binary turns this into a human-readable report
-//! and a CI exit code.
+//! direction-neutral, using the metric's name: `speedup`/`geomean`/`utilisation`/`fairness`
+//! metrics are better when higher, `cycles`/`overhead`/`turnaround`/`makespan` metrics are
+//! better when lower, and anything else is reported but never gates. The `bench-diff` binary
+//! turns this into a human-readable report and a CI exit code.
 
 use tis_sim::Json;
 
 /// Which direction of change is an improvement for a metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
-    /// Larger values are better (speedups, geomeans, utilisation).
+    /// Larger values are better (speedups, geomeans, utilisation, tenant fairness).
     HigherIsBetter,
-    /// Smaller values are better (cycle counts, overheads).
+    /// Smaller values are better (cycle counts, overheads, turnaround latencies, makespans).
     LowerIsBetter,
     /// The metric carries no quality direction (task counts, configuration echoes).
     Neutral,
@@ -27,9 +27,9 @@ pub enum Direction {
 pub fn direction_of(path: &str) -> Direction {
     if path.contains("serial_cycles") || path.contains("mean_task_cycles") {
         Direction::Neutral
-    } else if path.contains("speedup") || path.contains("geomean") || path.contains("utilisation") {
+    } else if ["speedup", "geomean", "utilisation", "fairness"].iter().any(|m| path.contains(m)) {
         Direction::HigherIsBetter
-    } else if path.contains("cycles") || path.contains("overhead") {
+    } else if ["cycles", "overhead", "turnaround", "makespan"].iter().any(|m| path.contains(m)) {
         Direction::LowerIsBetter
     } else {
         Direction::Neutral
@@ -498,6 +498,22 @@ mod tests {
         assert_eq!(direction_of("a.b.cycles"), Direction::LowerIsBetter);
         assert_eq!(direction_of("cells[x].lifetime_overhead"), Direction::LowerIsBetter);
         assert_eq!(direction_of("workloads[w].tasks"), Direction::Neutral);
+        // The multi-tenant serving metrics: the victim's turnaround percentiles and the tenant
+        // makespans must not grow, and fairness must not drop.
+        let serving = ["p50_turnaround", "p90_turnaround", "p99_turnaround", "mean_turnaround"];
+        for metric in serving.into_iter().chain(["makespan"]) {
+            let path = format!("cells[w c8 t4-burst96-part].tenant_reports[t0].{metric}");
+            assert_eq!(direction_of(&path), Direction::LowerIsBetter, "{metric}");
+        }
+        assert_eq!(direction_of("cells[x].critical_path.makespan"), Direction::LowerIsBetter);
+        assert_eq!(direction_of("cells[x].tenant_jain_fairness"), Direction::HigherIsBetter);
+        assert_eq!(direction_of("cells[x].tenant_reports[t0].first_arrival"), Direction::Neutral);
+        let victim = DiffRow {
+            path: "cells[x].tenant_reports[t0].p99_turnaround".into(),
+            before: 1_000.0,
+            after: 1_200.0,
+        };
+        assert!(victim.is_regression(0.05), "a victim p99 rise gates");
         // Zero baselines fall back to absolute change and never divide by zero.
         let row = DiffRow { path: "x.cycles".into(), before: 0.0, after: 2.0 };
         assert_eq!(row.relative_change(), 2.0);

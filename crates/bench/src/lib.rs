@@ -540,25 +540,31 @@ pub fn fig09_json(results: &[WorkloadResult]) -> Json {
     ])
 }
 
-/// Writes `BENCH_fig09.json` into the directory named by the `TIS_BENCH_JSON` environment
-/// variable, creating the directory if needed (an empty value means the current directory).
-/// Returns `Ok(None)` without touching the filesystem when the variable is unset, so plain
-/// bench runs stay side-effect free.
+/// Writes each `(file name, contents)` pair into the directory named by the `TIS_BENCH_JSON`
+/// environment variable, creating the directory if needed (an empty value means the current
+/// directory), and returns the paths written. This is the one writer behind every `BENCH_`,
+/// `TRACE_` and `METRICS_` artifact. When the variable is unset, or there is nothing to
+/// write, it touches no file or directory, so plain bench runs stay side-effect free.
 ///
 /// # Errors
 ///
-/// Propagates any I/O error from creating the directory or writing the file.
-pub fn write_fig09_json_if_requested(
-    results: &[WorkloadResult],
-) -> std::io::Result<Option<std::path::PathBuf>> {
-    let Some(dir) = std::env::var_os("TIS_BENCH_JSON") else {
-        return Ok(None);
+/// Propagates any I/O error from creating the directory or writing a file.
+pub fn write_artifacts_if_requested(
+    files: &[(String, &str)],
+) -> std::io::Result<Vec<std::path::PathBuf>> {
+    let Some(dir) = std::env::var_os("TIS_BENCH_JSON").filter(|_| !files.is_empty()) else {
+        return Ok(Vec::new());
     };
     let dir = if dir.is_empty() { std::path::PathBuf::from(".") } else { dir.into() };
     std::fs::create_dir_all(&dir)?;
-    let path = dir.join("BENCH_fig09.json");
-    std::fs::write(&path, fig09_json(results).render())?;
-    Ok(Some(path))
+    files
+        .iter()
+        .map(|(name, contents)| {
+            let path = dir.join(name);
+            std::fs::write(&path, contents)?;
+            Ok(path)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -12,10 +12,15 @@
 //! The bench exits non-zero if any cell's measured speedup exceeds its MTT bound — the bound
 //! is the model's own consistency check, so a violation is a cost-model bug.
 
-use tis_bench::Platform;
-use tis_exp::{run_sweep_with_workers, workers_from_env, Sweep, SynthFamily, SynthSpec, WorkloadSpec};
+use std::process::ExitCode;
 
-fn main() {
+use tis_bench::Platform;
+use tis_exp::{
+    run_sweep_with_workers, workers_from_env, CellSpec, Sweep, SynthFamily, SynthSpec,
+    WorkloadSpec,
+};
+
+fn main() -> ExitCode {
     let sweep = Sweep::new("core-scaling")
         .over_cores([2, 4, 8, 16, 32, 64])
         .over_platforms([Platform::Phentos, Platform::NanosRv])
@@ -52,16 +57,13 @@ fn main() {
     print!("{}", report.render_table());
     println!();
 
-    // The paper-style scaling summary: per workload, the measured Phentos speedup trajectory.
-    for spec in &sweep.workloads {
-        let label = spec.label();
-        print!("{:<28}", label);
-        for &cores in &sweep.cores {
-            let cell = report
-                .cells
-                .iter()
-                .find(|c| c.workload == label && c.cores == cores && c.platform == Platform::Phentos)
-                .expect("grid is complete");
+    // The paper-style scaling summary: per workload, the measured Phentos (platform 0) speedup
+    // trajectory.
+    for (workload, spec) in sweep.workloads.iter().enumerate() {
+        print!("{:<28}", spec.label());
+        for (core_axis, &cores) in sweep.cores.iter().enumerate() {
+            let at = CellSpec { workload, core_axis, ..CellSpec::default() };
+            let cell = &report.cells[sweep.index_of(&at)];
             print!(" | {:>2}c {:>6.2}x", cores, cell.speedup);
         }
         println!();
@@ -69,33 +71,5 @@ fn main() {
     println!();
 
     // Consistency gate: a measured speedup above the MTT bound is a cost-model bug.
-    let strict = report.bound_violations();
-    for c in &strict {
-        eprintln!(
-            "BOUND EXCEEDED: {} on {} cores, {}: measured {:.2}x > bound {:.2}x",
-            c.workload,
-            c.cores,
-            c.platform.label(),
-            c.speedup,
-            c.mtt_bound
-        );
-    }
-    println!(
-        "{} of {} cells exceed their MTT bound (the paper's points all sit below their bounds)",
-        strict.len(),
-        report.cells.len()
-    );
-
-    match report.write_json_if_requested() {
-        Ok(Some(path)) => println!("wrote machine-readable results to {}", path.display()),
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("failed to write the sweep artifact: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if !strict.is_empty() {
-        std::process::exit(1);
-    }
+    report.finish(0)
 }

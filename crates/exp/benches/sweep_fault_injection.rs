@@ -18,16 +18,18 @@
 //! to write the machine-readable `BENCH_sweep_fault-injection.json` artifact and
 //! `TIS_SWEEP_WORKERS=<n>` to override the host thread count.
 
+use std::process::ExitCode;
+
 use tis_bench::{Harness, Platform};
 use tis_exp::{
-    run_sweep_with_workers, workers_from_env, FaultConfig, MemoryModel, Sweep, SynthFamily,
-    SynthSpec, WorkloadSpec,
+    run_sweep_with_workers, workers_from_env, CellSpec, FaultConfig, MemoryModel, Sweep,
+    SynthFamily, SynthSpec, WorkloadSpec,
 };
 
 /// Maximum relative makespan drift a fault-free cell may show against the direct harness run.
 const CATALOG_NOISE: f64 = 0.01;
 
-fn main() {
+fn main() -> ExitCode {
     // A dense windowed Erdős–Rényi DAG keeps coherence traffic criss-crossing the mesh (every
     // NoC leg is a fault opportunity); the catalog workload anchors the experiment at the
     // paper's scale.
@@ -38,7 +40,6 @@ fn main() {
         jitter: 0.25,
     });
     let catalog = WorkloadSpec::catalog("blackscholes", "4K B64");
-    let catalog_label = catalog.label();
     let faults = [FaultConfig::none(), FaultConfig::zero_rate(), FaultConfig::recoverable()];
     let sweep = Sweep::new("fault-injection")
         .over_cores([8])
@@ -62,30 +63,10 @@ fn main() {
     print!("{}", report.render_table());
     println!();
 
-    let find = |workload: &str, fault_key: &str| {
-        report
-            .cells
-            .iter()
-            .find(|c| {
-                c.workload == workload
-                    && (c.fault.key() == fault_key || (!c.fault.engages() && fault_key == "none"))
-            })
-            .expect("grid is complete")
-    };
-    // Engaging cells carry a derived per-cell seed, so match them by rate signature instead of
-    // the full key: zero_rate never fires, recoverable keeps recoverable()'s rates.
-    let cell_of = |workload: &str, f: FaultConfig| {
-        report
-            .cells
-            .iter()
-            .find(|c| {
-                c.workload == workload
-                    && c.fault.drop_ppm == f.drop_ppm
-                    && c.fault.delay_ppm == f.delay_ppm
-                    && c.fault.tracker_loss_ppm == f.tracker_loss_ppm
-                    && c.fault.engages() == f.engages()
-            })
-            .expect("grid is complete")
+    // Fault 0 is the fault-free schedule, 1 the zero-rate one, 2 the recoverable one; workload
+    // 1 is the catalog entry.
+    let at = |workload, fault| {
+        &report.cells[sweep.index_of(&CellSpec { workload, fault, ..CellSpec::default() })]
     };
 
     let mut failures = 0;
@@ -93,11 +74,9 @@ fn main() {
         "{:<32} | {:>12} | {:>13} | {:>12} | {:>6} | {:>7} | {:>7} | {:>7} | {:>13}",
         "workload", "clean cyc", "zero-rate cyc", "faulted cyc", "drops", "delays", "retries", "losses", "recovery cyc"
     );
-    for spec in &sweep.workloads {
+    for (workload, spec) in sweep.workloads.iter().enumerate() {
         let label = spec.label();
-        let clean = find(&label, "none");
-        let zero = cell_of(&label, FaultConfig::zero_rate());
-        let faulted = cell_of(&label, FaultConfig::recoverable());
+        let (clean, zero, faulted) = (at(workload, 0), at(workload, 1), at(workload, 2));
         println!(
             "{:<32} | {:>12} | {:>13} | {:>12} | {:>6} | {:>7} | {:>7} | {:>7} | {:>13}",
             label,
@@ -144,7 +123,7 @@ fn main() {
 
     // The fault axis must not perturb the fault-free path: the clean catalog cell has to match
     // a direct harness measurement of the same workload within noise.
-    let clean_catalog = find(&catalog_label, "none");
+    let clean_catalog = at(1, 0);
     let direct = Harness::with_cores(8)
         .with_memory_model(MemoryModel::directory_mesh_contended())
         .run(Platform::Phentos, &tis_workloads::entry_for_cores("blackscholes", "4K B64", 8).expect("catalog entry exists").program)
@@ -161,33 +140,5 @@ fn main() {
         failures += 1;
     }
 
-    let violations = report.bound_violations();
-    for c in &violations {
-        eprintln!(
-            "BOUND EXCEEDED: {} under fault '{}': measured {:.2}x > bound {:.2}x",
-            c.workload,
-            c.fault.key(),
-            c.speedup,
-            c.mtt_bound
-        );
-    }
-    println!(
-        "{} of {} cells exceed their MTT bound, {} fault-injection gate failure(s)",
-        violations.len(),
-        report.cells.len(),
-        failures
-    );
-
-    match report.write_json_if_requested() {
-        Ok(Some(path)) => println!("wrote machine-readable results to {}", path.display()),
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("failed to write the sweep artifact: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if !violations.is_empty() || failures > 0 {
-        std::process::exit(1);
-    }
+    report.finish(failures)
 }

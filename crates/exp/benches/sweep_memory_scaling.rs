@@ -16,10 +16,15 @@
 //! cells fail to show **strictly higher** mean memory latency than their snooping twins — the
 //! whole point of the second model is that distance is not free.
 
-use tis_bench::Platform;
-use tis_exp::{run_sweep_with_workers, workers_from_env, MemoryModel, Sweep, SynthFamily, SynthSpec, WorkloadSpec};
+use std::process::ExitCode;
 
-fn main() {
+use tis_bench::Platform;
+use tis_exp::{
+    run_sweep_with_workers, workers_from_env, CellSpec, MemoryModel, Sweep, SynthFamily,
+    SynthSpec, WorkloadSpec,
+};
+
+fn main() -> ExitCode {
     let cores = [2usize, 4, 8, 16, 32, 64];
     let sweep = Sweep::new("memory-scaling")
         .over_cores(cores)
@@ -50,25 +55,21 @@ fn main() {
     println!();
 
     // The headline trajectory: per workload and core count, mean memory latency and makespan
-    // under each model, and the ratio between them.
+    // under each model (memory 0 is the bus, memory 1 the mesh), and the ratio between them.
     let mut failures = 0;
-    for spec in &sweep.workloads {
+    for (workload, spec) in sweep.workloads.iter().enumerate() {
         let label = spec.label();
         println!("{label}:");
         println!(
             "  {:>5} | {:>14} | {:>14} | {:>9} | {:>11}",
             "cores", "bus mem lat", "mesh mem lat", "lat ratio", "cycle ratio"
         );
-        for &n in &cores {
-            let find = |model: MemoryModel| {
-                report
-                    .cells
-                    .iter()
-                    .find(|c| c.workload == label && c.cores == n && c.memory == model)
-                    .expect("grid is complete")
+        for (core_axis, &n) in cores.iter().enumerate() {
+            let at = |memory| {
+                let at = CellSpec { workload, core_axis, memory, ..CellSpec::default() };
+                &report.cells[sweep.index_of(&at)]
             };
-            let bus = find(MemoryModel::SnoopBus);
-            let mesh = find(MemoryModel::directory_mesh());
+            let (bus, mesh) = (at(0), at(1));
             println!(
                 "  {:>5} | {:>14.2} | {:>14.2} | {:>8.2}x | {:>10.3}x",
                 n,
@@ -88,34 +89,5 @@ fn main() {
         println!();
     }
 
-    let violations = report.bound_violations();
-    for c in &violations {
-        eprintln!(
-            "BOUND EXCEEDED: {} on {} cores ({}): measured {:.2}x > bound {:.2}x",
-            c.workload,
-            c.cores,
-            c.memory.key(),
-            c.speedup,
-            c.mtt_bound
-        );
-    }
-    println!(
-        "{} of {} cells exceed their MTT bound, {} missing 64-core scaling gap(s)",
-        violations.len(),
-        report.cells.len(),
-        failures
-    );
-
-    match report.write_json_if_requested() {
-        Ok(Some(path)) => println!("wrote machine-readable results to {}", path.display()),
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("failed to write the sweep artifact: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if !violations.is_empty() || failures > 0 {
-        std::process::exit(1);
-    }
+    report.finish(failures)
 }

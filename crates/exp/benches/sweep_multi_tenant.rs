@@ -24,9 +24,11 @@
 //! to write `BENCH_sweep_multi-tenant.json` (plus the TRACE_/METRICS_ documents) and
 //! `TIS_SWEEP_WORKERS=<n>` to override the host thread count.
 
+use std::process::ExitCode;
+
 use tis_bench::Platform;
 use tis_exp::{
-    run_sweep_with_workers, workers_from_env, ArrivalProcess, ObsConfig, Sweep, SweepCell,
+    run_sweep_with_workers, workers_from_env, ArrivalProcess, CellSpec, ObsConfig, Sweep,
     SynthFamily, SynthSpec, TenantScenario, WorkloadSpec,
 };
 use tis_picos::TrackerConfig;
@@ -54,7 +56,14 @@ fn serving(tenants: usize, partitioned: bool) -> TenantScenario {
         .with_victim_arrival(ArrivalProcess::Poisson { mean_interarrival: VICTIM_GAP })
 }
 
-fn main() {
+/// Grid index of the cell at core axis entry `core_axis` under `scenario`.
+fn at(sweep: &Sweep, core_axis: usize, scenario: Option<TenantScenario>) -> usize {
+    let tenant =
+        sweep.tenants.iter().position(|&s| s == scenario).expect("scenario on the tenant axis");
+    sweep.index_of(&CellSpec { core_axis, tenant, ..CellSpec::default() })
+}
+
+fn main() -> ExitCode {
     // Dependence chains are the tracker-clogging workload: a burst of chained tasks fills
     // the task memory with entries that are submitted but not ready (each waits on its
     // predecessor), so a shared tracker ends up full while cores sit idle — exactly the
@@ -77,17 +86,18 @@ fn main() {
     ];
     let scenario_count = scenarios.len();
     // A 16-entry task memory makes the tracker the contended resource (one antagonist burst
-    // alone overflows it sixfold); the two 8-tenant cells at 8 cores run observed (grid
-    // order: tenants ▸ platforms, one platform), so CI uploads per-tenant Perfetto track
-    // groups for both policies.
+    // alone overflows it sixfold).
     let sweep = Sweep::new("multi-tenant")
         .over_cores([8, 32])
         .over_trackers([TrackerConfig::new(16, 1024)])
         .over_platforms([Platform::Phentos])
         .over_tenants(scenarios)
         .with_obs(ObsConfig::default())
-        .observe_only([6, 7])
         .with_workload(WorkloadSpec::synth(spec));
+    // The two 8-tenant cells at 8 cores (core 0) run observed, so CI uploads per-tenant
+    // Perfetto track groups for both policies.
+    let observed = [false, true].map(|partitioned| at(&sweep, 0, Some(serving(8, partitioned))));
+    let sweep = sweep.observe_only(observed);
 
     let workers = workers_from_env();
     let report = run_sweep_with_workers(&sweep, workers);
@@ -132,24 +142,11 @@ fn main() {
     println!();
 
     let mut failures = 0;
-    let find = |cores: usize, key: &str| -> &SweepCell {
-        report
-            .cells
-            .iter()
-            .find(|c| {
-                c.cores == cores
-                    && c.tenant.as_ref().map(|t| t.scenario.as_str()) == Some(key)
-            })
-            .expect("grid is complete")
-    };
-    for &cores in &sweep.cores {
+    for (core_axis, &cores) in sweep.cores.iter().enumerate() {
+        let cell = |scenario| &report.cells[at(&sweep, core_axis, scenario)];
         // Gate 1: the tenant layer is free until a second tenant exists.
-        let control = report
-            .cells
-            .iter()
-            .find(|c| c.cores == cores && c.tenant.is_none())
-            .expect("grid is complete");
-        let degenerate = find(cores, &TenantScenario::batch(1, false).key());
+        let control = cell(None);
+        let degenerate = cell(Some(TenantScenario::batch(1, false)));
         if degenerate.total_cycles != control.total_cycles {
             eprintln!(
                 "DEGENERATE DRIFT: {cores} cores: 1-tenant batch cell ran {} cycles vs {} for \
@@ -160,8 +157,8 @@ fn main() {
         }
         // Gate 2: partitioning strictly bounds the victim's p99 under every antagonist count.
         for tenants in [2usize, 4, 8] {
-            let shared = find(cores, &serving(tenants, false).key());
-            let part = find(cores, &serving(tenants, true).key());
+            let shared = cell(Some(serving(tenants, false)));
+            let part = cell(Some(serving(tenants, true)));
             let shared_p99 = shared.tenant.as_ref().expect("co-scheduled").reports[0].p99;
             let part_p99 = part.tenant.as_ref().expect("co-scheduled").reports[0].p99;
             if part_p99 >= shared_p99 {
@@ -213,46 +210,7 @@ fn main() {
         engine.skipped_polls
     );
 
-    let violations = report.bound_violations();
-    for c in &violations {
-        // Co-scheduled cells measure speedup against the summed serial baseline, which the
-        // MTT bound still caps: a violation is a cost-model inconsistency, tenants or not.
-        eprintln!(
-            "BOUND EXCEEDED: {} ({}): measured {:.2}x > bound {:.2}x",
-            c.workload,
-            c.tenant.as_ref().map_or("single".to_string(), |t| t.scenario.clone()),
-            c.speedup,
-            c.mtt_bound
-        );
-    }
-    println!(
-        "{} of {} cells exceed their MTT bound, {} multi-tenant gate failure(s)",
-        violations.len(),
-        report.cells.len(),
-        failures
-    );
-
-    match report.write_json_if_requested() {
-        Ok(Some(path)) => println!("wrote machine-readable results to {}", path.display()),
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("failed to write the sweep artifact: {e}");
-            std::process::exit(1);
-        }
-    }
-    match report.write_obs_artifacts_if_requested() {
-        Ok(paths) => {
-            for p in paths {
-                println!("wrote per-tenant trace artifact {}", p.display());
-            }
-        }
-        Err(e) => {
-            eprintln!("failed to write the trace artifacts: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if !violations.is_empty() || failures > 0 {
-        std::process::exit(1);
-    }
+    // Co-scheduled cells measure speedup against the summed serial baseline, which the MTT
+    // bound still caps: a violation is a cost-model inconsistency, tenants or not.
+    report.finish(failures)
 }

@@ -23,13 +23,18 @@
 //!   at the paper's scale, where the figure reproductions live, link contention must not
 //!   rewrite the story.
 
+use std::process::ExitCode;
+
 use tis_bench::Platform;
-use tis_exp::{run_sweep_with_workers, workers_from_env, MemoryModel, Sweep, SynthFamily, SynthSpec, WorkloadSpec};
+use tis_exp::{
+    run_sweep_with_workers, workers_from_env, CellSpec, MemoryModel, Sweep, SynthFamily,
+    SynthSpec, WorkloadSpec,
+};
 
 /// Maximum relative makespan change the 8-core catalog cell may see under contention.
 const CATALOG_NOISE: f64 = 0.01;
 
-fn main() {
+fn main() -> ExitCode {
     let cores = [8usize, 16, 32, 64];
     // High density relative to the ER window: at 0.1 every task saturates its in-degree cap
     // (MAX_IN_DEGREE reads drawn from the 256-task window), so cross-task dependences keep
@@ -40,9 +45,7 @@ fn main() {
         task_cycles: 6_000,
         jitter: 0.25,
     });
-    let dense_label = dense.label();
     let catalog = WorkloadSpec::catalog("blackscholes", "4K B64");
-    let catalog_label = catalog.label();
     let sweep = Sweep::new("noc-contention")
         .over_cores(cores)
         .over_memory_models([MemoryModel::directory_mesh(), MemoryModel::directory_mesh_contended()])
@@ -64,27 +67,24 @@ fn main() {
     print!("{}", report.render_table());
     println!();
 
-    let find = |workload: &str, n: usize, model: MemoryModel| {
-        report
-            .cells
-            .iter()
-            .find(|c| c.workload == workload && c.cores == n && c.memory == model)
-            .expect("grid is complete")
-    };
-
     // The headline trajectory: per workload and core count, mean memory latency under ideal
-    // and contended links, the ratio between them, and the observed queueing.
+    // (memory 0) and contended (memory 1) links, the ratio between them, and the observed
+    // queueing. Workload 0 is the dense DAG, workload 1 the catalog entry.
     let mut failures = 0;
-    for (label, is_dense) in [(&dense_label, true), (&catalog_label, false)] {
+    for (workload, spec) in sweep.workloads.iter().enumerate() {
+        let (label, is_dense) = (spec.label(), workload == 0);
         println!("{label}:");
         println!(
             "  {:>5} | {:>13} | {:>13} | {:>9} | {:>11} | {:>14} | {:>9}",
             "cores", "ideal mem lat", "cont. mem lat", "lat ratio", "cycle ratio", "link wait cyc", "max occ"
         );
         let mut prev_ratio = 0.0f64;
-        for &n in &cores {
-            let ideal = find(label, n, MemoryModel::directory_mesh());
-            let contended = find(label, n, MemoryModel::directory_mesh_contended());
+        for (core_axis, &n) in cores.iter().enumerate() {
+            let at = |memory| {
+                let at = CellSpec { workload, core_axis, memory, ..CellSpec::default() };
+                &report.cells[sweep.index_of(&at)]
+            };
+            let (ideal, contended) = (at(0), at(1));
             let ratio = contended.mean_mem_latency / ideal.mean_mem_latency.max(f64::MIN_POSITIVE);
             let cycle_ratio = contended.total_cycles as f64 / ideal.total_cycles.max(1) as f64;
             println!(
@@ -127,34 +127,5 @@ fn main() {
         println!();
     }
 
-    let violations = report.bound_violations();
-    for c in &violations {
-        eprintln!(
-            "BOUND EXCEEDED: {} on {} cores ({}): measured {:.2}x > bound {:.2}x",
-            c.workload,
-            c.cores,
-            c.memory.key(),
-            c.speedup,
-            c.mtt_bound
-        );
-    }
-    println!(
-        "{} of {} cells exceed their MTT bound, {} contention-scaling failure(s)",
-        violations.len(),
-        report.cells.len(),
-        failures
-    );
-
-    match report.write_json_if_requested() {
-        Ok(Some(path)) => println!("wrote machine-readable results to {}", path.display()),
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("failed to write the sweep artifact: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if !violations.is_empty() || failures > 0 {
-        std::process::exit(1);
-    }
+    report.finish(failures)
 }

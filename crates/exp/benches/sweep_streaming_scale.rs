@@ -24,7 +24,7 @@
 //! under the `bench-diff` trajectory gate.
 
 use std::time::Instant;
-use tis_bench::{Harness, Platform};
+use tis_bench::{write_artifacts_if_requested, Harness, Platform};
 use tis_exp::{StreamingSynth, SynthFamily, SynthSpec};
 use tis_sim::{Json, SimRng};
 
@@ -138,15 +138,17 @@ fn main() {
         ("seed", Json::UInt(seed)),
         ("cells", Json::Arr(rows)),
     ]);
-    if let Some(dir) = std::env::var_os("TIS_BENCH_JSON") {
-        let dir = if dir.is_empty() { std::path::PathBuf::from(".") } else { dir.into() };
-        if let Err(e) = std::fs::create_dir_all(&dir)
-            .and_then(|()| std::fs::write(dir.join("BENCH_sweep_streaming-scale.json"), doc.render()))
-        {
+    let json = doc.render();
+    match write_artifacts_if_requested(&[("BENCH_sweep_streaming-scale.json".to_string(), &json)]) {
+        Ok(paths) => {
+            for path in paths {
+                println!("wrote machine-readable results to {}", path.display());
+            }
+        }
+        Err(e) => {
             eprintln!("failed to write the streaming-scale artifact: {e}");
             std::process::exit(1);
         }
-        println!("wrote machine-readable results to {}", dir.join("BENCH_sweep_streaming-scale.json").display());
     }
 
     if failures > 0 {

@@ -17,11 +17,16 @@
 //! shows it) — but a starved tracker beating the prototype would mean stalls somehow helped,
 //! which is a model bug.
 
+use std::process::ExitCode;
+
 use tis_bench::Platform;
-use tis_exp::{run_sweep_with_workers, workers_from_env, Sweep, SynthFamily, SynthSpec, WorkloadSpec};
+use tis_exp::{
+    run_sweep_with_workers, workers_from_env, CellSpec, Sweep, SynthFamily, SynthSpec,
+    WorkloadSpec,
+};
 use tis_picos::TrackerConfig;
 
-fn main() {
+fn main() -> ExitCode {
     // Starved → cramped → halved → the paper's prototype sizing (Table II).
     let trackers = [
         TrackerConfig::new(8, 64),
@@ -65,20 +70,16 @@ fn main() {
 
     // Per (workload, platform): the starved-to-prototype makespan trajectory.
     let mut failures = 0;
-    for spec in &sweep.workloads {
+    for (workload, spec) in sweep.workloads.iter().enumerate() {
         let label = spec.label();
-        for &platform in &sweep.platforms {
-            let row: Vec<_> = trackers
-                .iter()
-                .map(|t| {
-                    report
-                        .cells
-                        .iter()
-                        .find(|c| c.workload == label && c.platform == platform && c.tracker == *t)
-                        .expect("grid is complete")
+        for (platform, key) in sweep.platforms.iter().map(|p| p.key()).enumerate() {
+            let row: Vec<_> = (0..trackers.len())
+                .map(|tracker| {
+                    let at = CellSpec { workload, tracker, platform, ..CellSpec::default() };
+                    &report.cells[sweep.index_of(&at)]
                 })
                 .collect();
-            print!("{:<28} {:>9}", label, platform.key());
+            print!("{:<28} {:>9}", label, key);
             for cell in &row {
                 print!(" | {:>13}: {:>9}", cell.tracker.label(), cell.total_cycles);
             }
@@ -87,11 +88,8 @@ fn main() {
             let roomy = row.last().expect("non-empty tracker axis").total_cycles;
             if starved < roomy {
                 eprintln!(
-                    "CAPACITY INVERSION: {} on {}: starved tracker {} beats prototype {}",
-                    label,
-                    platform.key(),
-                    starved,
-                    roomy
+                    "CAPACITY INVERSION: {label} on {key}: starved tracker {starved} beats \
+                     prototype {roomy}"
                 );
                 failures += 1;
             }
@@ -99,34 +97,5 @@ fn main() {
     }
     println!();
 
-    let violations = report.bound_violations();
-    for c in &violations {
-        eprintln!(
-            "BOUND EXCEEDED: {} {} on {}: measured {:.2}x > bound {:.2}x",
-            c.workload,
-            c.tracker.label(),
-            c.platform.label(),
-            c.speedup,
-            c.mtt_bound
-        );
-    }
-    println!(
-        "{} of {} cells exceed their MTT bound, {} capacity inversion(s)",
-        violations.len(),
-        report.cells.len(),
-        failures
-    );
-
-    match report.write_json_if_requested() {
-        Ok(Some(path)) => println!("wrote machine-readable results to {}", path.display()),
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("failed to write the sweep artifact: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if !violations.is_empty() || failures > 0 {
-        std::process::exit(1);
-    }
+    report.finish(failures)
 }

@@ -224,7 +224,7 @@ impl TenantScenario {
 }
 
 /// Coordinates of one grid cell (indices into the sweep's axes, plus the resolved values).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CellSpec {
     /// Position in grid order; reports are assembled by this index.
     pub index: usize,
@@ -244,6 +244,17 @@ pub struct CellSpec {
     pub tenant: usize,
     /// Index into [`Sweep::platforms`].
     pub platform: usize,
+}
+
+/// Number of sweep axes.
+const AXES: usize = 7;
+
+impl CellSpec {
+    /// The axis indices in grid order (the order of `Sweep::axes`).
+    fn coordinates(&self) -> [usize; AXES] {
+        let CellSpec { workload, core_axis, memory, tracker, fault, tenant, platform, .. } = *self;
+        [workload, core_axis, memory, tracker, fault, tenant, platform]
+    }
 }
 
 /// A declarative experiment: a cartesian grid over workloads, core counts, tracker capacities
@@ -420,47 +431,69 @@ impl Sweep {
         self
     }
 
+    /// The axes in grid order, slowest-varying first, each as what an empty axis lacks and the
+    /// axis length. This list is the only place the set and order of the axes is written down:
+    /// [`Sweep::cells`] decodes a grid index over it and [`Sweep::index_of`] encodes one.
+    fn axes(&self) -> [(&'static str, usize); AXES] {
+        [
+            ("no workloads", self.workloads.len()),
+            ("an empty core axis", self.cores.len()),
+            ("an empty memory-model axis", self.memory_models.len()),
+            ("an empty tracker axis", self.trackers.len()),
+            ("an empty fault axis", self.faults.len()),
+            ("an empty tenant axis", self.tenants.len()),
+            ("an empty platform axis", self.platforms.len()),
+        ]
+    }
+
     /// Number of grid cells.
     pub fn cell_count(&self) -> usize {
-        self.workloads.len()
-            * self.cores.len()
-            * self.memory_models.len()
-            * self.trackers.len()
-            * self.faults.len()
-            * self.tenants.len()
-            * self.platforms.len()
+        self.axes().iter().map(|&(_, len)| len).product()
     }
 
     /// Expands the grid into cells, in grid order (workloads ▸ cores ▸ memory models ▸
-    /// trackers ▸ faults ▸ tenants ▸ platforms).
+    /// trackers ▸ faults ▸ tenants ▸ platforms): cell `i` sits at the coordinates grid index
+    /// `i` decodes to, platforms varying fastest.
     pub fn cells(&self) -> Vec<CellSpec> {
-        let mut out = Vec::with_capacity(self.cell_count());
-        for (wi, _) in self.workloads.iter().enumerate() {
-            for (ci, &cores) in self.cores.iter().enumerate() {
-                for (mi, _) in self.memory_models.iter().enumerate() {
-                    for (ti, _) in self.trackers.iter().enumerate() {
-                        for (fi, _) in self.faults.iter().enumerate() {
-                            for (ni, _) in self.tenants.iter().enumerate() {
-                                for (pi, _) in self.platforms.iter().enumerate() {
-                                    out.push(CellSpec {
-                                        index: out.len(),
-                                        workload: wi,
-                                        core_axis: ci,
-                                        cores,
-                                        memory: mi,
-                                        tracker: ti,
-                                        fault: fi,
-                                        tenant: ni,
-                                        platform: pi,
-                                    });
-                                }
-                            }
-                        }
-                    }
+        let axes = self.axes();
+        (0..self.cell_count())
+            .map(|index| {
+                let mut coordinates = [0; AXES];
+                let mut rest = index;
+                for (c, &(_, len)) in coordinates.iter_mut().zip(&axes).rev() {
+                    *c = rest % len;
+                    rest /= len;
                 }
-            }
-        }
-        out
+                let [workload, core_axis, memory, tracker, fault, tenant, platform] = coordinates;
+                CellSpec {
+                    index,
+                    workload,
+                    core_axis,
+                    cores: self.cores[core_axis],
+                    memory,
+                    tracker,
+                    fault,
+                    tenant,
+                    platform,
+                }
+            })
+            .collect()
+    }
+
+    /// The grid index of the cell at `cell`'s axis coordinates: the inverse of
+    /// [`Sweep::cells`], so `sweep.index_of(&sweep.cells()[i]) == i`. Only the axis indices are
+    /// read (`index` and the resolved `cores` are ignored), so a lookup names the coordinates
+    /// it fixes and leaves the rest at the first entry:
+    /// `sweep.index_of(&CellSpec { core_axis: 2, ..CellSpec::default() })`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a coordinate is outside its axis.
+    pub fn index_of(&self, cell: &CellSpec) -> usize {
+        cell.coordinates().into_iter().zip(self.axes()).fold(0, |index, (c, (_, len))| {
+            assert!(c < len, "sweep '{}': coordinate {c} is outside an axis of {len}", self.name);
+            index * len + c
+        })
     }
 
     /// The RNG stream for a cell's workload instantiation. Depends only on the sweep seed and
@@ -478,17 +511,9 @@ impl Sweep {
     /// Panics on an empty axis, a zero core count, degenerate tracker capacities, or a
     /// workload spec that could never instantiate.
     pub fn check(&self) {
-        assert!(!self.workloads.is_empty(), "sweep '{}' has no workloads", self.name);
-        assert!(!self.cores.is_empty(), "sweep '{}' has an empty core axis", self.name);
-        assert!(
-            !self.memory_models.is_empty(),
-            "sweep '{}' has an empty memory-model axis",
-            self.name
-        );
-        assert!(!self.platforms.is_empty(), "sweep '{}' has an empty platform axis", self.name);
-        assert!(!self.trackers.is_empty(), "sweep '{}' has an empty tracker axis", self.name);
-        assert!(!self.faults.is_empty(), "sweep '{}' has an empty fault axis", self.name);
-        assert!(!self.tenants.is_empty(), "sweep '{}' has an empty tenant axis", self.name);
+        for (missing, len) in self.axes() {
+            assert!(len > 0, "sweep '{}' has {missing}", self.name);
+        }
         for scenario in self.tenants.iter().flatten() {
             assert!(
                 scenario.tenants >= 1,
@@ -607,6 +632,60 @@ mod tests {
         assert_eq!((cells[2].fault, cells[2].tenant, cells[2].platform), (0, 1, 0));
         assert_eq!((cells[4].fault, cells[4].tenant, cells[4].platform), (1, 0, 0));
         sweep.check();
+    }
+
+    proptest::proptest! {
+        /// Decoding and encoding grid indices are inverse on every axis shape, cells come out
+        /// with platforms varying fastest and workloads slowest, and the count matches.
+        #[test]
+        fn grid_indices_round_trip(lens in proptest::collection::vec(1usize..=3, 7)) {
+            let sweep = Sweep {
+                cores: [1, 2, 3][..lens[1]].to_vec(),
+                memory_models: [
+                    MemoryModel::SnoopBus,
+                    MemoryModel::directory_mesh(),
+                    MemoryModel::directory_mesh_contended(),
+                ][..lens[2]]
+                    .to_vec(),
+                trackers: vec![TrackerConfig::default(); lens[3]],
+                faults: vec![FaultConfig::none(); lens[4]],
+                tenants: vec![None; lens[5]],
+                platforms: [Platform::Phentos, Platform::NanosSw, Platform::NanosRv][..lens[6]]
+                    .to_vec(),
+                ..Sweep::new("round-trip")
+            };
+            let sweep = (0..lens[0]).fold(sweep, |s, _| {
+                s.with_workload(WorkloadSpec::synth(SynthSpec::uniform(SynthFamily::Chain, 4, 100)))
+            });
+            let cells = sweep.cells();
+            proptest::prop_assert_eq!(sweep.cell_count(), cells.len());
+            proptest::prop_assert_eq!(cells.len(), lens.iter().product::<usize>());
+            for (i, cell) in cells.iter().enumerate() {
+                proptest::prop_assert_eq!(cell.index, i);
+                proptest::prop_assert_eq!(sweep.index_of(cell), i);
+                proptest::prop_assert_eq!(cell.cores, sweep.cores[cell.core_axis]);
+            }
+            // Strictly increasing coordinates, workload first and platform last, with the count
+            // above, is exactly the enumeration with platforms fastest and workloads slowest.
+            for pair in cells.windows(2) {
+                proptest::prop_assert!(pair[0].coordinates() < pair[1].coordinates());
+            }
+            proptest::prop_assert_eq!(cells[0].coordinates(), [0; AXES]);
+            if lens[6] > 1 {
+                proptest::prop_assert_eq!(cells[1].platform, 1);
+            }
+            if lens[0] > 1 {
+                proptest::prop_assert_eq!(cells[cells.len() / lens[0]].workload, 1);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside an axis")]
+    fn out_of_range_coordinates_are_rejected() {
+        let sweep =
+            Sweep::new("range").with_workload(WorkloadSpec::catalog("blackscholes", "4K B64"));
+        sweep.index_of(&CellSpec { platform: 1, ..CellSpec::default() });
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Structured sweep results and their machine-readable serialisation.
 
+use std::process::ExitCode;
+
 use tis_analyze::AnalysisConfig;
-use tis_bench::Platform;
+use tis_bench::{write_artifacts_if_requested, Platform};
 use tis_machine::{EngineStats, FaultConfig, MemoryModel};
 use tis_obs::{CriticalPath, ObsConfig};
 use tis_picos::TrackerConfig;
@@ -102,7 +104,7 @@ pub struct SweepCell {
 
 /// Everything one observed cell recorded: counts of the event streams, the machine-checked
 /// critical-path decomposition, and the rendered Perfetto/metrics documents that
-/// [`SweepReport::write_obs_artifacts_if_requested`] writes out as `TRACE_`/`METRICS_` files.
+/// [`SweepReport::obs_artifacts`] names as `TRACE_`/`METRICS_` files.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObsCellData {
     /// The observer configuration the cell ran under.
@@ -131,6 +133,19 @@ impl SweepCell {
     pub fn within_bound(&self) -> bool {
         self.speedup <= self.mtt_bound
     }
+
+    /// The cell's coordinates as one line of text (see [`SweepReport::finish`]).
+    pub fn label(&self) -> String {
+        cell_label(
+            &self.workload,
+            self.tenant.as_ref().map(|t| t.scenario.as_str()),
+            self.cores,
+            self.memory,
+            self.platform,
+            self.tracker,
+            &self.fault,
+        )
+    }
 }
 
 /// The complete result of one sweep, in grid order.
@@ -152,14 +167,14 @@ impl SweepReport {
         self.cells.iter().filter(|c| !c.within_bound()).collect()
     }
 
-    /// Machine-readable snapshot, rendered into [`Self::artifact_filename`] by
-    /// [`write_json_if_requested`](Self::write_json_if_requested).
+    /// Machine-readable snapshot, written as [`Self::artifact_filename`] by
+    /// [`finish`](Self::finish).
     pub fn to_json(&self) -> Json {
         let cells = self
             .cells
             .iter()
             .map(|c| {
-                let mut pairs = Json::obj([
+                let mut pairs = vec![
                     ("workload", Json::Str(c.workload.clone())),
                     ("family", Json::Str(c.family.clone())),
                     ("cores", Json::UInt(c.cores as u64)),
@@ -192,107 +207,69 @@ impl SweepReport {
                     ("mean_mem_latency", Json::Num(c.mean_mem_latency)),
                     ("noc_link_wait_cycles", Json::UInt(c.noc_link_wait_cycles)),
                     ("max_link_occupancy", Json::UInt(c.max_link_occupancy)),
-                ]);
-                // Fault keys appear only for cells whose fault schedule engages, so fault-free
-                // sweeps (and every pre-existing checked-in baseline) stay byte-identical.
+                ];
+                // Fault, analysis, tenant and obs keys appear only for cells that engage the
+                // feature, so artifacts of sweeps that never touch it (and every checked-in
+                // baseline) stay byte-identical.
                 if c.fault.engages() {
-                    if let Json::Obj(entries) = &mut pairs {
-                        entries.extend([
-                            ("fault".to_string(), Json::Str(c.fault.key())),
-                            ("fault_drops".to_string(), Json::UInt(c.fault_drops)),
-                            ("fault_delays".to_string(), Json::UInt(c.fault_delays)),
-                            ("fault_retries".to_string(), Json::UInt(c.fault_retries)),
-                            ("fault_tracker_losses".to_string(), Json::UInt(c.fault_tracker_losses)),
-                            ("fault_recovery_cycles".to_string(), Json::UInt(c.fault_recovery_cycles)),
-                        ]);
-                    }
+                    pairs.extend([
+                        ("fault", Json::Str(c.fault.key())),
+                        ("fault_drops", Json::UInt(c.fault_drops)),
+                        ("fault_delays", Json::UInt(c.fault_delays)),
+                        ("fault_retries", Json::UInt(c.fault_retries)),
+                        ("fault_tracker_losses", Json::UInt(c.fault_tracker_losses)),
+                        ("fault_recovery_cycles", Json::UInt(c.fault_recovery_cycles)),
+                    ]);
                 }
-                // Analysis keys likewise appear only for analysed cells, keeping every
-                // analysis-off artifact (and all checked-in baselines) byte-identical.
                 if c.analysis.engages() {
-                    if let Json::Obj(entries) = &mut pairs {
-                        entries.extend([
-                            ("analysis".to_string(), Json::Str(c.analysis.key().to_string())),
-                            ("race_pairs_checked".to_string(), Json::UInt(c.race_pairs_checked)),
-                        ]);
-                    }
+                    pairs.extend([
+                        ("analysis", Json::Str(c.analysis.key().to_string())),
+                        ("race_pairs_checked", Json::UInt(c.race_pairs_checked)),
+                    ]);
                 }
-                // Tenant keys appear only for co-scheduled cells, so single-tenant sweeps
-                // (and every pre-existing checked-in baseline) stay byte-identical.
                 if let Some(tenant) = &c.tenant {
-                    if let Json::Obj(entries) = &mut pairs {
-                        let reports = tenant
-                            .reports
-                            .iter()
-                            .map(|r| {
-                                Json::obj([
-                                    ("name", Json::Str(r.name.clone())),
-                                    ("tasks", Json::UInt(r.tasks)),
-                                    ("first_arrival", Json::UInt(r.first_arrival)),
-                                    ("last_retire", Json::UInt(r.last_retire)),
-                                    ("makespan", Json::UInt(r.makespan)),
-                                    ("mean_turnaround", Json::Num(r.mean_turnaround())),
-                                    ("p50_turnaround", Json::UInt(r.p50)),
-                                    ("p90_turnaround", Json::UInt(r.p90)),
-                                    ("p99_turnaround", Json::UInt(r.p99)),
-                                    ("throughput_tasks_per_cycle", Json::Num(r.throughput())),
-                                ])
-                            })
-                            .collect();
-                        entries.extend([
-                            ("tenants".to_string(), Json::Str(tenant.scenario.clone())),
-                            ("tenant_jain_fairness".to_string(), Json::Num(tenant.jain)),
-                            ("tenant_reports".to_string(), Json::Arr(reports)),
-                        ]);
-                    }
+                    let reports = tenant
+                        .reports
+                        .iter()
+                        .map(|r| {
+                            Json::obj([
+                                ("name", Json::Str(r.name.clone())),
+                                ("tasks", Json::UInt(r.tasks)),
+                                ("first_arrival", Json::UInt(r.first_arrival)),
+                                ("last_retire", Json::UInt(r.last_retire)),
+                                ("makespan", Json::UInt(r.makespan)),
+                                ("mean_turnaround", Json::Num(r.mean_turnaround())),
+                                ("p50_turnaround", Json::UInt(r.p50)),
+                                ("p90_turnaround", Json::UInt(r.p90)),
+                                ("p99_turnaround", Json::UInt(r.p99)),
+                                ("throughput_tasks_per_cycle", Json::Num(r.throughput())),
+                            ])
+                        })
+                        .collect();
+                    pairs.extend([
+                        ("tenants", Json::Str(tenant.scenario.clone())),
+                        ("tenant_jain_fairness", Json::Num(tenant.jain)),
+                        ("tenant_reports", Json::Arr(reports)),
+                    ]);
                 }
-                // Obs keys appear only for observed cells (same byte-identity rule). The full
-                // trace/metrics documents are separate TRACE_/METRICS_ artifacts; the sweep
-                // report inlines only the critical-path summary and stream counts.
+                // The full trace/metrics documents are separate TRACE_/METRICS_ artifacts; the
+                // sweep report inlines only the critical-path summary and stream counts.
                 if let Some(obs) = &c.obs {
-                    if let Json::Obj(entries) = &mut pairs {
-                        entries.extend([
-                            (
-                                "obs_sample_interval".to_string(),
-                                Json::UInt(obs.config.sample_interval),
-                            ),
-                            ("obs_task_events".to_string(), Json::UInt(obs.task_events)),
-                            ("obs_samples".to_string(), Json::UInt(obs.samples)),
-                            (
-                                "critical_path".to_string(),
-                                Json::obj([
-                                    ("task_body", Json::UInt(obs.critical.task_body)),
-                                    ("memory_stall", Json::UInt(obs.critical.memory_stall)),
-                                    ("dispatch_wait", Json::UInt(obs.critical.dispatch_wait)),
-                                    ("scheduler", Json::UInt(obs.critical.scheduler)),
-                                    ("makespan", Json::UInt(obs.critical.makespan)),
-                                ]),
-                            ),
-                        ]);
-                        // Per-tenant decompositions ride along only for observed co-scheduled
-                        // cells, keeping every single-tenant observed artifact byte-identical.
-                        if !obs.tenant_critical.is_empty() {
-                            let per_tenant = obs
-                                .tenant_critical
-                                .iter()
-                                .map(|cp| {
-                                    Json::obj([
-                                        ("task_body", Json::UInt(cp.task_body)),
-                                        ("memory_stall", Json::UInt(cp.memory_stall)),
-                                        ("dispatch_wait", Json::UInt(cp.dispatch_wait)),
-                                        ("scheduler", Json::UInt(cp.scheduler)),
-                                        ("makespan", Json::UInt(cp.makespan)),
-                                    ])
-                                })
-                                .collect();
-                            entries.push((
-                                "tenant_critical_paths".to_string(),
-                                Json::Arr(per_tenant),
-                            ));
-                        }
+                    pairs.extend([
+                        ("obs_sample_interval", Json::UInt(obs.config.sample_interval)),
+                        ("obs_task_events", Json::UInt(obs.task_events)),
+                        ("obs_samples", Json::UInt(obs.samples)),
+                        ("critical_path", critical_path_json(&obs.critical)),
+                    ]);
+                    // Per-tenant decompositions ride along only for observed co-scheduled
+                    // cells, keeping every single-tenant observed artifact byte-identical.
+                    if !obs.tenant_critical.is_empty() {
+                        let per_tenant =
+                            obs.tenant_critical.iter().map(critical_path_json).collect();
+                        pairs.push(("tenant_critical_paths", Json::Arr(per_tenant)));
                     }
                 }
-                pairs
+                Json::obj(pairs)
             })
             .collect();
         Json::obj([
@@ -315,54 +292,33 @@ impl SweepReport {
             .max()
             .unwrap_or(3)
             .max("noc".len());
-        // The fault column only appears when some cell actually runs under an engaging fault
-        // schedule, so fault-free sweep tables render exactly as before the fault axis existed.
-        let fault_width = self
-            .cells
+        // An optional column appears only when some cell engages its feature, so tables of
+        // sweeps that never touch it render exactly as before it existed. Its width covers the
+        // header and the engaged cells' values.
+        let columns: Vec<_> = OPTIONAL_COLUMNS
             .iter()
-            .filter(|c| c.fault.engages())
-            .map(|c| c.fault.key().len())
-            .max()
-            .map(|w| w.max("fault".len()));
-        // Same rule for the analysis column: unanalysed sweeps render exactly as before.
-        let analysis_width = self
-            .cells
-            .iter()
-            .filter(|c| c.analysis.engages())
-            .map(|c| c.analysis.key().len())
-            .max()
-            .map(|w| w.max("analysis".len()));
-        // And for the tenants column: single-tenant sweeps render exactly as before.
-        let tenant_width = self
-            .cells
-            .iter()
-            .filter_map(|c| c.tenant.as_ref())
-            .map(|t| t.scenario.len())
-            .max()
-            .map(|w| w.max("tenants".len()));
+            .filter_map(|&(header, value)| {
+                let widest = self
+                    .cells
+                    .iter()
+                    .map(value)
+                    .filter(|(engaged, _)| *engaged)
+                    .map(|(_, shown)| shown.len())
+                    .max()?;
+                Some((header, widest.max(header.len()), value))
+            })
+            .collect();
         let mut out = String::new();
         out.push_str(&format!(
             "{:<label_width$} | {:>5} | {:>10} | {:>noc_width$} | {:>9} | {:>13} | {:>6} | {:>8} | {:>9} | {:>8} | {:>6}",
             "workload", "cores", "memory", "noc", "platform", "tracker", "tasks", "speedup", "MTT bound", "mem lat", "within"
         ));
-        if let Some(fault_width) = fault_width {
-            out.push_str(&format!(" | {:>fault_width$}", "fault"));
-        }
-        if let Some(analysis_width) = analysis_width {
-            out.push_str(&format!(" | {:>analysis_width$}", "analysis"));
-        }
-        if let Some(tenant_width) = tenant_width {
-            out.push_str(&format!(" | {:>tenant_width$}", "tenants"));
+        for (header, width, _) in &columns {
+            out.push_str(&format!(" | {header:>width$}"));
         }
         out.push('\n');
-        out.push_str(&"-".repeat(
-            label_width
-                + noc_width
-                + 103
-                + fault_width.map_or(0, |w| w + 3)
-                + analysis_width.map_or(0, |w| w + 3)
-                + tenant_width.map_or(0, |w| w + 3),
-        ));
+        let optional_width: usize = columns.iter().map(|(_, width, _)| width + 3).sum();
+        out.push_str(&"-".repeat(label_width + noc_width + 103 + optional_width));
         out.push('\n');
         for c in &self.cells {
             out.push_str(&format!(
@@ -379,15 +335,8 @@ impl SweepReport {
                 c.mean_mem_latency,
                 if c.within_bound() { "yes" } else { "NO" },
             ));
-            if let Some(fault_width) = fault_width {
-                out.push_str(&format!(" | {:>fault_width$}", c.fault.key()));
-            }
-            if let Some(analysis_width) = analysis_width {
-                out.push_str(&format!(" | {:>analysis_width$}", c.analysis.key()));
-            }
-            if let Some(tenant_width) = tenant_width {
-                let scenario = c.tenant.as_ref().map_or("single", |t| t.scenario.as_str());
-                out.push_str(&format!(" | {:>tenant_width$}", scenario));
+            for (_, width, value) in &columns {
+                out.push_str(&format!(" | {:>width$}", value(c).1));
             }
             out.push('\n');
         }
@@ -409,54 +358,106 @@ impl SweepReport {
             .collect()
     }
 
-    /// Writes [`Self::artifact_filename`] into the directory named by the `TIS_BENCH_JSON`
-    /// environment variable (same contract as `tis_bench::write_fig09_json_if_requested`:
-    /// unset means no side effect, empty means the current directory).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any I/O error from creating the directory or writing the file.
-    pub fn write_json_if_requested(&self) -> std::io::Result<Option<std::path::PathBuf>> {
-        let Some(dir) = std::env::var_os("TIS_BENCH_JSON") else {
-            return Ok(None);
-        };
-        let dir = if dir.is_empty() { std::path::PathBuf::from(".") } else { dir.into() };
-        std::fs::create_dir_all(&dir)?;
-        let path = dir.join(self.artifact_filename());
-        std::fs::write(&path, self.to_json().render())?;
-        Ok(Some(path))
-    }
-
-    /// Writes every observed cell's trace and metrics documents as
-    /// `TRACE_<sweep>-<cell>.json` / `METRICS_<sweep>-<cell>.json` under the `TIS_BENCH_JSON`
-    /// directory (same contract as [`Self::write_json_if_requested`]: unset means no side
-    /// effect, empty means the current directory). Unobserved sweeps write nothing and create
-    /// no directory. Returns the paths written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any I/O error from creating the directory or writing a file.
-    pub fn write_obs_artifacts_if_requested(&self) -> std::io::Result<Vec<std::path::PathBuf>> {
-        let mut written = Vec::new();
-        let Some(dir) = std::env::var_os("TIS_BENCH_JSON") else {
-            return Ok(written);
-        };
-        if self.cells.iter().all(|c| c.obs.is_none()) {
-            return Ok(written);
-        }
-        let dir = if dir.is_empty() { std::path::PathBuf::from(".") } else { dir.into() };
-        std::fs::create_dir_all(&dir)?;
+    /// Every observed cell's trace and metrics documents, named `TRACE_<sweep>-<cell>.json` /
+    /// `METRICS_<sweep>-<cell>.json` after the cell's grid index, ready for
+    /// [`tis_bench::write_artifacts_if_requested`]. Empty for an unobserved sweep.
+    pub fn obs_artifacts(&self) -> Vec<(String, &str)> {
         let name = self.sanitised_name();
+        let mut files = Vec::new();
         for (i, cell) in self.cells.iter().enumerate() {
             let Some(obs) = &cell.obs else { continue };
-            for (prefix, doc) in [("TRACE", &obs.trace_json), ("METRICS", &obs.metrics_json)] {
-                let path = dir.join(format!("{prefix}_{name}-{i:03}.json"));
-                std::fs::write(&path, doc)?;
-                written.push(path);
+            files.push((format!("TRACE_{name}-{i:03}.json"), obs.trace_json.as_str()));
+            files.push((format!("METRICS_{name}-{i:03}.json"), obs.metrics_json.as_str()));
+        }
+        files
+    }
+
+    /// Ends a sweep bench: names every cell over its MTT bound, prints the summary line with
+    /// the bench's own gate `failures`, writes [`Self::artifact_filename`] plus the observed
+    /// cells' `TRACE_`/`METRICS_` documents when `TIS_BENCH_JSON` asks for them, and returns
+    /// the bench's exit code: failure on a bound violation, a failed gate or a write error.
+    pub fn finish(&self, failures: usize) -> ExitCode {
+        let violations = self.bound_violations();
+        for c in &violations {
+            eprintln!(
+                "BOUND EXCEEDED: {}: measured {:.2}x > bound {:.2}x",
+                c.label(),
+                c.speedup,
+                c.mtt_bound
+            );
+        }
+        println!(
+            "{} of {} cells exceed their MTT bound, {failures} gate failure(s)",
+            violations.len(),
+            self.cells.len()
+        );
+        let json = self.to_json().render();
+        let mut files = vec![(self.artifact_filename(), json.as_str())];
+        files.extend(self.obs_artifacts());
+        match write_artifacts_if_requested(&files) {
+            Ok(paths) => {
+                for path in paths {
+                    println!("wrote {}", path.display());
+                }
+            }
+            Err(e) => {
+                eprintln!("failed to write the sweep artifacts: {e}");
+                return ExitCode::FAILURE;
             }
         }
-        Ok(written)
+        if violations.is_empty() && failures == 0 {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        }
     }
+}
+
+/// The table's optional columns: header, and per cell whether it engages the column's feature
+/// plus the value its row shows (rows that do not engage show the feature's off value).
+type OptionalColumn = (&'static str, fn(&SweepCell) -> (bool, String));
+
+const OPTIONAL_COLUMNS: [OptionalColumn; 3] = [
+    ("fault", |c| (c.fault.engages(), c.fault.key())),
+    ("analysis", |c| (c.analysis.engages(), c.analysis.key().to_string())),
+    ("tenants", |c| match &c.tenant {
+        Some(t) => (true, t.scenario.clone()),
+        None => (false, "single".to_string()),
+    }),
+];
+
+/// A critical-path decomposition as a JSON object.
+fn critical_path_json(cp: &CriticalPath) -> Json {
+    Json::obj([
+        ("task_body", Json::UInt(cp.task_body)),
+        ("memory_stall", Json::UInt(cp.memory_stall)),
+        ("dispatch_wait", Json::UInt(cp.dispatch_wait)),
+        ("scheduler", Json::UInt(cp.scheduler)),
+        ("makespan", Json::UInt(cp.makespan)),
+    ])
+}
+
+/// Names a cell by its coordinates:
+/// `<workload>[ (<tenants>)] on <n> cores, <memory>, <platform>, <tracker>, fault <fault>`.
+/// Bench gates ([`SweepReport::finish`]) and the runner's failure messages both name cells
+/// this way.
+pub(crate) fn cell_label(
+    workload: &str,
+    tenants: Option<&str>,
+    cores: usize,
+    memory: MemoryModel,
+    platform: Platform,
+    tracker: TrackerConfig,
+    fault: &FaultConfig,
+) -> String {
+    let tenants = tenants.map(|t| format!(" ({t})")).unwrap_or_default();
+    format!(
+        "{workload}{tenants} on {cores} cores, {}, {}, {}, fault {}",
+        memory.label(),
+        platform.label(),
+        tracker.label(),
+        fault.key()
+    )
 }
 
 #[cfg(test)]
@@ -771,6 +772,105 @@ mod tests {
         assert_eq!(per_tenant.len(), 1);
         assert_eq!(per_tenant[0].get("makespan").and_then(Json::as_f64), Some(220.0));
         assert_eq!(per_tenant[0].get("task_body").and_then(Json::as_f64), Some(150.0));
+    }
+
+    #[test]
+    fn table_bytes_are_pinned_for_mixed_optional_columns() {
+        let mut faulted = cell(2.0, 4.0);
+        faulted.fault = FaultConfig::recoverable();
+        let mut analysed = cell(3.0, 4.0);
+        analysed.analysis = AnalysisConfig::full();
+        let mut co = cell(1.5, 4.0);
+        co.tenant = Some(Box::new(TenantCellData {
+            scenario: "t2-burst64x200000-part".into(),
+            reports: Vec::new(),
+            jain: 1.0,
+        }));
+        let mut contended = cell(6.0, 4.0);
+        contended.memory = MemoryModel::directory_mesh_contended();
+        contended.workload = "blackscholes 4K B64".into();
+        contended.cores = 64;
+        let report = SweepReport {
+            name: "pin".into(),
+            seed: 1,
+            cells: vec![cell(2.0, 4.0), faulted, analysed, co, contended],
+        };
+        let rule = "-".repeat(226);
+        let expected = [
+            "workload             | cores |     memory |             noc |  platform |       tracker |  tasks |  speedup | MTT bound |  mem lat | within |                                             fault | analysis |                tenants",
+            &rule,
+            "synth-chain x10 t100 |     4 |  snoop-bus |            none |   phentos |  tm256-at2048 |     10 |    2.00x |     4.00x |     5.00 |    yes |                                              none |      off |                 single",
+            "synth-chain x10 t100 |     4 |  snoop-bus |            none |   phentos |  tm256-at2048 |     10 |    2.00x |     4.00x |     5.00 |    yes | sc4a05000-drop20000-delay50000-dead0-loss10000-r3 |      off |                 single",
+            "synth-chain x10 t100 |     4 |  snoop-bus |            none |   phentos |  tm256-at2048 |     10 |    3.00x |     4.00x |     5.00 |    yes |                                              none |     full |                 single",
+            "synth-chain x10 t100 |     4 |  snoop-bus |            none |   phentos |  tm256-at2048 |     10 |    1.50x |     4.00x |     5.00 |    yes |                                              none |      off | t2-burst64x200000-part",
+            "blackscholes 4K B64  |    64 | dir-mesh-c | bw8-buf4-flit16 |   phentos |  tm256-at2048 |     10 |    6.00x |     4.00x |     5.00 |     NO |                                              none |      off |                 single",
+        ]
+        .map(|line| format!("{line}\n"))
+        .concat();
+        assert_eq!(report.render_table(), expected);
+    }
+
+    #[test]
+    fn cells_are_labelled_by_their_coordinates() {
+        assert_eq!(
+            cell(2.0, 4.0).label(),
+            "synth-chain x10 t100 on 4 cores, snoop-bus, Phentos, tm256-at2048, fault none"
+        );
+        let mut co = cell(2.0, 4.0);
+        co.tenant = Some(Box::new(TenantCellData {
+            scenario: "t2-batch-shared".into(),
+            reports: Vec::new(),
+            jain: 1.0,
+        }));
+        assert!(co.label().starts_with("synth-chain x10 t100 (t2-batch-shared) on 4 cores, "));
+    }
+
+    #[test]
+    fn bench_diff_keys_every_identity_coordinate_the_report_emits() {
+        // One cell per identity coordinate, each differing from the base cell in that
+        // coordinate alone (the memory model moves the `noc` coordinate with it; two contended
+        // link points move `noc` alone). If the report emits a coordinate that `bench-diff`
+        // does not key on, two of these cells share a key and pair as `#1`.
+        let base = cell(2.0, 4.0);
+        let with = |edit: fn(&mut SweepCell)| {
+            let mut c = base.clone();
+            edit(&mut c);
+            c
+        };
+        let cells = vec![
+            base.clone(),
+            with(|c| c.cores = 8),
+            with(|c| c.memory = MemoryModel::directory_mesh()),
+            with(|c| c.memory = MemoryModel::directory_mesh_contended()),
+            with(|c| {
+                let mut noc = tis_machine::NocConfig::contended();
+                if let tis_machine::NocContention::Contended(link) = &mut noc.contention {
+                    link.buffer_flits += 1;
+                }
+                c.memory = MemoryModel::DirectoryMesh(noc);
+            }),
+            with(|c| c.platform = Platform::NanosSw),
+            with(|c| c.tracker = TrackerConfig::new(64, 256)),
+            with(|c| c.fault = FaultConfig::recoverable()),
+            with(|c| {
+                c.tenant = Some(Box::new(TenantCellData {
+                    scenario: "t2-batch-shared".into(),
+                    reports: Vec::new(),
+                    jain: 1.0,
+                }))
+            }),
+            with(|c| c.analysis = AnalysisConfig::full()),
+        ];
+        let json = SweepReport { name: "keys".into(), seed: 1, cells }.to_json();
+        let d = tis_bench::diff::diff(&json, &json);
+        assert!(d.only_before.is_empty() && d.only_after.is_empty(), "{d:?}");
+        assert!(d.rows.iter().all(|r| !r.path.contains('#')), "{:#?}", d.rows);
+        let keys: std::collections::BTreeSet<&str> = d
+            .rows
+            .iter()
+            .filter_map(|r| r.path.strip_prefix("cells[")?.split(']').next())
+            .collect();
+        assert_eq!(keys.len(), 10, "every cell pairs by its own key: {keys:#?}");
     }
 
     #[test]

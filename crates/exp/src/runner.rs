@@ -9,7 +9,7 @@
 //! `tests/sweep_determinism.rs`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use tis_bench::{measure_lifetime_overhead, measure_task_throughput, Harness, Platform};
 use tis_machine::{
@@ -22,7 +22,7 @@ use tis_taskmodel::{MaterializedSource, TaskProgram, TenantSet, TenantTrackerPol
 use tis_workloads::task_chain;
 
 use crate::grid::{CellSpec, Sweep, TenantScenario, WorkloadSpec};
-use crate::report::{ObsCellData, SweepCell, SweepReport, TenantCellData};
+use crate::report::{cell_label, ObsCellData, SweepCell, SweepReport, TenantCellData};
 
 /// Number of tasks in the Task-Chain probe used to measure per-platform lifetime overhead.
 const OVERHEAD_PROBE_TASKS: usize = 100;
@@ -38,60 +38,62 @@ const OVERHEAD_PROBE_TASKS: usize = 100;
 /// slow the scheduling paths themselves: a bound measured on the snooping bus would be
 /// inconsistent with cells simulated on the mesh.
 struct SchedulerProbes {
-    /// `Lo` per `(memory, tracker, platform)` in cycles per task.
+    /// `Lo` per cell, in cycles per task.
     lifetime_overhead: Vec<f64>,
-    /// `MTT` per `(memory, tracker, core_axis, platform)` in tasks per cycle.
+    /// `MTT` per cell, in tasks per cycle.
     throughput: Vec<f64>,
 }
 
 impl SchedulerProbes {
-    fn measure(sweep: &Sweep) -> Self {
+    fn measure(sweep: &Sweep, cells: &[CellSpec]) -> Self {
         let chain = task_chain(OVERHEAD_PROBE_TASKS, 1);
-        let mut lifetime_overhead = Vec::with_capacity(
-            sweep.memory_models.len() * sweep.trackers.len() * sweep.platforms.len(),
+        let machine = |cell: &CellSpec, harness: Harness| {
+            let harness = harness
+                .with_tracker(sweep.trackers[cell.tracker])
+                .with_memory_model(sweep.memory_models[cell.memory]);
+            (harness, sweep.platforms[cell.platform])
+        };
+        // Neither probe depends on the workload, fault schedule or tenant scenario, and `Lo`
+        // runs on the 8-core prototype whatever the cell's core count.
+        let mtt_point = |c: &CellSpec| CellSpec { workload: 0, fault: 0, tenant: 0, ..*c };
+        let lifetime_overhead = shared_per_point(
+            sweep,
+            cells,
+            |c| CellSpec { core_axis: 0, ..mtt_point(c) },
+            |cell| {
+                let (prototype, platform) = machine(cell, Harness::paper_prototype());
+                measure_lifetime_overhead(&prototype, platform, &chain)
+            },
         );
-        let mut throughput = Vec::with_capacity(
-            sweep.memory_models.len()
-                * sweep.trackers.len()
-                * sweep.cores.len()
-                * sweep.platforms.len(),
-        );
-        for &memory in &sweep.memory_models {
-            for &tracker in &sweep.trackers {
-                let prototype =
-                    Harness::paper_prototype().with_tracker(tracker).with_memory_model(memory);
-                for &platform in &sweep.platforms {
-                    lifetime_overhead.push(measure_lifetime_overhead(&prototype, platform, &chain));
-                }
-                for &cores in &sweep.cores {
-                    let harness =
-                        Harness::with_cores(cores).with_tracker(tracker).with_memory_model(memory);
-                    // Enough independent empty tasks that steady-state throughput dominates the
-                    // ramp-up, at every swept core count.
-                    let probe_tasks = (cores * 32).max(256);
-                    for &platform in &sweep.platforms {
-                        throughput.push(measure_task_throughput(&harness, platform, probe_tasks));
-                    }
-                }
-            }
-        }
+        let throughput = shared_per_point(sweep, cells, mtt_point, |cell| {
+            let (harness, platform) = machine(cell, Harness::with_cores(cell.cores));
+            // Enough independent empty tasks that steady-state throughput dominates the ramp-up,
+            // at every swept core count.
+            measure_task_throughput(&harness, platform, (cell.cores * 32).max(256))
+        });
         SchedulerProbes { lifetime_overhead, throughput }
     }
+}
 
-    fn lifetime_overhead(&self, sweep: &Sweep, cell: &CellSpec) -> f64 {
-        let per_memory = sweep.trackers.len() * sweep.platforms.len();
-        self.lifetime_overhead
-            [cell.memory * per_memory + cell.tracker * sweep.platforms.len() + cell.platform]
+/// One value per cell, in grid order, computed once per grid point: `point` maps a cell to the
+/// coordinates the value depends on, with every axis it ignores at its first entry, and each
+/// cell shares the value of the first cell at its point. A point's grid index is never above
+/// that of any of its cells, so the first cell at a point is reached before the others.
+fn shared_per_point<T: Clone>(
+    sweep: &Sweep,
+    cells: &[CellSpec],
+    point: impl Fn(&CellSpec) -> CellSpec,
+    mut compute: impl FnMut(&CellSpec) -> T,
+) -> Vec<T> {
+    let mut values: Vec<T> = Vec::with_capacity(cells.len());
+    for cell in cells {
+        let value = match values.get(sweep.index_of(&point(cell))) {
+            Some(shared) => shared.clone(),
+            None => compute(cell),
+        };
+        values.push(value);
     }
-
-    fn throughput(&self, sweep: &Sweep, cell: &CellSpec) -> f64 {
-        let per_tracker = sweep.cores.len() * sweep.platforms.len();
-        let per_memory = sweep.trackers.len() * per_tracker;
-        self.throughput[cell.memory * per_memory
-            + cell.tracker * per_tracker
-            + cell.core_axis * sweep.platforms.len()
-            + cell.platform]
-    }
+    values
 }
 
 /// Runs a sweep sequentially (one worker).
@@ -124,27 +126,31 @@ pub fn run_sweep_with_workers(sweep: &Sweep, workers: usize) -> SweepReport {
     // once up front keeps the per-cell work purely cell-local. Likewise, all cells of one
     // (workload, cores) grid point schedule the same program, so it is instantiated once here
     // and shared, not regenerated per platform/tracker cell.
-    let probes = SchedulerProbes::measure(sweep);
-    let mut programs = Vec::with_capacity(sweep.workloads.len() * sweep.cores.len());
-    for (wi, spec) in sweep.workloads.iter().enumerate() {
-        for &cores in &sweep.cores {
-            let mut rng = sweep.cell_rng(wi, cores);
-            let program = spec.instantiate(cores, &mut rng);
+    let probes = SchedulerProbes::measure(sweep, &cells);
+    let programs = shared_per_point(
+        sweep,
+        &cells,
+        |c| CellSpec { workload: c.workload, core_axis: c.core_axis, ..CellSpec::default() },
+        |cell| {
+            let spec = &sweep.workloads[cell.workload];
+            let program =
+                spec.instantiate(cell.cores, &mut sweep.cell_rng(cell.workload, cell.cores));
             // Preflight chokepoint: prove the graph acyclic, reference-clean,
             // and conflict-covered before a single cell simulates it.
             if sweep.analysis.preflight {
                 if let Err(e) = tis_analyze::analyze_program(&program) {
                     panic!(
-                        "sweep '{}': preflight failed for {} at {cores} cores: {e}",
+                        "sweep '{}': preflight failed for {} at {} cores: {e}",
                         sweep.name,
-                        spec.label()
+                        spec.label(),
+                        cell.cores
                     );
                 }
             }
-            programs.push(program);
-        }
-    }
-    let program_of = |cell: &CellSpec| &programs[cell.workload * sweep.cores.len() + cell.core_axis];
+            Arc::new(program)
+        },
+    );
+    let program_of = |cell: &CellSpec| programs[cell.index].as_ref();
 
     let workers = workers.max(1).min(cells.len().max(1));
     let mut slots: Vec<Option<SweepCell>> = vec![None; cells.len()];
@@ -248,26 +254,24 @@ impl<'a> CellSetup<'a> {
                 .with_tracker(tracker)
                 .with_memory_model(memory)
                 .with_faults(fault),
-            lifetime_overhead: probes.lifetime_overhead(sweep, cell),
-            tasks_per_cycle: probes.throughput(sweep, cell),
+            lifetime_overhead: probes.lifetime_overhead[cell.index],
+            tasks_per_cycle: probes.throughput[cell.index],
             obs: sweep.cell_obs(cell.index),
         }
     }
 
     /// The cell's coordinates, for failure messages.
     fn context(&self) -> String {
-        let scenario = self.scenario.map(|s| format!(" ({})", s.key())).unwrap_or_default();
-        format!(
-            "sweep '{}' cell {}: {}{scenario} on {} cores, {}, {}, {}, fault {}",
-            self.sweep.name,
-            self.cell.index,
-            self.spec.label(),
+        let label = cell_label(
+            &self.spec.label(),
+            self.scenario.map(|s| s.key()).as_deref(),
             self.cell.cores,
-            self.memory.label(),
-            self.platform.label(),
-            self.tracker.label(),
-            self.fault.key()
-        )
+            self.memory,
+            self.platform,
+            self.tracker,
+            &self.fault,
+        );
+        format!("sweep '{}' cell {}: {label}", self.sweep.name, self.cell.index)
     }
 
     /// Title of the cell's trace and metrics documents.
@@ -555,6 +559,35 @@ mod tests {
         assert_eq!(quad.cores, 4);
         assert!(quad.speedup > single.speedup, "more cores, more speedup on a fork-join");
         assert!(report.bound_violations().is_empty(), "{}", report.render_table());
+    }
+
+    #[test]
+    fn shared_probes_and_programs_match_a_direct_computation_per_cell() {
+        // Every axis a probe or a program depends on has two entries, so a value shared across
+        // the wrong cells differs from the direct computation somewhere.
+        let sweep = small_sweep()
+            .over_memory_models([MemoryModel::SnoopBus, MemoryModel::directory_mesh()])
+            .over_trackers([TrackerConfig::default(), TrackerConfig::new(64, 256)])
+            .without_validation();
+        let report = sweep.run();
+        let chain = task_chain(OVERHEAD_PROBE_TASKS, 1);
+        for (cell, spec) in report.cells.iter().zip(sweep.cells()) {
+            let memory = sweep.memory_models[spec.memory];
+            let tracker = sweep.trackers[spec.tracker];
+            let platform = sweep.platforms[spec.platform];
+            let prototype =
+                Harness::paper_prototype().with_tracker(tracker).with_memory_model(memory);
+            let lo = measure_lifetime_overhead(&prototype, platform, &chain);
+            assert_eq!(cell.lifetime_overhead, lo, "cell {}", spec.index);
+            let harness =
+                Harness::with_cores(spec.cores).with_tracker(tracker).with_memory_model(memory);
+            let mtt = measure_task_throughput(&harness, platform, (spec.cores * 32).max(256));
+            assert_eq!(cell.mtt_tasks_per_cycle, mtt, "cell {}", spec.index);
+            let mut rng = sweep.cell_rng(spec.workload, spec.cores);
+            let program = sweep.workloads[spec.workload].instantiate(spec.cores, &mut rng);
+            assert_eq!(cell.tasks, program.task_count(), "cell {}", spec.index);
+            assert_eq!(cell.serial_cycles, harness.serial_cycles(&program), "cell {}", spec.index);
+        }
     }
 
     #[test]

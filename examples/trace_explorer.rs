@@ -17,7 +17,7 @@
 //! (add `TIS_BENCH_JSON=out` to keep the trace/metrics files).
 
 use tis::exp::{ObsConfig, Sweep, SynthFamily, SynthSpec, WorkloadSpec};
-use tis::bench::Platform;
+use tis::bench::{write_artifacts_if_requested, Platform};
 use tis::obs::PathCategory;
 
 fn sweep() -> Sweep {
@@ -52,7 +52,7 @@ fn main() {
         println!();
     }
 
-    match observed.write_obs_artifacts_if_requested() {
+    match write_artifacts_if_requested(&observed.obs_artifacts()) {
         Ok(paths) if paths.is_empty() => {
             println!("set TIS_BENCH_JSON=<dir> to keep the TRACE_/METRICS_ JSON files");
         }

@@ -8,9 +8,11 @@
 //!   clock) outside the host-side benchmark harness (`crates/bench`) and the
 //!   criterion shim. Simulated time comes from the engine, never the host.
 //! - **std-hash-hot-path**: no `std::collections` hash containers in the
-//!   hot-path crates (`sim`, `picos`, `core`, `nanos`, `mem`, `machine`)
-//!   outside test modules — their iteration order is randomised per process;
-//!   hot paths use the deterministic `FxHash` containers from `tis-sim`.
+//!   hot-path crates (`sim`, `picos`, `core`, `nanos`, `mem`, `machine`) or
+//!   the streamed task source (`analyze::windowed`, `exp::stream`,
+//!   `taskmodel::{source, tenant}`) outside test modules — their iteration
+//!   order is randomised per process and SipHash is slow; hot paths use the
+//!   deterministic `FxHash` containers from `tis-sim`.
 //! - **thread-spawn**: no thread creation outside the sweep runner, the one
 //!   place that proved byte-identical results at any worker count.
 //! - **ambient-rng**: no `rand` crate usage anywhere; all randomness derives
@@ -99,6 +101,11 @@ pub fn default_rules() -> Vec<LintRule> {
                 "crates/nanos/",
                 "crates/mem/",
                 "crates/machine/",
+                // The streamed task source runs once per spawned task.
+                "crates/analyze/src/windowed.rs",
+                "crates/exp/src/stream.rs",
+                "crates/taskmodel/src/source.rs",
+                "crates/taskmodel/src/tenant.rs",
             ]),
             exempt_test_code: true,
         },
@@ -260,8 +267,14 @@ mod tests {
         assert_eq!(hits[0].rule, "std-hash-hot-path");
         assert_eq!(findings_for("crates/mem/src/system.rs", &src).len(), 1);
         assert_eq!(findings_for("crates/machine/src/engine.rs", &src).len(), 1);
-        // Cold-path crates may use std maps (e.g. the report writers).
+        // The streamed source path is hot too, file by file.
+        assert_eq!(findings_for("crates/analyze/src/windowed.rs", &src).len(), 1);
+        assert_eq!(findings_for("crates/exp/src/stream.rs", &src).len(), 1);
+        assert_eq!(findings_for("crates/taskmodel/src/source.rs", &src).len(), 1);
+        assert_eq!(findings_for("crates/taskmodel/src/tenant.rs", &src).len(), 1);
+        // Cold-path files may use std maps (e.g. the report writers, the whole-graph analysis).
         assert!(findings_for("crates/exp/src/report.rs", &src).is_empty());
+        assert!(findings_for("crates/analyze/src/graph.rs", &src).is_empty());
     }
 
     #[test]

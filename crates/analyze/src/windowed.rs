@@ -23,20 +23,27 @@
 //! already retired (which is a happens-before ordering by definition). The window bounds what
 //! preflight can *prove*, not what the runtime *enforces*.
 
-use std::collections::HashMap;
-
+use tis_sim::FxHashMap;
 use tis_taskmodel::{DepAddr, Dependence, MAX_DEPENDENCES};
 
 use crate::graph::GraphError;
 
 /// Per-address frontier state, the incremental analogue of the map inside
 /// [`conflict_frontier`](crate::conflict_frontier).
+///
+/// The readers since the last write are kept as counts, not a list: a later write only needs
+/// to know how many of them share its phase. Readers arrive in spawn order and phases never
+/// decrease, so every reader outside the newest-phase run belongs to an earlier phase.
 #[derive(Debug, Clone, Default)]
 struct AddrState {
-    /// Most recent writer of the address: `(task id, phase)`.
-    last_writer: Option<(u64, usize)>,
-    /// Readers since that write: `(task id, phase)`.
-    readers_since_write: Vec<(u64, usize)>,
+    /// Phase of the most recent writer of the address.
+    last_writer_phase: Option<usize>,
+    /// Readers since that write.
+    readers: u64,
+    /// Phase of the newest reader to arrive.
+    newest_reader_phase: usize,
+    /// How many of `readers` are in `newest_reader_phase` (zero when `readers` is).
+    newest_phase_readers: u64,
     /// Most recent task (of any direction) to touch the address, for age-out.
     last_touch: u64,
 }
@@ -45,7 +52,7 @@ struct AddrState {
 ///
 /// Feed every spawn through [`observe_spawn`](WindowedPreflight::observe_spawn) and every
 /// barrier through [`observe_taskwait`](WindowedPreflight::observe_taskwait); call
-/// [`finish`](WindowedPreflight::finish) when the source is exhausted. Memory stays
+/// [`summary`](WindowedPreflight::summary) when the source is exhausted. Memory stays
 /// `O(window x max_deps)` regardless of how many tasks stream through.
 #[derive(Debug, Clone)]
 pub struct WindowedPreflight {
@@ -56,7 +63,7 @@ pub struct WindowedPreflight {
     /// Current taskwait phase.
     phase: usize,
     taskwaits: u64,
-    frontier: HashMap<DepAddr, AddrState>,
+    frontier: FxHashMap<DepAddr, AddrState>,
     conflict_pairs: u64,
     covered_in_window: u64,
     covered_by_phase: u64,
@@ -98,7 +105,7 @@ impl WindowedPreflight {
             next_id: 0,
             phase: 0,
             taskwaits: 0,
-            frontier: HashMap::new(),
+            frontier: FxHashMap::default(),
             conflict_pairs: 0,
             covered_in_window: 0,
             covered_by_phase: 0,
@@ -133,50 +140,41 @@ impl WindowedPreflight {
         }
         self.next_id += 1;
 
+        let phase = self.phase;
+        let (mut in_window, mut by_phase) = (0u64, 0u64);
         for d in deps {
             let state = self.frontier.entry(d.addr).or_default();
             // Enumerate the frontier pairs this access closes, mirroring `conflict_frontier`:
             // a write conflicts with the previous writer and every reader since; a read
             // conflicts with the previous writer only.
+            match state.last_writer_phase {
+                Some(wp) if wp < phase => by_phase += 1,
+                Some(_) => in_window += 1,
+                None => {}
+            }
             if d.dir.writes() {
-                if let Some((w, wp)) = state.last_writer {
-                    Self::classify(
-                        self.phase,
-                        wp,
-                        &mut self.conflict_pairs,
-                        &mut self.covered_in_window,
-                        &mut self.covered_by_phase,
-                    );
-                    debug_assert!(w < sw_id);
-                }
-                for &(r, rp) in &state.readers_since_write {
-                    debug_assert!(r < sw_id);
-                    Self::classify(
-                        self.phase,
-                        rp,
-                        &mut self.conflict_pairs,
-                        &mut self.covered_in_window,
-                        &mut self.covered_by_phase,
-                    );
-                }
+                let same_phase =
+                    if state.newest_reader_phase == phase { state.newest_phase_readers } else { 0 };
+                in_window += same_phase;
+                by_phase += state.readers - same_phase;
                 // An InOut task's read needs no separate frontier entry: the write already
-                // pairs every later access with it through `last_writer`.
-                state.last_writer = Some((sw_id, self.phase));
-                state.readers_since_write.clear();
-            } else if let Some((_, wp)) = state.last_writer {
-                Self::classify(
-                    self.phase,
-                    wp,
-                    &mut self.conflict_pairs,
-                    &mut self.covered_in_window,
-                    &mut self.covered_by_phase,
-                );
-                state.readers_since_write.push((sw_id, self.phase));
+                // pairs every later access with it through `last_writer_phase`.
+                state.last_writer_phase = Some(phase);
+                state.readers = 0;
+                state.newest_phase_readers = 0;
             } else {
-                state.readers_since_write.push((sw_id, self.phase));
+                if state.newest_reader_phase != phase {
+                    state.newest_reader_phase = phase;
+                    state.newest_phase_readers = 0;
+                }
+                state.newest_phase_readers += 1;
+                state.readers += 1;
             }
             state.last_touch = sw_id;
         }
+        self.conflict_pairs += in_window + by_phase;
+        self.covered_in_window += in_window;
+        self.covered_by_phase += by_phase;
         self.peak_tracked_addresses = self.peak_tracked_addresses.max(self.frontier.len());
 
         // Amortised age-out sweep: once per window's worth of spawns, drop address state no
@@ -197,8 +195,9 @@ impl WindowedPreflight {
         self.phase += 1;
     }
 
-    /// Finishes the stream and returns the summary.
-    pub fn finish(self) -> WindowedAnalysis {
+    /// The summary of every spawn and barrier observed so far; once the source is exhausted,
+    /// the summary of the whole stream.
+    pub fn summary(&self) -> WindowedAnalysis {
         WindowedAnalysis {
             tasks: self.next_id,
             taskwaits: self.taskwaits,
@@ -211,19 +210,176 @@ impl WindowedPreflight {
             peak_tracked_addresses: self.peak_tracked_addresses,
         }
     }
+}
 
-    fn classify(
-        current_phase: usize,
-        earlier_phase: usize,
-        pairs: &mut u64,
-        in_window: &mut u64,
-        by_phase: &mut u64,
-    ) {
-        *pairs += 1;
-        if earlier_phase < current_phase {
-            *by_phase += 1;
-        } else {
-            *in_window += 1;
+/// The list-based preflight the count-based [`AddrState`] replaced, kept as the oracle the
+/// differential property test compares against: every reader since the last write is
+/// remembered with its phase, and a write classifies each one individually.
+#[cfg(test)]
+mod reference {
+    use std::collections::HashMap;
+
+    use tis_taskmodel::{DepAddr, Dependence, MAX_DEPENDENCES};
+
+    use super::WindowedAnalysis;
+    use crate::graph::GraphError;
+
+    #[derive(Debug, Clone, Default)]
+    struct AddrState {
+        last_writer: Option<(u64, usize)>,
+        readers_since_write: Vec<(u64, usize)>,
+        last_touch: u64,
+    }
+
+    #[derive(Debug, Clone)]
+    pub(super) struct VecPreflight {
+        window: usize,
+        next_id: u64,
+        phase: usize,
+        taskwaits: u64,
+        frontier: HashMap<DepAddr, AddrState>,
+        conflict_pairs: u64,
+        covered_in_window: u64,
+        covered_by_phase: u64,
+        aged_out_addresses: u64,
+        peak_tracked_addresses: usize,
+    }
+
+    impl VecPreflight {
+        pub(super) fn new(window: usize) -> Self {
+            VecPreflight {
+                window: window.max(1),
+                next_id: 0,
+                phase: 0,
+                taskwaits: 0,
+                frontier: HashMap::new(),
+                conflict_pairs: 0,
+                covered_in_window: 0,
+                covered_by_phase: 0,
+                aged_out_addresses: 0,
+                peak_tracked_addresses: 0,
+            }
+        }
+
+        pub(super) fn observe_spawn(&mut self, sw_id: u64, deps: &[Dependence]) -> Result<(), GraphError> {
+            if sw_id != self.next_id {
+                return Err(GraphError::Malformed {
+                    detail: format!(
+                        "streamed task ids must be dense and sequential: expected T{}, got T{sw_id}",
+                        self.next_id
+                    ),
+                });
+            }
+            if deps.len() > MAX_DEPENDENCES {
+                return Err(GraphError::Malformed {
+                    detail: format!(
+                        "T{sw_id} declares {} dependences, above the descriptor limit of {MAX_DEPENDENCES}",
+                        deps.len()
+                    ),
+                });
+            }
+            for (i, d) in deps.iter().enumerate() {
+                if deps[..i].iter().any(|earlier| earlier.addr == d.addr) {
+                    return Err(GraphError::DuplicateDependence { task: sw_id as usize, addr: d.addr });
+                }
+            }
+            self.next_id += 1;
+            for d in deps {
+                let state = self.frontier.entry(d.addr).or_default();
+                let mut earlier_phases = Vec::new();
+                if d.dir.writes() {
+                    earlier_phases.extend(state.last_writer.map(|(_, wp)| wp));
+                    earlier_phases.extend(state.readers_since_write.iter().map(|&(_, rp)| rp));
+                    state.last_writer = Some((sw_id, self.phase));
+                    state.readers_since_write.clear();
+                } else {
+                    earlier_phases.extend(state.last_writer.map(|(_, wp)| wp));
+                    state.readers_since_write.push((sw_id, self.phase));
+                }
+                state.last_touch = sw_id;
+                for earlier in earlier_phases {
+                    self.conflict_pairs += 1;
+                    if earlier < self.phase {
+                        self.covered_by_phase += 1;
+                    } else {
+                        self.covered_in_window += 1;
+                    }
+                }
+            }
+            self.peak_tracked_addresses = self.peak_tracked_addresses.max(self.frontier.len());
+            if self.next_id.is_multiple_of(self.window as u64) {
+                let horizon = self.next_id.saturating_sub(self.window as u64);
+                let before = self.frontier.len();
+                self.frontier.retain(|_, s| s.last_touch >= horizon);
+                self.aged_out_addresses += (before - self.frontier.len()) as u64;
+            }
+            Ok(())
+        }
+
+        pub(super) fn observe_taskwait(&mut self) {
+            self.taskwaits += 1;
+            self.phase += 1;
+        }
+
+        pub(super) fn summary(&self) -> WindowedAnalysis {
+            WindowedAnalysis {
+                tasks: self.next_id,
+                taskwaits: self.taskwaits,
+                phases: self.taskwaits + 1,
+                conflict_pairs: self.conflict_pairs,
+                covered_in_window: self.covered_in_window,
+                covered_by_phase: self.covered_by_phase,
+                aged_out_addresses: self.aged_out_addresses,
+                window: self.window,
+                peak_tracked_addresses: self.peak_tracked_addresses,
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::reference::VecPreflight;
+    use super::*;
+    use proptest::prelude::*;
+    use tis_sim::SimRng;
+    use tis_taskmodel::Direction;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// The count-based preflight agrees with the list-based reference on every call and in
+        /// its final summary, over random spawn/taskwait streams that rewrite a small address
+        /// pool in every direction and mix in duplicate-address, over-cap and out-of-order
+        /// spawns.
+        #[test]
+        fn counts_match_the_reader_list_reference(seed in any::<u64>(), window in 1usize..65) {
+            let mut rng = SimRng::new(seed);
+            let pool = 1 + rng.below(8);
+            let mut counted = WindowedPreflight::new(window);
+            let mut listed = VecPreflight::new(window);
+            let mut next_id = 0u64;
+            for _ in 0..rng.below(300) {
+                if rng.chance(0.15) {
+                    counted.observe_taskwait();
+                    listed.observe_taskwait();
+                    continue;
+                }
+                let dep_count = if rng.chance(0.03) { MAX_DEPENDENCES + 1 } else { rng.below(5) as usize };
+                let deps: Vec<Dependence> = (0..dep_count)
+                    .map(|_| {
+                        let dir = Direction::ALL[rng.below(3) as usize];
+                        Dependence::new(0x4000 + rng.below(pool) * 64, dir)
+                    })
+                    .collect();
+                let sw_id = if rng.chance(0.03) { next_id + 1 + rng.below(3) } else { next_id };
+                let got = counted.observe_spawn(sw_id, &deps);
+                prop_assert_eq!(&got, &listed.observe_spawn(sw_id, &deps));
+                if got.is_ok() {
+                    next_id += 1;
+                }
+                prop_assert_eq!(counted.summary(), listed.summary());
+            }
+            prop_assert_eq!(counted.summary(), listed.summary());
         }
     }
 }
@@ -258,7 +414,7 @@ mod tests {
         }
         let mut pf = WindowedPreflight::new(1024);
         observe_program(&mut pf, &b);
-        let a = pf.finish();
+        let a = pf.summary();
         let full = crate::conflict_frontier(&GraphSpec::from_program(&b.build()));
         assert_eq!(a.conflict_pairs, full.len() as u64);
         assert_eq!(a.tasks, 25);
@@ -296,7 +452,7 @@ mod tests {
         for i in 1..64u64 {
             pf.observe_spawn(i, &[Dependence::write(0x100 + i * 64)]).unwrap();
         }
-        let a = pf.finish();
+        let a = pf.summary();
         assert!(a.aged_out_addresses > 0, "stale addresses must age out, got {a:?}");
         assert!(a.peak_tracked_addresses <= 2 * 16 + 1, "frontier must stay O(window), got {a:?}");
         // The writes were all to distinct addresses: no conflicts at all.
@@ -310,7 +466,7 @@ mod tests {
         pf.observe_spawn(1, &[Dependence::read(0x100)]).unwrap(); // RaW with T0
         pf.observe_spawn(2, &[Dependence::read(0x100)]).unwrap(); // RaW with T0, no pair with T1
         pf.observe_spawn(3, &[Dependence::write(0x100)]).unwrap(); // WaW T0 + WaR T1, T2
-        let a = pf.finish();
+        let a = pf.summary();
         assert_eq!(a.conflict_pairs, 5);
         assert_eq!(a.covered_in_window, 5);
         assert_eq!(a.covered_by_phase, 0);

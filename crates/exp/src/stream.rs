@@ -9,8 +9,8 @@
 //! Two invariants make the streamed and materialized paths interchangeable:
 //!
 //! * **Bit-identical op streams.** The source consumes its [`SimRng`] in exactly the order
-//!   `generate` does (per task: edge draws, then the size draw), shares the same output
-//!   addressing (`out_addr` — one private write per task plus reads
+//!   `generate` does (per task: edge draws, then the size draw), builds each descriptor's
+//!   dependences with the same `SynthSpec::task_deps` (one private write per task plus reads
 //!   of predecessor outputs), and emits the same `taskwait` placement. With a window the run
 //!   never fills, a streamed cell's [`ExecutionReport`](tis_machine::ExecutionReport) is
 //!   byte-identical to its materialized twin.
@@ -26,11 +26,9 @@
 
 use tis_analyze::WindowedPreflight;
 use tis_sim::{FxHashMap, SimRng};
-use tis_taskmodel::{
-    Dependence, Payload, ProgramOp, SourcePoll, TaskId, TaskSource, TaskSpec, MAX_DEPENDENCES,
-};
+use tis_taskmodel::{Payload, ProgramOp, SourcePoll, TaskId, TaskSource, TaskSpec, MAX_DEPENDENCES};
 
-use crate::synth::{out_addr, SynthFamily, SynthSpec, ER_WINDOW, MAX_IN_DEGREE};
+use crate::synth::{SynthFamily, SynthSpec, ER_WINDOW};
 
 /// A bounded-residency [`TaskSource`] over a streamable [`SynthSpec`].
 ///
@@ -97,37 +95,12 @@ impl StreamingSynth {
 
     /// The completed windowed-preflight summary; call once the stream is exhausted.
     pub fn preflight_summary(&self) -> tis_analyze::WindowedAnalysis {
-        self.preflight.clone().finish()
+        self.preflight.summary()
     }
 
     /// Generates the descriptor of task `next_id`, consuming RNG in `generate` order.
     fn next_spec(&mut self) -> TaskSpec {
-        let i = self.next_id as usize;
-        let mut deps = vec![Dependence::write(out_addr(i))];
-        match self.spec.family {
-            SynthFamily::Chain => {
-                if i > 0 {
-                    deps.push(Dependence::read(out_addr(i - 1)));
-                }
-            }
-            SynthFamily::ForkJoin { .. } => {
-                // Data-independent layers; the barriers emitted by `poll` provide the joins.
-            }
-            SynthFamily::ErdosRenyi { density } => {
-                let window_start = i.saturating_sub(ER_WINDOW);
-                for pred in window_start..i {
-                    if deps.len() > MAX_IN_DEGREE {
-                        break;
-                    }
-                    if self.rng.chance(density) {
-                        deps.push(Dependence::read(out_addr(pred)));
-                    }
-                }
-            }
-            SynthFamily::Tree { .. } | SynthFamily::Diamond { .. } => {
-                unreachable!("non-streamable families are rejected at construction")
-            }
-        }
+        let deps = self.spec.task_deps(self.next_id as usize, &mut self.rng);
         let payload = Payload::compute(self.spec.draw_cycles(&mut self.rng));
         TaskSpec::new(TaskId(self.next_id), payload, deps)
     }
@@ -237,20 +210,30 @@ mod tests {
 
     #[test]
     fn streamed_ops_equal_generated_ops_for_every_streamable_family() {
-        for family in [
+        // Density 1.0 reaches the in-degree cap on every task past the first few, so the
+        // draw loop's early break is exercised on both paths.
+        let families = [
             SynthFamily::Chain,
             SynthFamily::ForkJoin { width: 7 },
+            SynthFamily::ErdosRenyi { density: 0.0 },
+            SynthFamily::ErdosRenyi { density: 0.05 },
             SynthFamily::ErdosRenyi { density: 0.08 },
-        ] {
-            let spec = SynthSpec { family, tasks: 300, task_cycles: 2_000, jitter: 0.3 };
-            let program = spec.generate(&mut SimRng::new(0xFEED));
-            let streamed = drain(StreamingSynth::new(spec, 4096, SimRng::new(0xFEED)));
-            assert_eq!(
-                streamed,
-                program.ops().to_vec(),
-                "{}: streamed op sequence must be bit-identical to the materialized program",
-                spec.name()
-            );
+            SynthFamily::ErdosRenyi { density: 0.5 },
+            SynthFamily::ErdosRenyi { density: 1.0 },
+        ];
+        for family in families {
+            for seed in [0xFEED, 1, 7, 0xDEAD_BEEF] {
+                let spec = SynthSpec { family, tasks: 300, task_cycles: 2_000, jitter: 0.3 };
+                let program = spec.generate(&mut SimRng::new(seed));
+                let streamed = drain(StreamingSynth::new(spec, 4096, SimRng::new(seed)));
+                assert_eq!(
+                    streamed,
+                    program.ops().to_vec(),
+                    "{} seed {seed}: streamed op sequence must be bit-identical to the \
+                     materialized program",
+                    spec.name()
+                );
+            }
         }
     }
 

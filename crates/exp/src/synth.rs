@@ -19,9 +19,8 @@ use tis_taskmodel::{Dependence, Payload, ProgramBuilder, TaskProgram, MAX_DEPEND
 /// address ranges only for readability in traces; programs never share an address space).
 const SYNTH_BASE: u64 = 0xD000_0000;
 
-/// Output address of synthetic task `i` — shared by the materializing generator and the
-/// streaming source so the two emit bit-identical descriptors.
-pub(crate) fn out_addr(i: usize) -> u64 {
+/// Output address of synthetic task `i`.
+fn out_addr(i: usize) -> u64 {
     SYNTH_BASE + (i as u64) * 64
 }
 
@@ -164,56 +163,14 @@ impl SynthSpec {
         self.assert_params();
         let n = self.tasks;
         let mut b = ProgramBuilder::new(self.name());
-        let out = out_addr;
         for i in 0..n {
-            let mut deps = vec![Dependence::write(out(i))];
-            match self.family {
-                SynthFamily::Chain => {
-                    if i > 0 {
-                        deps.push(Dependence::read(out(i - 1)));
-                    }
-                }
-                SynthFamily::Tree { arity } => {
-                    if i > 0 {
-                        deps.push(Dependence::read(out((i - 1) / arity)));
-                    }
-                }
-                SynthFamily::Diamond { width } => {
-                    // Block layout: [source, width × middle, sink], truncated at n.
-                    let block_len = width + 2;
-                    let block_start = (i / block_len) * block_len;
-                    let pos = i - block_start;
-                    if pos == 0 {
-                        // Source reads the previous block's sink, if one exists.
-                        if block_start > 0 {
-                            deps.push(Dependence::read(out(block_start - 1)));
-                        }
-                    } else if pos <= width {
-                        deps.push(Dependence::read(out(block_start)));
-                    } else {
-                        for mid in (block_start + 1)..i {
-                            deps.push(Dependence::read(out(mid)));
-                        }
-                    }
-                }
-                SynthFamily::ForkJoin { width } => {
-                    // Data-independent layers; the barrier below provides the join.
-                    if i > 0 && i % width == 0 {
-                        b.taskwait();
-                    }
-                }
-                SynthFamily::ErdosRenyi { density } => {
-                    let window_start = i.saturating_sub(ER_WINDOW);
-                    for pred in window_start..i {
-                        if deps.len() > MAX_IN_DEGREE {
-                            break;
-                        }
-                        if rng.chance(density) {
-                            deps.push(Dependence::read(out(pred)));
-                        }
-                    }
+            if let SynthFamily::ForkJoin { width } = self.family {
+                // Data-independent layers; the barrier provides the join.
+                if i > 0 && i % width == 0 {
+                    b.taskwait();
                 }
             }
+            let deps = self.task_deps(i, rng);
             b.spawn(Payload::compute(self.draw_cycles(rng)), deps);
         }
         b.taskwait();
@@ -222,6 +179,57 @@ impl SynthSpec {
             panic!("synthetic generator produced an unsound graph for {}: {e}", self.name());
         }
         program
+    }
+
+    /// The declared dependences of task `i`: its output write, then reads of its
+    /// predecessors' outputs. Erdős–Rényi tasks consume `rng`; no other family draws.
+    ///
+    /// Shared by [`generate`](Self::generate) and the streaming source, so both emit the same
+    /// descriptors and consume the RNG in the same order.
+    pub(crate) fn task_deps(&self, i: usize, rng: &mut SimRng) -> Vec<Dependence> {
+        let write = Dependence::write(out_addr(i));
+        let read = |pred: usize| Dependence::read(out_addr(pred));
+        match self.family {
+            SynthFamily::Chain if i > 0 => vec![write, read(i - 1)],
+            SynthFamily::Tree { arity } if i > 0 => vec![write, read((i - 1) / arity)],
+            SynthFamily::Chain | SynthFamily::Tree { .. } | SynthFamily::ForkJoin { .. } => {
+                vec![write]
+            }
+            SynthFamily::Diamond { width } => {
+                // Block layout: [source, width × middle, sink], truncated at the task count.
+                let block_len = width + 2;
+                let block_start = (i / block_len) * block_len;
+                let pos = i - block_start;
+                let mut deps = vec![write];
+                if pos == 0 {
+                    // Source reads the previous block's sink, if one exists.
+                    if block_start > 0 {
+                        deps.push(read(block_start - 1));
+                    }
+                } else if pos <= width {
+                    deps.push(read(block_start));
+                } else {
+                    deps.extend((block_start + 1..i).map(read));
+                }
+                deps
+            }
+            SynthFamily::ErdosRenyi { density } => {
+                // One draw per candidate, oldest first, stopping once the descriptor is full:
+                // the draw count and order are part of the family's RNG contract.
+                let threshold = SimRng::chance_threshold(density);
+                let mut deps = Vec::with_capacity(MAX_DEPENDENCES);
+                deps.push(write);
+                for pred in i.saturating_sub(ER_WINDOW)..i {
+                    if deps.len() > MAX_IN_DEGREE {
+                        break;
+                    }
+                    if rng.chance_below(threshold) {
+                        deps.push(read(pred));
+                    }
+                }
+                deps
+            }
+        }
     }
 
     /// Draws one task's compute cycles (mean `task_cycles`, uniform ±`jitter`).

@@ -339,12 +339,13 @@ impl Nanos {
         self.charge_plugin_calls(ctx);
         ctx.read(Self::wd_addr(entry.sw_id), WD_BYTES);
 
-        let spec = self.source.spec(entry.sw_id).clone();
+        let spec = self.source.spec(entry.sw_id);
+        let (task, payload, dep_count) = (spec.id, spec.payload, spec.dep_count());
         let start = ctx.now();
-        ctx.execute_task_payload(entry.sw_id, spec.payload);
+        ctx.execute_task_payload(entry.sw_id, payload);
         let end = ctx.now();
         if self.collect_records {
-            self.records.push(ExecRecord { task: spec.id, core, start, end });
+            self.records.push(ExecRecord { task, core, start, end });
         }
 
         // Retirement.
@@ -360,7 +361,7 @@ impl Nanos {
                 // removal from the tracker is deferred to `process_sw_pending` so that a core
                 // whose clock still lags this instant keeps seeing the task as in flight.
                 self.dep_lock.acquire(ctx);
-                ctx.spend(ctx.costs().hash_probe * spec.dep_count().max(1) as u64);
+                ctx.spend(ctx.costs().hash_probe * dep_count.max(1) as u64);
                 self.dep_lock.release(ctx);
                 // The mapping is dead once the retirement is scheduled: prune it, or a
                 // million-task stream grows the map without bound.

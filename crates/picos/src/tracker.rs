@@ -159,7 +159,9 @@ pub struct TrackerStats {
 /// Picos ID's slot. Inserting a task writes each field in place and retiring clears the slot's
 /// lists for reuse, so no multi-hundred-byte entry struct is ever constructed, moved or
 /// dropped on the hot path — and lookups that need a single field (`sw_id`, the serial-tag
-/// aliveness check) touch a single dense array.
+/// aliveness check) touch a single dense array. The arrays grow on demand, one slot the first
+/// time the free list runs dry, so a large task memory that only ever holds a few tasks is
+/// never built or touched beyond them.
 #[derive(Debug, Clone)]
 pub struct DependenceTracker {
     config: TrackerConfig,
@@ -175,6 +177,9 @@ pub struct DependenceTracker {
     /// address (see [`DependenceTracker::insert`]); consulted at retirement to scrub the
     /// address table.
     deps: Vec<InlineVec<(u64, Direction), INLINE_LEN>>,
+    /// Vacant slots below `serials.len()`, reused LIFO. When it is empty the next slot is
+    /// `serials.len()`, which hands out the same IDs as a free list pre-filled with every slot:
+    /// fresh slots ascending, freed slots most recent first.
     free_list: Vec<u32>,
     addr_table: FxHashMap<u64, AddrEntry>,
     next_serial: u64,
@@ -201,22 +206,21 @@ impl DependenceTracker {
     /// Panics if either capacity is zero.
     pub fn new(config: TrackerConfig) -> Self {
         config.validate();
-        let n = config.task_memory_entries;
         DependenceTracker {
             config,
-            serials: vec![0; n],
-            sw_ids: vec![0; n],
-            unresolved: vec![0; n],
-            successors: vec![InlineVec::new(); n],
-            deps: vec![InlineVec::new(); n],
-            free_list: (0..n as u32).rev().collect(),
+            serials: Vec::new(),
+            sw_ids: Vec::new(),
+            unresolved: Vec::new(),
+            successors: Vec::new(),
+            deps: Vec::new(),
+            free_list: Vec::new(),
             addr_table: FxHashMap::default(),
             next_serial: 1, // 0 is the vacant-slot sentinel
             in_flight: 0,
             stats: TrackerStats::default(),
             scratch_deps: Vec::new(),
             scratch_preds: Vec::new(),
-            pred_mark: vec![0; n],
+            pred_mark: Vec::new(),
             mark_epoch: 0,
         }
     }
@@ -367,7 +371,10 @@ impl DependenceTracker {
             }
         }
 
-        let slot = self.free_list.pop().expect("free list consistent with in_flight counter");
+        let slot = match self.free_list.pop() {
+            Some(slot) => slot,
+            None => self.grow_slot(),
+        };
         let id = PicosId(slot);
         let serial = self.next_serial;
         self.next_serial += 1;
@@ -450,6 +457,21 @@ impl DependenceTracker {
         self.stats.max_in_flight = self.stats.max_in_flight.max(self.in_flight);
         self.stats.max_addresses = self.stats.max_addresses.max(self.addr_table.len());
         Ok((id, unresolved == 0))
+    }
+
+    /// Appends one vacant slot to every parallel array and returns its index. Called only when
+    /// the free list is empty and the task memory is not full, so the new slot is below the
+    /// configured capacity.
+    fn grow_slot(&mut self) -> u32 {
+        let slot = self.serials.len();
+        debug_assert!(slot < self.config.task_memory_entries, "grew past the task memory");
+        self.serials.push(0);
+        self.sw_ids.push(0);
+        self.unresolved.push(0);
+        self.successors.push(InlineVec::new());
+        self.deps.push(InlineVec::new());
+        self.pred_mark.push(0);
+        slot as u32
     }
 
     /// Retires an in-flight task, freeing its task-memory entry and returning the Picos IDs of
@@ -787,6 +809,50 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
     use tis_taskmodel::{Dependence, Direction, Payload, ProgramBuilder, TaskId};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// The on-demand task memory hands out exactly the IDs of a free list pre-filled with
+        /// every slot: under random insert/retire churn up to saturation, the returned IDs, the
+        /// `UnknownTask` errors and `is_full` all match a model stack initialised `n-1..=0`.
+        #[test]
+        fn lazy_task_memory_matches_a_prefilled_free_list(
+            n in 1usize..40,
+            ops in proptest::collection::vec((0u8..3, any::<u64>()), 0..300)
+        ) {
+            let mut t = DependenceTracker::new(TrackerConfig::new(n, 1024));
+            let mut model: Vec<u32> = (0..n as u32).rev().collect();
+            let mut live: Vec<PicosId> = Vec::new();
+            for (sw, &(op, pick)) in ops.iter().enumerate() {
+                prop_assert_eq!(t.is_full(), model.is_empty());
+                match op {
+                    0 | 1 => {
+                        let got = t.insert(&SubmittedTask::new(sw as u64, vec![]));
+                        match model.pop() {
+                            Some(slot) => {
+                                prop_assert_eq!(got, Ok((PicosId(slot), true)));
+                                live.push(PicosId(slot));
+                            }
+                            None => prop_assert_eq!(got, Err(TrackerError::TaskMemoryFull)),
+                        }
+                    }
+                    _ if !live.is_empty() && pick % 4 != 0 => {
+                        let victim = live.swap_remove((pick % live.len() as u64) as usize);
+                        prop_assert_eq!(t.retire(victim), Ok(vec![]));
+                        model.push(victim.0);
+                    }
+                    _ => {
+                        // A vacant slot, grown or not, or an ID past the capacity.
+                        let id = PicosId((pick % (n as u64 + 2)) as u32);
+                        if !live.contains(&id) {
+                            prop_assert_eq!(t.retire(id), Err(TrackerError::UnknownTask(id)));
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(t.in_flight(), live.len());
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]

@@ -59,9 +59,30 @@ impl SimRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Returns `true` with probability `p` (clamped to `[0, 1]`).
+    /// Returns `true` with probability `p` (clamped to `[0, 1]`; NaN never succeeds).
+    ///
+    /// Exactly `self.next_f64() < p`, answered with an integer compare:
+    /// `chance(p) == chance_below(chance_threshold(p))` for every `p` and every state.
     pub fn chance(&mut self, p: f64) -> bool {
-        self.next_f64() < p.clamp(0.0, 1.0)
+        self.chance_below(Self::chance_threshold(p))
+    }
+
+    /// The integer form of a [`chance`](Self::chance) probability, for callers that draw many
+    /// times against one `p`.
+    ///
+    /// [`next_f64`](Self::next_f64) is `m · 2⁻⁵³` for the 53-bit integer `m = next_u64() >> 11`,
+    /// and scaling by a power of two is exact, so `m · 2⁻⁵³ < p` holds exactly when
+    /// `m < ceil(p · 2⁵³)`. A NaN `p` maps to 0 (`as` saturates NaN to zero), matching the
+    /// float compare, which is false for NaN.
+    pub fn chance_threshold(p: f64) -> u64 {
+        (p.clamp(0.0, 1.0) * (1u64 << 53) as f64).ceil() as u64
+    }
+
+    /// Draws once and returns `true` when the draw's top 53 bits fall below `threshold` — a
+    /// [`chance`](Self::chance) draw with the probability already converted by
+    /// [`chance_threshold`](Self::chance_threshold).
+    pub fn chance_below(&mut self, threshold: u64) -> bool {
+        (self.next_u64() >> 11) < threshold
     }
 
     /// Derives an independent generator for a named sub-component.
@@ -221,5 +242,59 @@ mod tests {
         let mut b = SimRng::new(99).fork("memory");
         assert_eq!(a1.next_u64(), a2.next_u64());
         assert_ne!(a1.next_u64(), b.next_u64());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// The integer-threshold `chance` draws exactly what the float compare it replaced
+        /// draws, at the edges of the probability range and at random probabilities.
+        #[test]
+        fn chance_matches_the_float_compare(state in any::<u64>(), bits in any::<u64>()) {
+            let random = (bits >> 11) as f64 / (1u64 << 53) as f64;
+            // The first draw's own value, and the next float above it: the compare's boundary.
+            let first = SimRng::new(state).next_f64();
+            let probabilities = [
+                first,
+                f64::from_bits(first.to_bits() + 1),
+                0.0,
+                -0.0,
+                1.0,
+                -1.0,
+                2.0,
+                f64::NAN,
+                f64::MIN_POSITIVE / 2.0,
+                5e-324,
+                1.0 - f64::EPSILON,
+                1.0 - f64::EPSILON / 2.0,
+                random,
+                f64::from_bits(bits),
+            ];
+            for p in probabilities {
+                let mut float = SimRng::new(state);
+                let mut int = SimRng::new(state);
+                for _ in 0..4 {
+                    prop_assert_eq!(int.chance(p), float.next_f64() < p.clamp(0.0, 1.0), "p = {p:e}");
+                }
+                prop_assert_eq!(&int, &float, "one draw per chance, p = {p:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn chance_threshold_at_the_boundary() {
+        // `next_f64` returns m / 2^53; a p just above m / 2^53 must admit m, and p == m / 2^53
+        // must not.
+        let m = 12_345u64;
+        let p = m as f64 / (1u64 << 53) as f64;
+        assert_eq!(SimRng::chance_threshold(p), m);
+        assert_eq!(SimRng::chance_threshold(f64::from_bits(p.to_bits() + 1)), m + 1);
+        assert_eq!(SimRng::chance_threshold(1.0), 1 << 53);
+        assert_eq!(SimRng::chance_threshold(f64::NAN), 0);
     }
 }

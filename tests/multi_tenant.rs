@@ -238,7 +238,7 @@ fn windowed_preflight_window_one_proves_adjacent_conflicts() {
         for id in 0..10u64 {
             pf.observe_spawn(id, &[Dependence::read_write(0x100)]).expect("valid spawn");
         }
-        let analysis = pf.finish();
+        let analysis = pf.summary();
         assert_eq!(analysis.window, 1, "window clamps to at least 1");
         assert_eq!(analysis.tasks, 10);
         // Every task rewrites the address the previous one just touched, so the frontier
@@ -255,7 +255,7 @@ fn windowed_preflight_window_one_proves_adjacent_conflicts() {
         let addr = if id % 2 == 0 { 0x200 } else { 0x240 };
         pf.observe_spawn(id, &[Dependence::read_write(addr)]).expect("valid spawn");
     }
-    let analysis = pf.finish();
+    let analysis = pf.summary();
     assert_eq!(analysis.conflict_pairs, 0, "distance-2 pairs are invisible to a 1-task window");
     assert!(analysis.aged_out_addresses > 0, "evictions must be counted, not silent");
 }
@@ -266,7 +266,7 @@ fn windowed_preflight_accepts_a_single_task_program() {
     let mut pf = WindowedPreflight::new(4);
     pf.observe_spawn(0, &[Dependence::read_write(0x300), Dependence::read(0x340)])
         .expect("valid spawn");
-    let analysis = pf.finish();
+    let analysis = pf.summary();
     assert_eq!(analysis.tasks, 1);
     assert_eq!(analysis.taskwaits, 0);
     assert_eq!(analysis.phases, 1);
@@ -287,7 +287,7 @@ fn windowed_preflight_frontier_at_the_window_boundary() {
         pf.observe_spawn(id, &[Dependence::read_write(0x400 + id * 0x40)]).expect("valid spawn");
     }
     pf.observe_spawn(4, &[Dependence::read_write(0x400)]).expect("valid spawn");
-    let analysis = pf.finish();
+    let analysis = pf.summary();
     assert_eq!(analysis.conflict_pairs, 1, "a pair at exactly window distance is provable");
     assert_eq!(analysis.covered_in_window, 1);
     assert_eq!(analysis.aged_out_addresses, 0);
@@ -299,7 +299,7 @@ fn windowed_preflight_frontier_at_the_window_boundary() {
         pf.observe_spawn(id, &[Dependence::read_write(0x500 + id * 0x40)]).expect("valid spawn");
     }
     pf.observe_spawn(8, &[Dependence::read_write(0x500)]).expect("valid spawn");
-    let analysis = pf.finish();
+    let analysis = pf.summary();
     assert_eq!(analysis.conflict_pairs, 0, "a pair two windows apart is not provable");
     assert!(analysis.aged_out_addresses > 0, "the bridged eviction must be counted");
 }

@@ -48,8 +48,10 @@ pub struct LintRule {
     allowed_prefixes: Vec<&'static str>,
     /// If set, the rule applies only under these prefixes.
     only_prefixes: Option<Vec<&'static str>>,
-    /// Ignore matches after the first `#[cfg(test)]` line of a file (test
-    /// modules sit at the bottom of every file in this workspace).
+    /// Ignore matches after the first `#[cfg(test)]` at the start of a line
+    /// (test modules sit at the bottom of every file in this workspace). An
+    /// indented one gates a single field, statement or method inside
+    /// production code and exempts nothing.
     exempt_test_code: bool,
 }
 
@@ -162,7 +164,7 @@ pub fn lint_source(rules: &[LintRule], rel_path: &str, contents: &str) -> Vec<Li
     let cfg_test_marker = format!("#[cfg({})]", "test");
     let mut in_test_code = false;
     for (i, line) in contents.lines().enumerate() {
-        if line.trim_start().starts_with(&cfg_test_marker) {
+        if line.starts_with(&cfg_test_marker) {
             in_test_code = true;
         }
         for rule in rules {
@@ -290,6 +292,24 @@ mod tests {
             "collections", "test"
         );
         assert_eq!(findings_for("crates/core/src/rocc.rs", &src).len(), 1);
+    }
+
+    #[test]
+    fn an_indented_test_gate_does_not_exempt_the_code_after_it() {
+        // A test-only field or statement inside production code gates that one item; the
+        // methods after it are still production code.
+        let src = format!(
+            "pub struct S {{\n    #[cfg({test})]\n    probe: bool,\n}}\n\
+             impl S {{\n    fn f(&self) {{\n        #[cfg({test})]\n        if self.probe {{}}\n\
+             let m = std::{c}::HashMap::<u8, u8>::new();\n        o.{obs}(&e);\n    }}\n}}\n\
+             #[cfg({test})]\nmod tests {{\n    use std::{c}::HashSet;\n}}\n",
+            test = "test",
+            c = "collections",
+            obs = "on_task",
+        );
+        let hits = findings_for("crates/mem/src/system.rs", &src);
+        let rules: Vec<_> = hits.iter().map(|f| (f.rule, f.line)).collect();
+        assert_eq!(rules, [("std-hash-hot-path", 9), ("observer-chokepoint", 10)]);
     }
 
     #[test]

@@ -228,27 +228,20 @@ impl L1Cache {
         }
     }
 
-    /// Installs (fills) the line containing `addr` in the given state, evicting the LRU way of
-    /// its set if the set is full. Returns the eviction, if one happened.
-    pub fn install(&mut self, addr: Addr, state: MesiState) -> Option<Eviction> {
+    /// Fills the line containing `addr`, which must not be resident, in the given state,
+    /// evicting the LRU way of its set if the set is full. Returns the eviction, if one
+    /// happened.
+    pub fn fill(&mut self, addr: Addr, state: MesiState) -> Option<Eviction> {
         let line = line_of(addr);
-        // One pass over the set finds the line itself, else a free way, else the LRU way.
+        debug_assert!(self.slot_of(line).is_none(), "fill() requires the line to be absent");
+        // One pass over the set finds a free way, else the LRU way.
         let mut free = None;
         let mut lru = None::<usize>;
         for slot in self.set_slots(line) {
-            match self.tags[slot] {
-                tag if tag == line => {
-                    self.touch_slot(slot, state);
-                    return None;
-                }
-                EMPTY => {
-                    free.get_or_insert(slot);
-                }
-                _ => {
-                    if lru.is_none_or(|l| self.last_use[slot] < self.last_use[l]) {
-                        lru = Some(slot);
-                    }
-                }
+            if self.tags[slot] == EMPTY {
+                free.get_or_insert(slot);
+            } else if lru.is_none_or(|l| self.last_use[slot] < self.last_use[l]) {
+                lru = Some(slot);
             }
         }
         let (slot, eviction) = match free {
@@ -266,6 +259,18 @@ impl L1Cache {
         self.tags[slot] = line;
         self.touch_slot(slot, state);
         eviction
+    }
+
+    /// [`L1Cache::fill`], or an in-place state update of a line already resident (test helper).
+    #[cfg(test)]
+    pub(crate) fn install(&mut self, addr: Addr, state: MesiState) -> Option<Eviction> {
+        match self.slot_of(line_of(addr)) {
+            Some(slot) => {
+                self.touch_slot(slot, state);
+                None
+            }
+            None => self.fill(addr, state),
+        }
     }
 
     /// Applies a snoop result: sets the line's state (possibly Invalid), recording writeback and

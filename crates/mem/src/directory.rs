@@ -13,7 +13,8 @@
 //! an owner recalled or downgraded must write back before the requester fetches. Caches notify
 //! the home on every eviction ([`DirOp::Evict`]), clean or dirty, so the directory is always
 //! *precise* — the property the differential suite in `tests/mem_model_equivalence.rs` pins
-//! against the snooping baseline.
+//! against the snooping baseline. The snooping bus keeps the same precise record as its snoop
+//! filter, so a bus miss probes only the caches that hold the line.
 
 /// A bitset of cores holding a line, supporting machines up to 256 cores (the sweep grid goes
 /// to 64; four words leave headroom without heap allocation).
@@ -70,9 +71,22 @@ impl SharerSet {
         self.bits.iter().all(|&w| w == 0)
     }
 
-    /// Iterates over the cores in the set, in ascending order.
+    /// Iterates over the cores in the set, in ascending order. Walks the set bits of each word,
+    /// so the cost follows the set's size, not [`MAX_SHARERS`].
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..MAX_SHARERS).filter(move |&c| self.contains(c))
+        let mut bits = self.bits;
+        let mut word = 0;
+        std::iter::from_fn(move || {
+            while word < bits.len() {
+                let w = bits[word];
+                if w != 0 {
+                    bits[word] = w & (w - 1);
+                    return Some(word * 64 + w.trailing_zeros() as usize);
+                }
+                word += 1;
+            }
+            None
+        })
     }
 
     /// This set minus `core`.
@@ -355,6 +369,37 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The first and last core of each 64-core word the edge cases cover.
+    const EDGES: [usize; 6] = [0, 63, 64, 127, 128, 255];
+
+    proptest! {
+        /// Walking the set bits yields exactly the cores the per-core scan finds, in the same
+        /// ascending order.
+        #[test]
+        fn iter_matches_the_per_core_scan(
+            cores in proptest::collection::vec(0usize..MAX_SHARERS, 0..40),
+            edges in 0u8..64,
+        ) {
+            let mut s = SharerSet::empty();
+            for c in cores {
+                s.insert(c);
+            }
+            for (i, &c) in EDGES.iter().enumerate() {
+                if edges & (1 << i) != 0 {
+                    s.insert(c);
+                }
+            }
+            let scanned: Vec<usize> = (0..MAX_SHARERS).filter(|&c| s.contains(c)).collect();
+            prop_assert_eq!(s.iter().collect::<Vec<_>>(), scanned);
         }
     }
 }

@@ -8,8 +8,9 @@
 //!
 //! * identical per-access observed values (`l1_hit`, `remote_dirty`, `lines`);
 //! * identical resident `(line, MESI state)` sets in every core's cache after every step;
-//! * `check_coherence_invariants` on both — which for the directory model additionally proves
-//!   the sharer bitsets stay *precise* (they mirror actual cache residency exactly).
+//! * `check_coherence_invariants` on both — which additionally proves the directory stays
+//!   *precise* (it mirrors actual cache residency exactly); the snooping bus keeps the same
+//!   record as its snoop filter.
 //!
 //! Latencies are deliberately **not** compared: distance-dependent NoC costs are the whole
 //! point of the second model.

@@ -13,6 +13,7 @@
 
 use tis::bench::{Harness, Platform};
 use tis::exp::{StreamingSynth, SynthFamily, SynthSpec};
+use tis::machine::{FabricStats, MemoryModel};
 use tis::sim::SimRng;
 
 /// Streams a `tasks`-long chain (records off) and checks the makespan decomposition sums
@@ -85,4 +86,42 @@ fn streamed_chain_phase_totals_sum_exactly_to_the_makespan_decomposition() {
 #[ignore = "multi-minute debug-build soak: cargo test -q --test streaming_scale -- --ignored"]
 fn two_million_task_chain_decomposition_soak() {
     chain_decomposition(2_000_000, 1_024);
+}
+
+/// Exact pin of one streamed wide-fan-in cell: a windowed Erdős–Rényi DAG (density 0.05, about
+/// 13 dependences per task) on 8-core Phentos over the contended directory mesh. Every task
+/// goes through the Picos tracker's insert and retire with wide reader lists, so a host-side
+/// change to the tracker, the manager or the memory path that moves a single simulated cycle
+/// or fabric counter fails here, in a blocking test, rather than only in a benchmark digest.
+#[test]
+fn streamed_erdos_renyi_cell_is_pinned_exactly() {
+    let spec = SynthSpec {
+        family: SynthFamily::ErdosRenyi { density: 0.05 },
+        tasks: 4_096,
+        task_cycles: 2_000,
+        jitter: 0.25,
+    };
+    let source = StreamingSynth::new(spec, 1_024, SimRng::new(1).stream("instance", 0));
+    let harness =
+        Harness::paper_prototype().with_memory_model(MemoryModel::directory_mesh_contended());
+    let report = harness
+        .run_source(Platform::Phentos, Box::new(source), false)
+        .expect("streamed Erdős–Rényi cell must complete");
+    assert_eq!(report.cores, 8);
+    assert_eq!(report.tasks_retired, 4_096);
+    assert_eq!(report.total_cycles, 1_358_077);
+    assert_eq!(
+        report.fabric_stats,
+        FabricStats {
+            tasks_submitted: 4_096,
+            submission_failures: 325,
+            tasks_dispatched: 4_096,
+            fetch_failures: 5_556,
+            tasks_retired: 4_096,
+            operations: 81_784,
+            tracker_losses: 0,
+            tracker_resubmits: 0,
+            tracker_recovery_cycles: 0,
+        }
+    );
 }

@@ -63,8 +63,13 @@ pub struct ReadyEntry {
     pub available_at: Cycle,
 }
 
-#[derive(Debug, Clone)]
+/// One core's submission buffer. It is reused for every descriptor the core sends: opening it
+/// clears the packets and keeps their capacity, so steady-state submissions allocate nothing.
+#[derive(Debug, Clone, Default)]
 struct SubmissionBuffer {
+    /// Whether a *Submission Request* reserved the buffer and its descriptor is not yet
+    /// forwarded to Picos.
+    open: bool,
     expected: usize,
     packets: Vec<u32>,
 }
@@ -92,7 +97,7 @@ pub struct PicosManager {
     cores: usize,
     config: ManagerConfig,
     picos: Picos,
-    submission_buffers: Vec<Option<SubmissionBuffer>>,
+    submission_buffers: Vec<SubmissionBuffer>,
     /// Guided-arbiter forwarding order: cores whose buffers are complete, oldest first.
     forward_queue: BoundedQueue<CoreId>,
     routing_queue: BoundedQueue<CoreId>,
@@ -124,7 +129,7 @@ impl PicosManager {
             cores,
             config,
             picos: Picos::new(picos_config),
-            submission_buffers: vec![None; cores],
+            submission_buffers: vec![SubmissionBuffer::default(); cores],
             forward_queue: BoundedQueue::new(cores.max(1)),
             routing_queue: BoundedQueue::new(config.routing_queue_depth),
             ready_queues: (0..cores)
@@ -175,9 +180,8 @@ impl PicosManager {
             if !self.picos.can_accept_submission() {
                 break;
             }
-            let buffer = self.submission_buffers[core]
-                .as_ref()
-                .expect("forward queue only holds cores with a buffer");
+            let buffer = &self.submission_buffers[core];
+            assert!(buffer.open, "forward queue only holds cores with an open buffer");
             debug_assert!(buffer.packets.len() >= buffer.expected);
             // Zero Padder: expand the non-zero prefix into a full descriptor in the reused
             // scratch buffer and decode it into the reused scratch task — no allocation.
@@ -194,7 +198,7 @@ impl PicosManager {
                     self.changes += 1;
                     self.stats.descriptors_forwarded += 1;
                     self.stats.zero_packets_padded += padded as u64;
-                    self.submission_buffers[core] = None;
+                    self.submission_buffers[core].open = false;
                     self.forward_queue.pop();
                 }
                 Err(_) => break, // Picos filled up between the check and the submit; retry later.
@@ -233,10 +237,10 @@ impl PicosManager {
             return false;
         }
         self.changes += 1;
-        self.submission_buffers[core] = Some(SubmissionBuffer {
-            expected: packet_count as usize,
-            packets: Vec::with_capacity(packet_count as usize),
-        });
+        let buffer = &mut self.submission_buffers[core];
+        buffer.open = true;
+        buffer.expected = packet_count as usize;
+        buffer.packets.clear();
         true
     }
 
@@ -244,7 +248,7 @@ impl PicosManager {
     /// current state: the core's buffer is busy, the count is malformed, or the accelerator is
     /// saturated (Picos is full and cannot drain the already-queued descriptors).
     fn refuses_submission(&self, core: CoreId, packet_count: u32) -> bool {
-        self.submission_buffers[core].is_some()
+        self.submission_buffers[core].open
             || packet_count as usize > PACKETS_PER_DESCRIPTOR
             || packet_count < 3
             || (!self.picos.can_accept_submission() && !self.forward_queue.is_empty())
@@ -254,10 +258,8 @@ impl PicosManager {
     /// *Submit Packet* / *Submit Three Packets*: append packets to this core's submission buffer.
     /// Fails if no submission request is outstanding or the packets overflow the announced count.
     pub fn push_packets(&mut self, core: CoreId, packets: &[u32], now: Cycle) -> bool {
-        let Some(buffer) = self.submission_buffers[core].as_mut() else {
-            return false;
-        };
-        if buffer.packets.len() + packets.len() > buffer.expected {
+        let buffer = &mut self.submission_buffers[core];
+        if !buffer.open || buffer.packets.len() + packets.len() > buffer.expected {
             return false;
         }
         buffer.packets.extend_from_slice(packets);
@@ -520,6 +522,9 @@ mod tests {
         assert!(m.submission_request(0, 3, 0));
         assert!(m.push_packets(0, &pkts, 0));
         assert!(!m.push_packets(0, &[9], 1), "descriptor already complete");
+        m.advance(1_000);
+        assert_eq!(m.stats().descriptors_forwarded, 1);
+        assert!(!m.push_packets(0, &pkts, 1_000), "forwarding closes the buffer");
     }
 
     #[test]

@@ -10,29 +10,58 @@
 //!
 //! The tracker sits on the simulator's hottest path: every simulated task goes through one
 //! `insert` and one `retire`, so its *host* cost bounds how large an experiment the harness can
-//! run (the *simulated* cost is charged separately, by `PicosTiming`). The implementation is
-//! therefore written allocation-free in steady state:
+//! run (the *simulated* cost is charged separately, by `PicosTiming`). Both cost O(1) per
+//! dependence and allocate nothing in steady state:
 //!
-//! * the address table is an [`FxHashMap`] (deterministic, seedless, a few ALU ops per probe);
-//! * per-address reader lists, per-task dependence and successor lists use [`InlineVec`] — no
-//!   heap traffic for the common ≤4-entry case;
-//! * predecessor de-duplication uses epoch-stamped marks (`O(1)` per check) instead of a linear
-//!   scan of the predecessors found so far;
-//! * the per-insert working sets live in scratch arenas owned by the tracker and reused across
+//! * **A slab-indexed address table.** An [`FxHashMap`] maps each live address to the index of
+//!   its entry in a slab of address entries: the address, its last in-flight writer, its
+//!   readers since that writer and a generation number. The slab grows on demand and recycles
+//!   freed entries through a free list; a recycled entry keeps its reader list's capacity.
+//! * **Records that know their position.** For each of its collapsed dependences, a task slot
+//!   keeps a record of the entry it touched, its position in that entry's reader list and the
+//!   entry's generation at insert time. Each reader-list element names the task slot and the
+//!   record index that point back at it. Retirement follows its records straight to the
+//!   entries: it unsets the writer, or `swap_remove`s its reader element and repoints the
+//!   moved reader's record at the vacated position. It hashes an address only to drop an entry
+//!   that it left empty.
+//! * **The generation rule.** Every write to an address clears its readers and bumps the
+//!   entry's generation, and generations are never reset, not even when the entry is freed and
+//!   reused for another address. A record whose generation differs from its entry's was
+//!   superseded by a later writer and is skipped; a record whose generation matches is still
+//!   the entry's writer or reader. So an entry is freed only by the retirement that removes its
+//!   last live reference, never through a stale record (whose entry may by then be free, or
+//!   hold another address). When tasks retire only once ready, as every runtime retires them,
+//!   the writers that superseded a stale record stay in flight until its task retires, so
+//!   fewer writes than the task memory has entries can follow it: the 32-bit generation cannot
+//!   wrap back to a stale record's value.
+//! * **Reader order is not observable**, which is what lets `swap_remove` reorder reader
+//!   lists. A writer's WAR predecessors are de-duplicated by epoch-stamped marks (one array
+//!   compare per check), each predecessor's successor list gains the new task exactly once,
+//!   and the unresolved count is the number of distinct predecessors. Wake lists,
+//!   `successor_count` (the retirement timing's fanout), statistics and rejections are the same
+//!   for any order of the readers.
+//! * Per-task successor and dependence lists use [`InlineVec`] — no heap traffic for the common
+//!   ≤4-entry case — and the per-insert working sets live in scratch arenas reused across
 //!   calls.
 //!
 //! None of this affects simulated cycle counts: `micro_components` measures the host-side gain
-//! against a reference implementation, and the figure benches pin the cycle counts themselves.
+//! against a seed-era implementation, the previous tracker is kept as the oracle of a
+//! differential property test, and the figure benches pin the cycle counts themselves.
+
+use std::collections::hash_map::Entry;
 
 use tis_sim::{FxHashMap, InlineVec};
 use tis_taskmodel::Direction;
 
 use crate::packet::SubmittedTask;
 
-/// Inline capacity of the per-task and per-address lists: dependence lists, successor lists and
-/// reader lists stay heap-free while they hold at most this many entries (the overwhelmingly
-/// common case in the paper's workloads).
+/// Inline capacity of the per-task lists: dependence records and successor lists stay
+/// heap-free while they hold at most this many entries (the overwhelmingly common case in the
+/// paper's workloads).
 const INLINE_LEN: usize = 4;
+
+/// [`DepRecord::reader_pos`] of a dependence that does not read its address.
+const NOT_A_READER: u32 = u32::MAX;
 
 /// Index of a task inside Picos' task memory — the "Picos ID" returned by `Fetch Picos ID` and
 /// passed back through `Retire Task`.
@@ -126,14 +155,6 @@ impl core::fmt::Display for TrackerError {
 
 impl std::error::Error for TrackerError {}
 
-#[derive(Debug, Clone, Default)]
-struct AddrEntry {
-    /// Last in-flight writer of this address, tagged with its serial number.
-    last_writer: Option<(PicosId, u64)>,
-    /// In-flight readers that arrived after the last writer.
-    readers: InlineVec<(PicosId, u64), INLINE_LEN>,
-}
-
 /// Aggregate statistics of the tracker.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrackerStats {
@@ -153,36 +174,64 @@ pub struct TrackerStats {
     pub rejected_address_table: u64,
 }
 
+/// One address-table entry, a slot of the tracker's address slab.
+#[derive(Debug, Clone, Default)]
+struct AddrEntry {
+    /// The address this entry tracks (meaningless while the entry is on the free list).
+    addr: u64,
+    /// Last in-flight writer of this address.
+    last_writer: Option<PicosId>,
+    /// In-flight readers that arrived after the last writer, as `(task slot, record index)`:
+    /// the reader's [`DepRecord`] for this entry is `deps[slot][index]`.
+    readers: Vec<(u32, u32)>,
+    /// Number of writes this slab slot has seen, across every address it has held.
+    generation: u32,
+}
+
+/// A task's record of one collapsed dependence: where its reference in the address table is.
+#[derive(Debug, Clone, Copy, Default)]
+struct DepRecord {
+    /// Slab index of the address entry.
+    entry: u32,
+    /// Position of the task in the entry's reader list, or [`NOT_A_READER`].
+    reader_pos: u32,
+    /// The entry's generation right after this task's insert.
+    generation: u32,
+}
+
 /// The task memory plus dependence-matching engine.
 ///
 /// The task memory is stored struct-of-arrays: one parallel array per field, indexed by the
 /// Picos ID's slot. Inserting a task writes each field in place and retiring clears the slot's
 /// lists for reuse, so no multi-hundred-byte entry struct is ever constructed, moved or
-/// dropped on the hot path — and lookups that need a single field (`sw_id`, the serial-tag
-/// aliveness check) touch a single dense array. The arrays grow on demand, one slot the first
-/// time the free list runs dry, so a large task memory that only ever holds a few tasks is
-/// never built or touched beyond them.
+/// dropped on the hot path — and lookups that need a single field (`sw_id`, the aliveness
+/// check) touch a single dense array. The arrays grow on demand, one slot the first time the
+/// free list runs dry, so a large task memory that only ever holds a few tasks is never built
+/// or touched beyond them. The address slab grows the same way.
 #[derive(Debug, Clone)]
 pub struct DependenceTracker {
     config: TrackerConfig,
-    /// Serial number per slot; `0` marks a vacant slot (live serials start at 1).
-    serials: Vec<u64>,
+    /// Whether each slot holds an in-flight task.
+    live: Vec<bool>,
     /// Software ID per occupied slot.
     sw_ids: Vec<u64>,
     /// Unresolved-predecessor count per occupied slot.
     unresolved: Vec<u32>,
     /// In-flight successors per occupied slot, in edge creation order.
     successors: Vec<InlineVec<PicosId, INLINE_LEN>>,
-    /// Annotated addresses per occupied slot, already collapsed to one entry per distinct
-    /// address (see [`DependenceTracker::insert`]); consulted at retirement to scrub the
-    /// address table.
-    deps: Vec<InlineVec<(u64, Direction), INLINE_LEN>>,
-    /// Vacant slots below `serials.len()`, reused LIFO. When it is empty the next slot is
-    /// `serials.len()`, which hands out the same IDs as a free list pre-filled with every slot:
+    /// One record per collapsed dependence (see [`DependenceTracker::insert`]) per occupied
+    /// slot; retirement follows them to scrub the address table.
+    deps: Vec<InlineVec<DepRecord, INLINE_LEN>>,
+    /// Vacant slots below `live.len()`, reused LIFO. When it is empty the next slot is
+    /// `live.len()`, which hands out the same IDs as a free list pre-filled with every slot:
     /// fresh slots ascending, freed slots most recent first.
     free_list: Vec<u32>,
-    addr_table: FxHashMap<u64, AddrEntry>,
-    next_serial: u64,
+    /// Live address → slab index of its entry. Its length is the address-table occupancy.
+    addr_table: FxHashMap<u64, u32>,
+    /// The address entries; the ones not named by `addr_table` are on `addr_free`.
+    addr_slab: Vec<AddrEntry>,
+    /// Free slab indices, reused LIFO.
+    addr_free: Vec<u32>,
     in_flight: usize,
     stats: TrackerStats,
     /// Scratch arena: the current insert's deduplicated `(address, merged direction)` list.
@@ -208,14 +257,15 @@ impl DependenceTracker {
         config.validate();
         DependenceTracker {
             config,
-            serials: Vec::new(),
+            live: Vec::new(),
             sw_ids: Vec::new(),
             unresolved: Vec::new(),
             successors: Vec::new(),
             deps: Vec::new(),
             free_list: Vec::new(),
             addr_table: FxHashMap::default(),
-            next_serial: 1, // 0 is the vacant-slot sentinel
+            addr_slab: Vec::new(),
+            addr_free: Vec::new(),
             in_flight: 0,
             stats: TrackerStats::default(),
             scratch_deps: Vec::new(),
@@ -245,21 +295,21 @@ impl DependenceTracker {
         &self.stats
     }
 
+    fn is_live(&self, id: PicosId) -> bool {
+        self.live.get(id.0 as usize).copied().unwrap_or(false)
+    }
+
     /// Software ID of an in-flight task.
     pub fn sw_id(&self, id: PicosId) -> Option<u64> {
-        let slot = id.0 as usize;
-        match self.serials.get(slot) {
-            Some(&s) if s != 0 => Some(self.sw_ids[slot]),
-            _ => None,
-        }
+        self.is_live(id).then(|| self.sw_ids[id.0 as usize])
     }
 
     /// Number of in-flight successors currently linked to a task.
     pub fn successor_count(&self, id: PicosId) -> usize {
-        let slot = id.0 as usize;
-        match self.serials.get(slot) {
-            Some(&s) if s != 0 => self.successors[slot].len(),
-            _ => 0,
+        if self.is_live(id) {
+            self.successors[id.0 as usize].len()
+        } else {
+            0
         }
     }
 
@@ -270,49 +320,15 @@ impl DependenceTracker {
     /// annotations within one task collapse to a single reader entry); not part of the modelled
     /// hardware interface.
     pub fn address_occupancy(&self, addr: u64) -> Option<(bool, usize)> {
-        self.addr_table.get(&addr).map(|e| (e.last_writer.is_some(), e.readers.len()))
+        self.addr_table.get(&addr).map(|&e| {
+            let e = &self.addr_slab[e as usize];
+            (e.last_writer.is_some(), e.readers.len())
+        })
     }
 
-    fn prune_addr_entry(serials: &[u64], entry: &mut AddrEntry) {
-        // A live serial is never 0, so the vacant-slot sentinel can never match.
-        let alive = |id: PicosId, serial: u64| {
-            serials.get(id.0 as usize).map(|&s| s == serial).unwrap_or(false)
-        };
-        if let Some((id, serial)) = entry.last_writer {
-            if !alive(id, serial) {
-                entry.last_writer = None;
-            }
-        }
-        entry.readers.retain(|&(id, serial)| alive(id, serial));
-    }
-
-    /// Whether every `(id, serial)` reference in an address entry names a task that is still in
-    /// flight. This is an *invariant*, not a condition the hot path must re-establish:
-    /// references are only ever added by the owning task's `insert`, and that task's
-    /// `retire` scrubs them (or a superseding writer drops them) before the slot can be
-    /// recycled, so nothing stale can survive in the table. `insert` checks it under
-    /// `debug_assert!` instead of paying per-dependence aliveness loads in release builds.
-    fn addr_entry_refs_alive(serials: &[u64], entry: &AddrEntry) -> bool {
-        let alive = |id: PicosId, serial: u64| {
-            serials.get(id.0 as usize).map(|&s| s == serial).unwrap_or(false)
-        };
-        entry.last_writer.is_none_or(|(id, s)| alive(id, s))
-            && entry.readers.iter().all(|&(id, s)| alive(id, s))
-            && (entry.last_writer.is_some() || !entry.readers.is_empty())
-    }
-
-    /// Drops address-table entries that no longer reference any in-flight task.
-    pub fn gc_address_table(&mut self) {
-        let serials = &self.serials;
-        self.addr_table.retain(|_, e| {
-            Self::prune_addr_entry(serials, e);
-            e.last_writer.is_some() || !e.readers.is_empty()
-        });
-    }
-
-    /// Number of live address-table entries (after a GC pass).
-    pub fn live_addresses(&mut self) -> usize {
-        self.gc_address_table();
+    /// Number of live address-table entries. Retirement drops every entry it leaves without a
+    /// reference, so each one names at least one in-flight task.
+    pub fn live_addresses(&self) -> usize {
         self.addr_table.len()
     }
 
@@ -327,13 +343,11 @@ impl DependenceTracker {
     ///
     /// # Errors
     ///
-    /// Returns [`TrackerError::TaskMemoryFull`] or [`TrackerError::AddressTableFull`] without
-    /// modifying any *semantic* state, so a rejected submission can simply be retried later —
-    /// the hardware behaviour the non-blocking instructions rely on. ("Semantic" scopes the
-    /// guarantee precisely: a rejected insert never changes which dependences any later
-    /// submission observes, but the `AddressTableFull` check may garbage-collect address-table
-    /// entries whose tasks have all retired, and the rejection counters in [`TrackerStats`] do
-    /// advance. A property test pins the reject-then-retry-equals-first-try behaviour.)
+    /// Returns [`TrackerError::TaskMemoryFull`] or [`TrackerError::AddressTableFull`]; a
+    /// rejected insert changes nothing but the matching rejection counter in [`TrackerStats`],
+    /// so it can simply be retried later — the hardware behaviour the non-blocking
+    /// instructions rely on. A property test pins the reject-then-retry-equals-first-try
+    /// behaviour.
     pub fn insert(&mut self, task: &SubmittedTask) -> Result<(PicosId, bool), TrackerError> {
         if self.is_full() {
             self.stats.rejected_task_memory += 1;
@@ -355,19 +369,13 @@ impl DependenceTracker {
         // Check address-table capacity before touching the table. Fast path: when the table
         // could absorb every annotated address as a new entry, skip the per-address probes
         // entirely — only near saturation is the precise new-address count worth computing.
-        if self.addr_table.len() + self.scratch_deps.len() > self.config.address_table_entries {
-            let mut new_addresses = 0usize;
-            for &(addr, _) in &self.scratch_deps {
-                if !self.addr_table.contains_key(&addr) {
-                    new_addresses += 1;
-                }
-            }
-            if self.addr_table.len() + new_addresses > self.config.address_table_entries {
-                self.gc_address_table();
-                if self.addr_table.len() + new_addresses > self.config.address_table_entries {
-                    self.stats.rejected_address_table += 1;
-                    return Err(TrackerError::AddressTableFull);
-                }
+        let capacity = self.config.address_table_entries;
+        if self.addr_table.len() + self.scratch_deps.len() > capacity {
+            let new_addresses =
+                self.scratch_deps.iter().filter(|(a, _)| !self.addr_table.contains_key(a)).count();
+            if self.addr_table.len() + new_addresses > capacity {
+                self.stats.rejected_address_table += 1;
+                return Err(TrackerError::AddressTableFull);
             }
         }
 
@@ -376,82 +384,76 @@ impl DependenceTracker {
             None => self.grow_slot(),
         };
         let id = PicosId(slot);
-        let serial = self.next_serial;
-        self.next_serial += 1;
 
         // Start a fresh mark epoch: a slot is a known predecessor iff its mark equals the new
         // epoch, so "have I seen this predecessor?" is one load instead of a list scan.
         self.mark_epoch += 1;
         let epoch = self.mark_epoch;
         self.scratch_preds.clear();
-        for &(addr, dir) in &self.scratch_deps {
-            let serials = &self.serials;
-            let entry = self.addr_table.entry(addr).or_default();
-            // Every (id, serial) reference in the entry names a task that is still in flight —
-            // see `addr_entry_refs_alive` — so the matching below needs no aliveness checks.
-            debug_assert!(
-                entry.last_writer.is_none() && entry.readers.is_empty()
-                    || Self::addr_entry_refs_alive(serials, entry),
-                "address-table entry for {addr:#x} holds a stale task reference"
-            );
-            if dir.reads() {
-                // RAW: the new task reads after the last in-flight writer.
-                if let Some((w, _)) = entry.last_writer {
-                    if w != id && self.pred_mark[w.0 as usize] != epoch {
-                        self.pred_mark[w.0 as usize] = epoch;
-                        self.scratch_preds.push(w);
-                    }
+        let pred_mark = &mut self.pred_mark;
+        let preds = &mut self.scratch_preds;
+        let mut link = |p: PicosId| {
+            if pred_mark[p.0 as usize] != epoch {
+                pred_mark[p.0 as usize] = epoch;
+                preds.push(p);
+            }
+        };
+        let records = &mut self.deps[slot as usize];
+        debug_assert!(records.is_empty(), "a vacant slot holds no dependence records");
+        for (index, &(addr, dir)) in self.scratch_deps.iter().enumerate() {
+            let e = match self.addr_table.entry(addr) {
+                Entry::Occupied(o) => *o.get(),
+                Entry::Vacant(v) => {
+                    let e = match self.addr_free.pop() {
+                        Some(e) => e,
+                        None => {
+                            self.addr_slab.push(AddrEntry::default());
+                            (self.addr_slab.len() - 1) as u32
+                        }
+                    };
+                    let entry = &mut self.addr_slab[e as usize];
+                    debug_assert!(entry.last_writer.is_none() && entry.readers.is_empty());
+                    entry.addr = addr;
+                    *v.insert(e)
                 }
+            };
+            let entry = &mut self.addr_slab[e as usize];
+            // RAW (a read) and WAW (a write) both order the new task after the last writer.
+            if let Some(w) = entry.last_writer {
+                link(w);
             }
             if dir.writes() {
-                // WAW: the new task writes after the last in-flight writer.
-                if let Some((w, _)) = entry.last_writer {
-                    if w != id && self.pred_mark[w.0 as usize] != epoch {
-                        self.pred_mark[w.0 as usize] = epoch;
-                        self.scratch_preds.push(w);
-                    }
+                // WAR: the new task writes after every in-flight reader, and supersedes them.
+                for &(r, _) in &entry.readers {
+                    link(PicosId(r));
                 }
-                // WAR: the new task writes after every in-flight reader.
-                for &(r, _) in entry.readers.iter() {
-                    if r != id && self.pred_mark[r.0 as usize] != epoch {
-                        self.pred_mark[r.0 as usize] = epoch;
-                        self.scratch_preds.push(r);
-                    }
-                }
-            }
-            // Update the address entry to reflect this task as the newest accessor.
-            if dir.writes() {
-                entry.last_writer = Some((id, serial));
+                entry.last_writer = Some(id);
                 entry.readers.clear();
-                if dir.reads() {
-                    entry.readers.push((id, serial));
-                }
-            } else {
-                entry.readers.push((id, serial));
+                entry.generation = entry.generation.wrapping_add(1);
             }
+            let reader_pos = if dir.reads() {
+                entry.readers.push((slot, index as u32));
+                (entry.readers.len() - 1) as u32
+            } else {
+                NOT_A_READER
+            };
+            records.push(DepRecord { entry: e, reader_pos, generation: entry.generation });
         }
 
         let unresolved = self.scratch_preds.len();
         for &pred in &self.scratch_preds {
-            debug_assert_ne!(
-                self.serials[pred.0 as usize], 0,
-                "predecessor recorded in the address table must be in flight"
-            );
+            debug_assert!(self.live[pred.0 as usize], "an address-table predecessor is in flight");
             self.successors[pred.0 as usize].push(id);
-            self.stats.edges += 1;
         }
+        self.stats.edges += unresolved as u64;
 
         // Fill the slot's parallel arrays in place; the list storage was cleared at the slot's
         // last retirement (or is pristine), so this writes only what the task actually uses.
         let slot = slot as usize;
-        self.serials[slot] = serial;
+        self.live[slot] = true;
         self.sw_ids[slot] = task.sw_id;
         self.unresolved[slot] = unresolved as u32;
-        debug_assert!(self.successors[slot].is_empty() && self.deps[slot].is_empty());
-        let deps = &mut self.deps[slot];
-        for &d in &self.scratch_deps {
-            deps.push(d);
-        }
+        debug_assert!(self.successors[slot].is_empty());
         self.in_flight += 1;
         self.stats.inserted += 1;
         self.stats.max_in_flight = self.stats.max_in_flight.max(self.in_flight);
@@ -463,9 +465,9 @@ impl DependenceTracker {
     /// the free list is empty and the task memory is not full, so the new slot is below the
     /// configured capacity.
     fn grow_slot(&mut self) -> u32 {
-        let slot = self.serials.len();
+        let slot = self.live.len();
         debug_assert!(slot < self.config.task_memory_entries, "grew past the task memory");
-        self.serials.push(0);
+        self.live.push(false);
         self.sw_ids.push(0);
         self.unresolved.push(0);
         self.successors.push(InlineVec::new());
@@ -503,33 +505,44 @@ impl DependenceTracker {
         newly_ready: &mut Vec<PicosId>,
     ) -> Result<(), TrackerError> {
         newly_ready.clear();
+        if !self.is_live(id) {
+            return Err(TrackerError::UnknownTask(id));
+        }
         let slot = id.0 as usize;
-        let serial = match self.serials.get(slot) {
-            Some(&s) if s != 0 => s,
-            _ => return Err(TrackerError::UnknownTask(id)),
-        };
-        self.serials[slot] = 0;
+        self.live[slot] = false;
         self.in_flight -= 1;
         self.stats.retired += 1;
         self.free_list.push(id.0);
 
-        // Remove this task from the address table so future tasks do not link to it.
-        let deps = &self.deps[slot];
-        for &(addr, _) in deps.iter() {
-            if let Some(a) = self.addr_table.get_mut(&addr) {
-                if matches!(a.last_writer, Some((w, s)) if w == id && s == serial) {
-                    a.last_writer = None;
+        // Remove this task's live references from the address table so future tasks do not
+        // link to it; records a later writer superseded are skipped (the generation rule).
+        for index in 0..self.deps[slot].len() {
+            let rec = self.deps[slot].as_slice()[index];
+            let entry = &mut self.addr_slab[rec.entry as usize];
+            if entry.generation != rec.generation {
+                continue;
+            }
+            if entry.last_writer == Some(id) {
+                entry.last_writer = None;
+            }
+            if rec.reader_pos != NOT_A_READER {
+                let pos = rec.reader_pos as usize;
+                debug_assert_eq!(entry.readers[pos], (id.0, index as u32));
+                entry.readers.swap_remove(pos);
+                if let Some(&(moved, moved_index)) = entry.readers.get(pos) {
+                    self.deps[moved as usize].as_mut_slice()[moved_index as usize].reader_pos =
+                        rec.reader_pos;
                 }
-                a.readers.retain(|&(r, s)| !(r == id && s == serial));
-                if a.last_writer.is_none() && a.readers.is_empty() {
-                    self.addr_table.remove(&addr);
-                }
+            }
+            if entry.last_writer.is_none() && entry.readers.is_empty() {
+                self.addr_table.remove(&entry.addr);
+                self.addr_free.push(rec.entry);
             }
         }
 
         let successors = &self.successors[slot];
         for &succ in successors.iter() {
-            if self.serials[succ.0 as usize] != 0 {
+            if self.live[succ.0 as usize] {
                 let u = &mut self.unresolved[succ.0 as usize];
                 debug_assert!(*u > 0, "successor must have counted this edge");
                 *u -= 1;
@@ -728,9 +741,9 @@ mod tests {
     #[test]
     fn id_reuse_at_saturation_never_links_to_recycled_ids() {
         // Drive the tracker at task-memory saturation for many rounds so every slot is recycled
-        // over and over while the address table keeps live entries for the same addresses. The
-        // serial-tag aliveness check must never link a new task to a predecessor that only
-        // shares a recycled Picos ID with the true (already retired) producer.
+        // over and over while the address table keeps live entries for the same addresses.
+        // Retirement must scrub every reference, so a new task never links to a predecessor
+        // that only shares a recycled Picos ID with the true (already retired) producer.
         let n = 4usize;
         let cfg = TrackerConfig { task_memory_entries: n, address_table_entries: 16 };
         let mut t = DependenceTracker::new(cfg);
@@ -806,6 +819,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::reference::ReferenceTracker;
     use super::*;
     use proptest::prelude::*;
     use tis_taskmodel::{Dependence, Direction, Payload, ProgramBuilder, TaskId};
@@ -926,16 +940,114 @@ mod proptests {
         }
     }
 
+    /// Checks every observable of `new` against `reference` after a call: the live tasks'
+    /// successor counts, every pool address's occupancy, the in-flight and live-address counts
+    /// and all statistics.
+    fn assert_same_state(
+        new: &DependenceTracker,
+        reference: &mut ReferenceTracker,
+        live: &[PicosId],
+        pool: u64,
+    ) -> Result<(), TestCaseError> {
+        for &id in live {
+            prop_assert_eq!(new.successor_count(id), reference.successor_count(id), "{}", id);
+        }
+        for a in 0..pool {
+            let addr = 0x1000 + a * 64;
+            prop_assert_eq!(new.address_occupancy(addr), reference.address_occupancy(addr));
+        }
+        prop_assert_eq!(new.in_flight(), reference.in_flight());
+        prop_assert_eq!(new.live_addresses(), reference.live_addresses());
+        prop_assert_eq!(new.stats(), reference.stats());
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// The slab-indexed tracker is indistinguishable from the hash-and-scan tracker it
+        /// replaced. Both see the same generated calls: inserts of up to 15 annotations in all
+        /// three directions (duplicate same-address annotations included), retirements of
+        /// ready tasks, retirements of tasks that are not yet ready (so an entry a writer took
+        /// over can be freed and reused while a reader it superseded still holds a record), and
+        /// retirements of arbitrary IDs, vacant ones included. Capacities of 1–8 make both rejections fire; reads
+        /// outnumber writes so reader lists outgrow four entries and are superseded by writers
+        /// while their readers live on. After every call all observables must agree.
+        #[test]
+        fn matches_the_reference_tracker(
+            task_memory in 1usize..9,
+            address_table in 1usize..9,
+            ops in proptest::collection::vec(
+                (0u8..12, proptest::collection::vec((0u64..10, 0u8..6), 0..16), any::<u64>()),
+                1..150,
+            )
+        ) {
+            let cfg = TrackerConfig::new(task_memory, address_table);
+            let mut new = DependenceTracker::new(cfg);
+            let mut reference = ReferenceTracker::new(cfg);
+            let pool = address_table as u64 + 2;
+            let mut live: Vec<PicosId> = Vec::new();
+            let mut ready: Vec<PicosId> = Vec::new();
+            let (mut new_woken, mut ref_woken) = (Vec::new(), Vec::new());
+            for (sw, (op, deps, pick)) in ops.into_iter().enumerate() {
+                let victim = match op {
+                    0..=6 => {
+                        // Directions 0–3 read, 4 writes, 5 reads and writes.
+                        use Direction::{In, InOut, Out};
+                        let dir = [In, In, In, In, Out, InOut];
+                        // One insert in seven carries all its 0–15 annotations over the
+                        // whole pool; the others keep 1–3 over three hot addresses, so they fit
+                        // the table and pile up as readers.
+                        let (keep, span) =
+                            if op == 0 { (deps.len(), pool) } else { (1 + (pick % 3) as usize, 3) };
+                        let task = SubmittedTask::new(sw as u64, deps
+                            .iter()
+                            .take(keep)
+                            .map(|&(a, d)| {
+                                Dependence::new(0x1000 + (a % span) * 64, dir[d as usize])
+                            })
+                            .collect());
+                        let got = new.insert(&task);
+                        prop_assert_eq!(got, reference.insert(&task));
+                        if let Ok((id, is_ready)) = got {
+                            live.push(id);
+                            if is_ready {
+                                ready.push(id);
+                            }
+                        }
+                        None
+                    }
+                    7..=9 if !ready.is_empty() => Some(ready[(pick % ready.len() as u64) as usize]),
+                    10 if !live.is_empty() => Some(live[(pick % live.len() as u64) as usize]),
+                    _ => Some(PicosId((pick % (task_memory as u64 + 1)) as u32)),
+                };
+                if let Some(id) = victim {
+                    if !reference.retire_keeps_counts(id) {
+                        continue;
+                    }
+                    let got = new.retire_into(id, &mut new_woken);
+                    prop_assert_eq!(got, reference.retire_into(id, &mut ref_woken));
+                    prop_assert_eq!(&new_woken, &ref_woken);
+                    if got.is_ok() {
+                        live.retain(|&t| t != id);
+                        ready.retain(|&t| t != id);
+                        ready.extend_from_slice(&new_woken);
+                    }
+                }
+                assert_same_state(&new, &mut reference, &live, pool)?;
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(3))]
         /// Long-churn soak: 120k tasks stream through a 64-entry task memory, so every slot is
-        /// recycled ~2000 times and every serial tag, address-table scrub and wake-up list is
+        /// recycled ~2000 times and every record, address-table scrub and wake-up list is
         /// exercised deep into the ID-reuse regime a streamed million-task run lives in.
         ///
         /// The oracle is an independent mirror of the matching rules keyed by *software* IDs —
         /// which are never reused — so any defect where the tracker confuses a recycled Picos
-        /// ID for its retired predecessor (stale address-table reference, serial-tag mismatch,
-        /// lost or spurious wake-up) shows up as a divergence between the two.
+        /// ID for its retired predecessor (stale address-table reference, misplaced reader
+        /// record, lost or spurious wake-up) shows up as a divergence between the two.
         #[test]
         fn long_churn_through_a_tiny_task_memory_matches_a_sw_id_oracle(
             seed in 1u64..1_000_000u64
@@ -1147,3 +1259,6 @@ mod proptests {
         }
     }
 }
+
+#[cfg(test)]
+mod reference;

@@ -83,6 +83,15 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         }
     }
 
+    /// The elements as a contiguous mutable slice.
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
+        if self.spilled {
+            &mut self.spill
+        } else {
+            &mut self.inline[..self.len]
+        }
+    }
+
     /// Iterates over the elements in insertion order.
     pub fn iter(&self) -> core::slice::Iter<'_, T> {
         self.as_slice().iter()

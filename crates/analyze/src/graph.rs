@@ -15,8 +15,7 @@
 //! accesses are connected by a path of frontier pairs, and happens-before is
 //! transitive.
 
-use std::collections::HashMap;
-
+use tis_sim::{FxHashMap, FxHashSet};
 use tis_taskmodel::{DepAddr, Dependence, TaskId, TaskProgram};
 
 /// A task graph in analyzable form: plain edge list plus per-task metadata.
@@ -187,7 +186,7 @@ pub fn analyze_graph(spec: &GraphSpec) -> Result<GraphAnalysis, GraphError> {
     }
 
     // Dangling and duplicate edges.
-    let mut seen = std::collections::HashSet::with_capacity(spec.edges.len());
+    let mut seen = FxHashSet::with_capacity_and_hasher(spec.edges.len(), Default::default());
     for &(from, to) in &spec.edges {
         if from >= spec.tasks || to >= spec.tasks {
             return Err(GraphError::DanglingEdge { from, to });
@@ -292,7 +291,7 @@ pub fn conflict_frontier(spec: &GraphSpec) -> Vec<ConflictPair> {
         readers_since_write: Vec<usize>,
     }
 
-    let mut addr_state: HashMap<DepAddr, AddrState> = HashMap::new();
+    let mut addr_state: FxHashMap<DepAddr, AddrState> = FxHashMap::default();
     let mut pairs = Vec::new();
     for idx in 0..spec.tasks {
         for dep in &spec.deps[idx] {
@@ -336,7 +335,7 @@ fn check_conflict_coverage(
     spec: &GraphSpec,
     adj: &[Vec<usize>],
 ) -> Result<(usize, usize, usize, usize), GraphError> {
-    let edge_set: std::collections::HashSet<(usize, usize)> = spec.edges.iter().copied().collect();
+    let edge_set: FxHashSet<(usize, usize)> = spec.edges.iter().copied().collect();
     let frontier = conflict_frontier(spec);
     let pairs = frontier.len();
     let mut by_edge = 0usize;

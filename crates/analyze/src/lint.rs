@@ -8,11 +8,13 @@
 //!   clock) outside the host-side benchmark harness (`crates/bench`) and the
 //!   criterion shim. Simulated time comes from the engine, never the host.
 //! - **std-hash-hot-path**: no `std::collections` hash containers in the
-//!   hot-path crates (`sim`, `picos`, `core`, `nanos`, `mem`, `machine`) or
-//!   the streamed task source (`analyze::windowed`, `exp::stream`,
-//!   `taskmodel::{source, tenant}`) outside test modules — their iteration
-//!   order is randomised per process and SipHash is slow; hot paths use the
-//!   deterministic `FxHash` containers from `tis-sim`.
+//!   hot-path crates (`sim`, `picos`, `core`, `nanos`, `mem`, `machine`), the
+//!   streamed task source (`analyze::windowed`, `exp::stream`,
+//!   `taskmodel::{source, tenant}`) or the per-task graph walks of preflight,
+//!   validation and the tenant export (`analyze::graph`, `taskmodel::graph`)
+//!   outside test modules — their iteration order is randomised per process
+//!   and SipHash is slow; hot paths use the deterministic `FxHash` containers
+//!   from `tis-sim`.
 //! - **thread-spawn**: no thread creation outside the sweep runner, the one
 //!   place that proved byte-identical results at any worker count.
 //! - **ambient-rng**: no `rand` crate usage anywhere; all randomness derives
@@ -108,6 +110,9 @@ pub fn default_rules() -> Vec<LintRule> {
                 "crates/exp/src/stream.rs",
                 "crates/taskmodel/src/source.rs",
                 "crates/taskmodel/src/tenant.rs",
+                // Preflight, validation and the tenant export walk every task once per cell.
+                "crates/analyze/src/graph.rs",
+                "crates/taskmodel/src/graph.rs",
             ]),
             exempt_test_code: true,
         },
@@ -274,9 +279,12 @@ mod tests {
         assert_eq!(findings_for("crates/exp/src/stream.rs", &src).len(), 1);
         assert_eq!(findings_for("crates/taskmodel/src/source.rs", &src).len(), 1);
         assert_eq!(findings_for("crates/taskmodel/src/tenant.rs", &src).len(), 1);
-        // Cold-path files may use std maps (e.g. the report writers, the whole-graph analysis).
+        // So are the per-task graph walks of preflight, validation and the tenant export.
+        assert_eq!(findings_for("crates/analyze/src/graph.rs", &src).len(), 1);
+        assert_eq!(findings_for("crates/taskmodel/src/graph.rs", &src).len(), 1);
+        // Cold-path files may use std maps (e.g. the report writers, the protocol checker).
         assert!(findings_for("crates/exp/src/report.rs", &src).is_empty());
-        assert!(findings_for("crates/analyze/src/graph.rs", &src).is_empty());
+        assert!(findings_for("crates/analyze/src/protocol.rs", &src).is_empty());
     }
 
     #[test]

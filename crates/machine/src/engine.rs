@@ -173,6 +173,10 @@ pub struct EngineStats {
     pub skipped_polls: u64,
     /// Parked cores examined after a step for something that could wake them.
     pub rechecks: u64,
+    /// Closed-form charges of at least one skipped poll. A parked core is charged when it
+    /// wakes and when the run ends or fails; metrics samples read parked cores without
+    /// charging them.
+    pub settles: u64,
 }
 
 impl EngineStats {
@@ -199,6 +203,7 @@ impl EngineStats {
         self.wakes += other.wakes;
         self.skipped_polls += other.skipped_polls;
         self.rechecks += other.rechecks;
+        self.settles += other.settles;
     }
 }
 /// Errors terminating a simulation without a result.
@@ -272,35 +277,6 @@ impl std::error::Error for EngineError {}
 /// How long (in simulated cycles) the engine tolerates a complete absence of progress before
 /// declaring a deadlock.
 const NO_PROGRESS_WINDOW: Cycle = 50_000_000;
-
-/// Snapshot of every gauge at `cycle`, assembled from the engine's own accounting plus the
-/// fabric's and memory system's occupancy/statistics views.
-fn build_sample(
-    cycle: Cycle,
-    fabric: &dyn SchedulerFabric,
-    core_stats: &[CoreStats],
-    mem: &MemorySystem,
-) -> MetricsSample {
-    let (in_flight, ready) = fabric.occupancy();
-    let ms = mem.stats();
-    MetricsSample {
-        cycle,
-        tracker_in_flight: in_flight as u64,
-        ready_queue_len: ready as u64,
-        core_busy_cycles: core_stats.iter().map(|s| s.payload_cycles + s.runtime_cycles).collect(),
-        core_idle_cycles: core_stats.iter().map(|s| s.idle_cycles).collect(),
-        mem_accesses: ms.accesses,
-        mem_stall_cycles: ms.stall_cycles,
-        dram_fetches: ms.dram_fetches,
-        dram_writebacks: ms.dram_writebacks,
-        invalidations: ms.invalidations,
-        dirty_bounces: ms.dirty_bounces,
-        noc_messages: ms.noc_messages,
-        noc_flits: ms.noc_flits,
-        noc_link_wait_cycles: ms.noc_link_wait_cycles,
-        max_link_occupancy: ms.max_link_occupancy,
-    }
-}
 
 /// Runs `runtime` on a machine described by `cfg`, using `fabric` as the task-scheduling
 /// hardware, and returns the execution report.
@@ -475,6 +451,8 @@ struct Engine<'a> {
     next_internal: Option<Cycle>,
     /// The next internal event that `reaches` and `first_reach` were found for.
     reach_for: Cycle,
+    /// The sample handed to the observer, its per-core lists reused.
+    sample_buf: MetricsSample,
     /// Min-heap of lower bounds on when each parked core's poll could reach that event, as
     /// `(poll start, core, park id)`; entries of cores since unparked are dropped lazily.
     reaches: BinaryHeap<Reverse<(Cycle, usize, u64)>>,
@@ -540,6 +518,7 @@ impl<'a> Engine<'a> {
             reach_for: Cycle::MAX,
             reaches: BinaryHeap::new(),
             first_reach: None,
+            sample_buf: MetricsSample::default(),
             stats: EngineStats::default(),
             runtime,
             fabric,
@@ -623,10 +602,7 @@ impl<'a> Engine<'a> {
         if self.obs.is_some() {
             // One closing sample at the makespan so the timeline always ends on the final state.
             if self.sample_interval.is_some() {
-                let sample = build_sample(total_cycles, &*self.fabric, &self.core_stats, &self.mem);
-                if let Some(o) = self.obs.as_deref_mut() {
-                    o.on_sample(&sample);
-                }
+                self.sample_through(total_cycles, last, None);
             }
             self.fabric.set_observing(false);
             self.mem.set_observing(false);
@@ -688,8 +664,7 @@ impl<'a> Engine<'a> {
         }
         if self.obs.is_some() && now >= self.next_sample {
             // The sample sees every skipped poll ordered before this step as done.
-            self.settle_all((now, core));
-            self.sample(now);
+            self.sample_through(now, (now, core), None);
         }
         match status {
             CoreStatus::Progressed => {
@@ -758,11 +733,49 @@ impl<'a> Engine<'a> {
         None
     }
 
-    /// Takes a metrics sample at `cycle` and moves the next bucket boundary past it.
-    fn sample(&mut self, cycle: Cycle) {
-        let sample = build_sample(cycle, &*self.fabric, &self.core_stats, &self.mem);
+    /// Takes a metrics sample of every gauge at `cycle` that sees every skipped poll ordered
+    /// before `bound` as done, except the wait that ends the poll of `crossing` (the sample
+    /// falls inside it), and moves the next bucket boundary past it.
+    ///
+    /// Parked cores stay uncharged: their busy and idle cycles and their repeated hits' memory
+    /// counters are read as the charged values plus the uncharged polls times one poll's
+    /// charges, which is exactly what charging them would leave.
+    fn sample_through(&mut self, cycle: Cycle, bound: StepAt, crossing: Option<usize>) {
+        let (in_flight, ready) = self.fabric.occupancy();
+        let ms = self.mem.totals();
+        let sample = &mut self.sample_buf;
+        sample.cycle = cycle;
+        sample.tracker_in_flight = in_flight as u64;
+        sample.ready_queue_len = ready as u64;
+        sample.core_busy_cycles.clear();
+        sample.core_busy_cycles.extend(self.core_stats.iter().map(|s| s.payload_cycles + s.runtime_cycles));
+        sample.core_idle_cycles.clear();
+        sample.core_idle_cycles.extend(self.core_stats.iter().map(|s| s.idle_cycles));
+        sample.mem_accesses = ms.accesses;
+        sample.mem_stall_cycles = ms.stall_cycles;
+        sample.dram_fetches = ms.dram_fetches;
+        sample.dram_writebacks = ms.dram_writebacks;
+        sample.invalidations = ms.invalidations;
+        sample.dirty_bounces = ms.dirty_bounces;
+        sample.noc_messages = ms.noc_messages;
+        sample.noc_flits = ms.noc_flits;
+        sample.noc_link_wait_cycles = ms.noc_link_wait_cycles;
+        sample.max_link_occupancy = ms.max_link_occupancy;
+        for &p in &self.parked_cores {
+            let park = self.parked[p].as_ref().expect("listed cores are parked");
+            let polls = park.polls_before(park.next, p, bound);
+            sample.core_busy_cycles[p] += polls * park.runtime_cycles;
+            sample.core_idle_cycles[p] += polls * park.idle_cycles;
+            if let Some(t) = park.poll.touch {
+                sample.mem_accesses += polls;
+                sample.mem_stall_cycles += polls * self.mem.hit_latency(t.kind);
+            }
+        }
+        if let Some(p) = crossing {
+            sample.core_idle_cycles[p] -= self.parked[p].as_ref().expect("the crossing core is parked").idle_tail;
+        }
         if let Some(o) = self.obs.as_deref_mut() {
-            o.on_sample(&sample);
+            o.on_sample(&self.sample_buf);
         }
         let interval = self.sample_interval.unwrap_or(Cycle::MAX);
         self.next_sample = (cycle / interval + 1).saturating_mul(interval);
@@ -805,11 +818,7 @@ impl<'a> Engine<'a> {
             let Some((cycle, p)) = crossing else { break };
             let through = (cycle, p + 1);
             self.emit_events(through);
-            self.settle_all(through);
-            let tail = self.parked[p].as_ref().expect("listed cores are parked").idle_tail;
-            self.core_stats[p].idle_cycles -= tail;
-            self.sample(cycle);
-            self.core_stats[p].idle_cycles += tail;
+            self.sample_through(cycle, through, Some(p));
         }
         self.emit_events(bound);
     }
@@ -875,6 +884,7 @@ impl<'a> Engine<'a> {
             self.last_progress = self.last_progress.max(park.next);
         }
         self.stats.skipped_polls += polls;
+        self.stats.settles += 1;
     }
 
     /// Parks `core` after its step from `now` to `end` if the runtime declared the step a

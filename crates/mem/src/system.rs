@@ -459,11 +459,15 @@ impl MemorySystem {
             return;
         }
         self.caches[core].repeat_hits(line_range(addr, bytes), times);
-        // An all-hit access exposes one L1 hit: later lines overlap with the first.
-        let latency = self.latencies.l1_hit
-            + if kind == AccessKind::Atomic { self.latencies.atomic_extra } else { 0 };
         self.accesses += times;
-        self.stall_cycles += times * latency;
+        self.stall_cycles += times * self.hit_latency(kind);
+    }
+
+    /// Stall cycles of an access of `kind` that hits in the L1 on every line: one exposed L1
+    /// hit (later lines overlap with the first), plus the atomic surcharge. What
+    /// [`MemorySystem::repeat_hits`] charges per repeat.
+    pub fn hit_latency(&self, kind: AccessKind) -> Cycle {
+        self.latencies.l1_hit + if kind == AccessKind::Atomic { self.latencies.atomic_extra } else { 0 }
     }
 
     /// Access of a single line; returns (latency, was_hit, remote_was_dirty). The line is looked
@@ -847,8 +851,14 @@ impl MemorySystem {
 
     /// Snapshot of the aggregate statistics.
     pub fn stats(&self) -> MemoryStats {
+        MemoryStats { per_core: self.caches.iter().map(|c| c.stats().clone()).collect(), ..self.totals() }
+    }
+
+    /// [`MemorySystem::stats`] without the per-core cache statistics (`per_core` is empty):
+    /// the machine-wide counters alone, read without allocating.
+    pub fn totals(&self) -> MemoryStats {
         MemoryStats {
-            per_core: self.caches.iter().map(|c| c.stats().clone()).collect(),
+            per_core: Vec::new(),
             dram_fetches: self.dram_fetches,
             dram_writebacks: self.dram_writebacks,
             bus_transactions: self.bus_transactions,

@@ -119,10 +119,10 @@ impl TraceDoc<'_> {
             let pid = tenant.unwrap_or(PID);
             let tid = core as u64;
             // Fetch/meta-read overhead between the work fetch and the body.
-            slice(&mut w, "fetch", pid, tid, dispatch, start - dispatch, span.task);
+            slice(&mut w, "fetch ", pid, tid, dispatch, start - dispatch, span.task);
             // The task body, with the full lifecycle in args for the selection panel.
             w.begin_obj();
-            w.key("name").str_fmt(format_args!("task {}", span.task));
+            w.key("name").str_uint("task ", span.task);
             w.key("cat").str("task");
             w.key("ph").str("X");
             w.key("ts").uint(start);
@@ -141,7 +141,7 @@ impl TraceDoc<'_> {
             w.key("payload_mem_cycles").uint(span.payload_mem_cycles);
             w.end_obj().end_obj();
             // Retirement notification overhead after the body.
-            slice(&mut w, "retire", pid, tid, end, retire - end, span.task);
+            slice(&mut w, "retire ", pid, tid, end, retire - end, span.task);
         }
         for s in self.samples {
             for (name, series, value) in COUNTERS {
@@ -166,23 +166,23 @@ impl TraceDoc<'_> {
     fn tracks(&self, w: &mut JsonWriter) -> u64 {
         let label = self.label;
         let Some(tenants) = self.tenants else {
-            meta_name(w, "process_name", PID, None, format_args!("{label}"));
+            process_name(w, PID, format_args!("{label}"));
             for core in 0..self.cores as u64 {
-                meta_name(w, "thread_name", PID, Some(core), format_args!("core {core}"));
+                thread_name(w, PID, core);
                 meta_sort(w, "thread_sort_index", PID, Some(core), core);
             }
             return PID;
         };
         for (t, name) in tenants.names.iter().enumerate() {
             let pid = t as u64;
-            meta_name(w, "process_name", pid, None, format_args!("{label} / tenant {t}: {name}"));
+            process_name(w, pid, format_args!("{label} / tenant {t}: {name}"));
             meta_sort(w, "process_sort_index", pid, None, pid);
             for core in 0..self.cores as u64 {
-                meta_name(w, "thread_name", pid, Some(core), format_args!("core {core}"));
+                thread_name(w, pid, core);
             }
         }
         let machine_pid = tenants.names.len() as u64;
-        meta_name(w, "process_name", machine_pid, None, format_args!("{label} / machine"));
+        process_name(w, machine_pid, format_args!("{label} / machine"));
         machine_pid
     }
 }
@@ -199,10 +199,17 @@ fn meta_header(w: &mut JsonWriter, name: &str, pid: u64, tid: Option<u64>) {
     w.key("args").begin_obj();
 }
 
-/// A metadata event naming a process or thread track.
-fn meta_name(w: &mut JsonWriter, name: &str, pid: u64, tid: Option<u64>, value: Arguments<'_>) {
-    meta_header(w, name, pid, tid);
+/// A metadata event naming a process track.
+fn process_name(w: &mut JsonWriter, pid: u64, value: Arguments<'_>) {
+    meta_header(w, "process_name", pid, None);
     w.key("name").str_fmt(value);
+    w.end_obj().end_obj();
+}
+
+/// A metadata event naming core `core`'s thread track.
+fn thread_name(w: &mut JsonWriter, pid: u64, core: u64) {
+    meta_header(w, "thread_name", pid, Some(core));
+    w.key("name").str_uint("core ", core);
     w.end_obj().end_obj();
 }
 
@@ -213,10 +220,11 @@ fn meta_sort(w: &mut JsonWriter, name: &str, pid: u64, tid: Option<u64>, index: 
     w.end_obj().end_obj();
 }
 
-/// A scheduler-overhead slice (`fetch` or `retire`) of one task.
-fn slice(w: &mut JsonWriter, name: &str, pid: u64, tid: u64, ts: u64, dur: u64, task: u64) {
+/// A scheduler-overhead slice of one task, named `prefix` (`"fetch "` or `"retire "`) and the
+/// task id.
+fn slice(w: &mut JsonWriter, prefix: &str, pid: u64, tid: u64, ts: u64, dur: u64, task: u64) {
     w.begin_obj();
-    w.key("name").str_fmt(format_args!("{name} {task}"));
+    w.key("name").str_uint(prefix, task);
     w.key("cat").str("sched");
     w.key("ph").str("X");
     w.key("ts").uint(ts);

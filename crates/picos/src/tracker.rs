@@ -141,6 +141,9 @@ pub enum TrackerError {
     AddressTableFull,
     /// The Picos ID does not name an in-flight task (double retire or corruption).
     UnknownTask(PicosId),
+    /// The task still waits on an in-flight predecessor, so it cannot have run: retiring it
+    /// would free a slot that its predecessors' retirements still decrement.
+    NotReady(PicosId),
 }
 
 impl core::fmt::Display for TrackerError {
@@ -149,6 +152,7 @@ impl core::fmt::Display for TrackerError {
             TrackerError::TaskMemoryFull => write!(f, "picos task memory is full"),
             TrackerError::AddressTableFull => write!(f, "picos address table is full"),
             TrackerError::UnknownTask(id) => write!(f, "picos id {id} does not name an in-flight task"),
+            TrackerError::NotReady(id) => write!(f, "picos id {id} still waits on a predecessor"),
         }
     }
 }
@@ -484,7 +488,8 @@ impl DependenceTracker {
     ///
     /// # Errors
     ///
-    /// Returns [`TrackerError::UnknownTask`] if the ID does not name an in-flight task.
+    /// Returns [`TrackerError::UnknownTask`] if the ID does not name an in-flight task, and
+    /// [`TrackerError::NotReady`] if the task still waits on a predecessor.
     pub fn retire(&mut self, id: PicosId) -> Result<Vec<PicosId>, TrackerError> {
         let mut newly_ready = Vec::new();
         self.retire_into(id, &mut newly_ready)?;
@@ -497,8 +502,9 @@ impl DependenceTracker {
     ///
     /// # Errors
     ///
-    /// Returns [`TrackerError::UnknownTask`] if the ID does not name an in-flight task; the
-    /// buffer is left cleared in that case.
+    /// Returns [`TrackerError::UnknownTask`] if the ID does not name an in-flight task, and
+    /// [`TrackerError::NotReady`] if the task still waits on a predecessor; the tracker is
+    /// left unchanged and the buffer cleared in both cases.
     pub fn retire_into(
         &mut self,
         id: PicosId,
@@ -509,6 +515,9 @@ impl DependenceTracker {
             return Err(TrackerError::UnknownTask(id));
         }
         let slot = id.0 as usize;
+        if self.unresolved[slot] > 0 {
+            return Err(TrackerError::NotReady(id));
+        }
         self.live[slot] = false;
         self.in_flight -= 1;
         self.stats.retired += 1;
@@ -683,6 +692,19 @@ mod tests {
         let (a, _) = t.insert(&task(1, vec![])).unwrap();
         t.retire(a).unwrap();
         assert_eq!(t.retire(a), Err(TrackerError::UnknownTask(a)));
+    }
+
+    #[test]
+    fn retiring_a_waiting_task_is_rejected_and_changes_nothing() {
+        let mut t = DependenceTracker::new(TrackerConfig::default());
+        let (writer, _) = t.insert(&task(1, vec![Dependence::write(0x40)])).unwrap();
+        let (reader, ready) = t.insert(&task(2, vec![Dependence::read(0x40)])).unwrap();
+        assert!(!ready);
+        let before = (t.in_flight(), t.stats().clone(), t.address_occupancy(0x40));
+        assert_eq!(t.retire(reader), Err(TrackerError::NotReady(reader)));
+        assert_eq!((t.in_flight(), t.stats().clone(), t.address_occupancy(0x40)), before);
+        assert_eq!(t.retire(writer), Ok(vec![reader]), "the reader still counts its edge");
+        assert_eq!(t.retire(reader), Ok(vec![]));
     }
 
     #[test]
@@ -967,11 +989,11 @@ mod proptests {
         /// The slab-indexed tracker is indistinguishable from the hash-and-scan tracker it
         /// replaced. Both see the same generated calls: inserts of up to 15 annotations in all
         /// three directions (duplicate same-address annotations included), retirements of
-        /// ready tasks, retirements of tasks that are not yet ready (so an entry a writer took
-        /// over can be freed and reused while a reader it superseded still holds a record), and
-        /// retirements of arbitrary IDs, vacant ones included. Capacities of 1–8 make both rejections fire; reads
-        /// outnumber writes so reader lists outgrow four entries and are superseded by writers
-        /// while their readers live on. After every call all observables must agree.
+        /// ready tasks, retirements of live tasks that may not be ready (both must reject those
+        /// that are not, unchanged), and retirements of arbitrary IDs, vacant ones included.
+        /// Capacities of 1–8 make both rejections fire; reads outnumber writes so reader lists
+        /// outgrow four entries and are superseded by writers while their readers live on.
+        /// After every call all observables must agree.
         #[test]
         fn matches_the_reference_tracker(
             task_memory in 1usize..9,
@@ -1021,12 +1043,11 @@ mod proptests {
                     _ => Some(PicosId((pick % (task_memory as u64 + 1)) as u32)),
                 };
                 if let Some(id) = victim {
-                    if !reference.retire_keeps_counts(id) {
-                        continue;
-                    }
                     let got = new.retire_into(id, &mut new_woken);
                     prop_assert_eq!(got, reference.retire_into(id, &mut ref_woken));
                     prop_assert_eq!(&new_woken, &ref_woken);
+                    let waiting = live.contains(&id) && !ready.contains(&id);
+                    prop_assert_eq!(got == Err(TrackerError::NotReady(id)), waiting, "{}", id);
                     if got.is_ok() {
                         live.retain(|&t| t != id);
                         ready.retain(|&t| t != id);

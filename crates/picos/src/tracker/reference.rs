@@ -104,23 +104,6 @@ impl ReferenceTracker {
         &self.stats
     }
 
-    /// Whether retiring `id` keeps every in-flight successor's unresolved count from going
-    /// negative. It may not when a successor was retired before `id` and its slot now holds a
-    /// task that never depended on `id` (or depends on it once more): an out-of-order
-    /// retirement that both trackers handle alike and whose count underflow their debug
-    /// assertions reject.
-    pub(super) fn retire_keeps_counts(&self, id: PicosId) -> bool {
-        let slot = id.0 as usize;
-        let succs = match self.serials.get(slot) {
-            Some(&s) if s != 0 => self.successors[slot].as_slice(),
-            _ => return true,
-        };
-        succs.iter().all(|s| {
-            let edges = succs.iter().filter(|&t| t == s).count();
-            self.serials[s.0 as usize] == 0 || self.unresolved[s.0 as usize] as usize >= edges
-        })
-    }
-
     /// Number of in-flight successors currently linked to a task.
     pub(super) fn successor_count(&self, id: PicosId) -> usize {
         let slot = id.0 as usize;
@@ -347,8 +330,9 @@ impl ReferenceTracker {
     ///
     /// # Errors
     ///
-    /// Returns [`TrackerError::UnknownTask`] if the ID does not name an in-flight task; the
-    /// buffer is left cleared in that case.
+    /// Returns [`TrackerError::UnknownTask`] if the ID does not name an in-flight task, and
+    /// [`TrackerError::NotReady`] if the task still waits on a predecessor; the tracker is
+    /// left unchanged and the buffer cleared in both cases.
     pub(super) fn retire_into(
         &mut self,
         id: PicosId,
@@ -360,6 +344,9 @@ impl ReferenceTracker {
             Some(&s) if s != 0 => s,
             _ => return Err(TrackerError::UnknownTask(id)),
         };
+        if self.unresolved[slot] > 0 {
+            return Err(TrackerError::NotReady(id));
+        }
         self.serials[slot] = 0;
         self.in_flight -= 1;
         self.stats.retired += 1;

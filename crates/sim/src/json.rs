@@ -3,12 +3,16 @@
 //! The workspace vendors no serialisation crate (the build environment has no registry
 //! access), and the benchmark output is a small, fixed shape — so a hand-rolled value tree
 //! with a compliant renderer is all that is needed. There is one pretty-printer,
-//! [`JsonWriter`]: it streams values into a `String`, escapes strings per RFC 8259, emits
+//! [`JsonWriter`]: it streams values into a byte buffer, escapes strings per RFC 8259, emits
 //! non-finite numbers as `null` (JSON has no NaN/Infinity), and indents by two spaces so the
 //! artifacts diff cleanly between CI runs. [`Json::render`] walks a value tree through it;
 //! large documents (the Perfetto and metrics exports) call it directly and never build a tree.
 
-use core::fmt::{self, Write as _};
+use core::fmt;
+use std::io::Write as _;
+
+#[cfg(test)]
+mod reference;
 
 /// A JSON value tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,18 +96,36 @@ impl Json {
     }
 }
 
-/// An item separator followed by the indentation of 32 levels: [`JsonWriter`] starts every
-/// line with one slice of it (deeper levels take the spaces in chunks).
-const LINE_BREAK: &str = ",\n                                                                ";
+/// An item separator, a newline and the indentation of 32 levels: [`JsonWriter`] starts every
+/// line with a slice of it (deeper levels add the remaining spaces).
+const LINE_BREAK: &[u8; 66] = b",\n                                                                ";
 
-/// A streaming pretty-printer: writes one JSON document straight into a `String`, byte for
-/// byte what [`Json::render`] produces for the equivalent value tree.
+/// Strings of at most this many bytes that need no escape are written through one
+/// fixed-width window.
+const SHORT: usize = 32;
+
+/// What [`push_quoted`] appends after a string, padded to three bytes, and its length: the
+/// closing quote of a string value, the closing quote and separator of a key, or nothing (the
+/// string goes on).
+type Close = (&'static [u8; 3], usize);
+const CLOSE_STR: Close = (b"\"  ", 1);
+const CLOSE_KEY: Close = (b"\": ", 3);
+const CLOSE_NONE: Close = (b"   ", 0);
+
+/// A streaming pretty-printer: writes one JSON document straight into a byte buffer, byte for
+/// byte what [`Json::render`] produces for the equivalent value tree, and hands it over as a
+/// `String` at [`JsonWriter::finish`].
 ///
 /// Values are written in document order. Inside an object every value follows its
 /// [`JsonWriter::key`]; containers open with `begin_*` and close with the matching `end_*`.
 /// Empty containers render compactly (`[]`, `{}`); otherwise every item sits on its own line
 /// with two spaces of indentation per level, and [`JsonWriter::finish`] ends the document with
 /// a newline. Closing a container that was never opened panics.
+///
+/// Line breaks, integers (eight digits at a time, computed in the lanes of one `u64`) and
+/// short strings that need no escape are appended as copies of a fixed width cut back to
+/// their length, which compile to a few register moves where a copy of the exact length is a
+/// `memcpy` call.
 ///
 /// ```
 /// use tis_sim::json::{Json, JsonWriter};
@@ -112,16 +134,19 @@ const LINE_BREAK: &str = ",\n                                                   
 /// w.begin_obj();
 /// w.key("name").str("fig09");
 /// w.key("cycles").begin_arr().uint(7).uint(9).end_arr();
+/// w.key("first").str_uint("task ", 3);
 /// w.end_obj();
 /// let tree = Json::obj([
 ///     ("name", Json::Str("fig09".into())),
 ///     ("cycles", Json::Arr(vec![Json::UInt(7), Json::UInt(9)])),
+///     ("first", Json::Str("task 3".into())),
 /// ]);
 /// assert_eq!(w.finish(), tree.render());
 /// ```
 #[derive(Debug, Default)]
 pub struct JsonWriter {
-    out: String,
+    /// The document so far; only whole UTF-8 strings and ASCII are ever appended.
+    out: Vec<u8>,
     depth: usize,
     /// Whether the innermost open container has no items yet.
     empty: bool,
@@ -132,27 +157,27 @@ pub struct JsonWriter {
 impl JsonWriter {
     /// Creates a writer whose output buffer holds `bytes` before it first grows.
     pub fn with_capacity(bytes: usize) -> Self {
-        JsonWriter { out: String::with_capacity(bytes), ..JsonWriter::default() }
+        JsonWriter { out: Vec::with_capacity(bytes), ..JsonWriter::default() }
     }
 
     /// Ends the document with a newline and returns it.
     pub fn finish(mut self) -> String {
         debug_assert_eq!(self.depth, 0, "every container must be closed before finishing");
-        self.out.push('\n');
-        self.out
+        self.out.push(b'\n');
+        String::from_utf8(self.out).expect("the writer appends whole UTF-8 strings and ASCII only")
     }
 
     /// Writes `null`.
     pub fn null(&mut self) -> &mut Self {
         self.item();
-        self.out.push_str("null");
+        self.out.extend_from_slice(b"null");
         self
     }
 
     /// Writes `true` or `false`.
     pub fn bool(&mut self, b: bool) -> &mut Self {
         self.item();
-        self.out.push_str(if b { "true" } else { "false" });
+        self.out.extend_from_slice(if b { b"true" } else { b"false" });
         self
     }
 
@@ -160,7 +185,7 @@ impl JsonWriter {
     pub fn int(&mut self, i: i64) -> &mut Self {
         self.item();
         if i < 0 {
-            self.out.push('-');
+            self.out.push(b'-');
         }
         push_u64(&mut self.out, i.unsigned_abs());
         self
@@ -189,54 +214,63 @@ impl JsonWriter {
         self.item();
         // `{:?}` keeps full round-trip precision and always marks the value as non-integer
         // (e.g. "1.0"), which keeps column types stable for downstream tooling.
-        write!(self.out, "{n:?}").expect("writing to a String cannot fail");
+        write!(self.out, "{n:?}").expect("writing to a Vec cannot fail");
         self
     }
 
     /// Writes a string, escaped and quoted.
     pub fn str(&mut self, s: &str) -> &mut Self {
         self.item();
-        escape_into(s, &mut self.out);
+        push_quoted(&mut self.out, s, CLOSE_STR);
+        self
+    }
+
+    /// Writes `prefix` followed by the decimal digits of `n` as one escaped, quoted string,
+    /// e.g. `w.str_uint("task ", id)` for what `w.str_fmt(format_args!("task {id}"))` writes.
+    pub fn str_uint(&mut self, prefix: &str, n: u64) -> &mut Self {
+        self.item();
+        push_quoted(&mut self.out, prefix, CLOSE_NONE);
+        push_u64(&mut self.out, n);
+        self.out.push(b'"');
         self
     }
 
     /// Writes the formatted text as one escaped, quoted string without allocating it first,
-    /// e.g. `w.str_fmt(format_args!("task {id}"))`.
+    /// e.g. `w.str_fmt(format_args!("{label} / machine"))`.
     pub fn str_fmt(&mut self, args: fmt::Arguments<'_>) -> &mut Self {
         self.item();
-        self.out.push('"');
-        Escaped(&mut self.out).write_fmt(args).expect("writing to a String cannot fail");
-        self.out.push('"');
+        self.out.push(b'"');
+        fmt::Write::write_fmt(&mut Escaped(&mut self.out), args).expect("writing to a Vec cannot fail");
+        self.out.push(b'"');
         self
     }
 
     /// Writes an object key; the next value written is its value.
     pub fn key(&mut self, key: &str) -> &mut Self {
         self.item();
-        escape_into(key, &mut self.out);
-        self.out.push_str(": ");
+        push_quoted(&mut self.out, key, CLOSE_KEY);
         self.after_key = true;
         self
     }
 
     /// Opens an array.
     pub fn begin_arr(&mut self) -> &mut Self {
-        self.open('[')
+        self.open(b'[')
     }
 
     /// Closes the innermost array.
     pub fn end_arr(&mut self) -> &mut Self {
-        self.close(']')
+        self.close(b']')
     }
 
     /// Opens an object.
     pub fn begin_obj(&mut self) -> &mut Self {
-        self.open('{')
+        self.open(b'{')
     }
 
     /// Closes the innermost object.
     pub fn end_obj(&mut self) -> &mut Self {
-        self.close('}')
+        self.close(b'}')
     }
 
     /// Writes a whole value tree.
@@ -267,6 +301,7 @@ impl JsonWriter {
 
     /// Starts a value: after a key it continues the key's line; inside a container it ends
     /// the previous item and starts a new indented line.
+    #[inline]
     fn item(&mut self) {
         if self.after_key {
             self.after_key = false;
@@ -276,7 +311,7 @@ impl JsonWriter {
         }
     }
 
-    fn open(&mut self, bracket: char) -> &mut Self {
+    fn open(&mut self, bracket: u8) -> &mut Self {
         self.item();
         self.out.push(bracket);
         self.depth += 1;
@@ -284,7 +319,7 @@ impl JsonWriter {
         self
     }
 
-    fn close(&mut self, bracket: char) -> &mut Self {
+    fn close(&mut self, bracket: u8) -> &mut Self {
         self.depth = self.depth.checked_sub(1).expect("a container closed without being opened");
         if !self.empty {
             push_line_break(&mut self.out, false, self.depth);
@@ -517,76 +552,200 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// Appends the first `len` bytes of `chunk` by copying all of it and cutting the rest off: a
+/// copy of fixed width compiles to a few register moves, where a copy of `len` bytes calls
+/// `memcpy`.
+#[inline]
+fn push_prefix<const N: usize>(out: &mut Vec<u8>, chunk: &[u8; N], len: usize) {
+    debug_assert!(len <= N);
+    let end = out.len() + len;
+    out.extend_from_slice(chunk);
+    out.truncate(end);
+}
+
 /// Appends an optional comma, a newline and the indentation of `levels` levels.
-fn push_line_break(out: &mut String, comma: bool, levels: usize) {
-    let start = usize::from(!comma);
-    let mut spaces = 2 * levels;
-    if 2 + spaces <= LINE_BREAK.len() {
-        out.push_str(&LINE_BREAK[start..2 + spaces]);
-        return;
-    }
-    out.push_str(&LINE_BREAK[start..2]);
-    while spaces > 0 {
-        let chunk = spaces.min(LINE_BREAK.len() - 2);
-        out.push_str(&LINE_BREAK[2..2 + chunk]);
-        spaces -= chunk;
+#[inline]
+fn push_line_break(out: &mut Vec<u8>, comma: bool, levels: usize) {
+    let from = usize::from(!comma);
+    let len = 2 - from + 2 * levels;
+    if len <= 16 {
+        // Up to seven levels, the usual depth, in one 16-byte move.
+        let line: &[u8; 16] = LINE_BREAK[from..from + 16].try_into().expect("a 16-byte slice");
+        push_prefix(out, line, len);
+    } else {
+        push_deep_line_break(out, from, len);
     }
 }
 
-/// Appends the decimal digits of `v`, formatted in a stack buffer.
-fn push_u64(out: &mut String, mut v: u64) {
-    let mut buf = [0u8; 20];
-    let mut at = buf.len();
-    loop {
-        at -= 1;
-        buf[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
+/// [`push_line_break`] of `len` bytes from `LINE_BREAK[from..]`, more than 16.
+#[inline(never)]
+fn push_deep_line_break(out: &mut Vec<u8>, from: usize, len: usize) {
+    let line: &[u8; 65] = LINE_BREAK[from..from + 65].try_into().expect("a 65-byte slice");
+    if len <= line.len() {
+        push_prefix(out, line, len);
+    } else {
+        out.extend_from_slice(line);
+        out.resize(out.len() + len - line.len(), b' ');
+    }
+}
+
+/// Appends the decimal digits of `v`.
+#[inline]
+fn push_u64(out: &mut Vec<u8>, v: u64) {
+    match u32::try_from(v) {
+        Ok(v) if v < 100_000_000 => push_short_u64(out, v),
+        _ => push_long_u64(out, v),
+    }
+}
+
+/// Appends the decimal digits of `v` below 10^8 as one fixed-width copy cut back to their
+/// count.
+#[inline]
+fn push_short_u64(out: &mut Vec<u8>, v: u32) {
+    let len = v.checked_ilog10().map_or(1, |log| log as usize + 1);
+    // Drop the leading zeros: the first digit moves to the lowest byte.
+    let digits = u64::from_le_bytes(eight_digits(v)) >> (8 * (8 - len));
+    let end = out.len() + len;
+    out.extend_from_slice(&digits.to_le_bytes());
+    out.truncate(end);
+}
+
+/// Appends the decimal digits of `v` of 10^8 or more: up to 12 leading digits, then eight.
+#[inline(never)]
+fn push_long_u64(out: &mut Vec<u8>, v: u64) {
+    const EIGHT: u64 = 100_000_000;
+    let high = v / EIGHT;
+    if high < EIGHT {
+        push_short_u64(out, high as u32);
+    } else {
+        // u64::MAX has 20 digits, so `high / EIGHT` has at most four.
+        push_short_u64(out, (high / EIGHT) as u32);
+        out.extend_from_slice(&eight_digits((high % EIGHT) as u32));
+    }
+    out.extend_from_slice(&eight_digits((v % EIGHT) as u32));
+}
+
+/// The eight decimal digits of `v` below 10^8, zero-padded, as ASCII, computed in the lanes
+/// of one `u64`: the two four-digit halves, each split into two pairs of digits, each split
+/// into two digits (the multiply-shifts divide by 100 and 10 exactly in this range).
+#[inline]
+fn eight_digits(v: u32) -> [u8; 8] {
+    debug_assert!(v < 100_000_000);
+    let halves = u64::from(v / 10_000) | (u64::from(v % 10_000) << 32);
+    let hundreds = ((halves * 10_486) >> 20) & 0x0000_007f_0000_007f;
+    let pairs = hundreds | ((halves - 100 * hundreds) << 16);
+    let tens = ((pairs * 103) >> 10) & 0x000f_000f_000f_000f;
+    let digits = tens | ((pairs - 10 * tens) << 8);
+    (digits | 0x3030_3030_3030_3030).to_le_bytes()
+}
+
+/// Whether byte `b` of a string must be escaped.
+#[inline]
+fn needs_escape(b: u8) -> bool {
+    b < 0x20 || b == b'"' || b == b'\\'
+}
+
+/// Whether any of the eight bytes of `word` must be escaped, tested on all eight at once: a
+/// byte below 0x20 borrows into its high bit when 0x20 is subtracted, and a `"` or `\` does
+/// so once the word is XORed with it and 1 is subtracted (bytes of 0x80 and above, which
+/// includes all of multi-byte UTF-8, are masked out by `!word`).
+#[inline]
+fn word_needs_escape(word: u64) -> bool {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    let below = |w: u64, n: u64| w.wrapping_sub(n * ONES) & !w;
+    let control = below(word, 0x20);
+    let quote = below(word ^ (u64::from(b'"') * ONES), 1);
+    let backslash = below(word ^ (u64::from(b'\\') * ONES), 1);
+    (control | quote | backslash) & (0x80 * ONES) != 0
+}
+
+/// Appends an opening quote, `s` escaped per RFC 8259, and `close`. A short string that needs
+/// no escape is written into a fixed-width window of `out` cut back to its length.
+#[inline]
+fn push_quoted(out: &mut Vec<u8>, s: &str, (close, close_len): Close) {
+    let bytes = s.as_bytes();
+    if bytes.len() <= SHORT {
+        let start = out.len();
+        out.extend_from_slice(&[b'"'; SHORT + 4]);
+        let quoted = &mut out[start + 1..start + SHORT + 4];
+        if copy_short(quoted, bytes) {
+            quoted[bytes.len()..bytes.len() + 3].copy_from_slice(close);
+            out.truncate(start + 1 + bytes.len() + close_len);
+            return;
         }
+        out.truncate(start);
     }
-    for &d in &buf[at..] {
-        out.push(char::from(d));
-    }
+    out.push(b'"');
+    escape_body(s, out);
+    out.extend_from_slice(&close[..close_len]);
 }
 
-/// Escapes a string per RFC 8259 and appends it, quotes included.
-fn escape_into(s: &str, out: &mut String) {
-    out.push('"');
-    escape_body(s, out);
-    out.push('"');
+/// Copies `src` (at most [`SHORT`] bytes) to the start of `dst` as overlapping copies of fixed
+/// width, which compile to register moves where a copy of `src.len()` bytes is a call, and
+/// returns whether none of its bytes must be escaped, tested a word at a time.
+#[inline]
+fn copy_short(dst: &mut [u8], src: &[u8]) -> bool {
+    let n = src.len();
+    debug_assert!(n <= SHORT && n <= dst.len());
+    if n >= 8 {
+        let mut escape = false;
+        let mut copy = |at: usize| {
+            let word: [u8; 8] = src[at..at + 8].try_into().expect("eight bytes");
+            dst[at..at + 8].copy_from_slice(&word);
+            escape |= word_needs_escape(u64::from_le_bytes(word));
+        };
+        copy(0);
+        copy(n - 8);
+        if n > 16 {
+            copy(8);
+            copy(n - 16);
+        }
+        !escape
+    } else if n >= 4 {
+        let head: [u8; 4] = src[..4].try_into().expect("four bytes");
+        let tail: [u8; 4] = src[n - 4..].try_into().expect("four bytes");
+        dst[..4].copy_from_slice(&head);
+        dst[n - 4..n].copy_from_slice(&tail);
+        !word_needs_escape(u64::from(u32::from_le_bytes(head)) | (u64::from(u32::from_le_bytes(tail)) << 32))
+    } else if n > 0 {
+        // One to three bytes: the first, the middle and the last cover them.
+        let (first, middle, last) = (src[0], src[n / 2], src[n - 1]);
+        dst[0] = first;
+        dst[n / 2] = middle;
+        dst[n - 1] = last;
+        !word_needs_escape(u64::from_le_bytes([first, middle, last, b'a', b'a', b'a', b'a', b'a']))
+    } else {
+        true
+    }
 }
 
 /// Appends `s` escaped, without quotes. Every character that needs an escape is ASCII, so the
 /// text between two of them is copied as one slice — a string with nothing to escape in one
-/// `push_str`.
-fn escape_body(s: &str, out: &mut String) {
+/// copy.
+fn escape_body(s: &str, out: &mut Vec<u8>) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
     let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        if b >= 0x20 && b != b'"' && b != b'\\' {
+    for (i, &b) in bytes.iter().enumerate() {
+        if !needs_escape(b) {
             continue;
         }
-        out.push_str(&s[run..i]);
+        out.extend_from_slice(&bytes[run..i]);
         match b {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            _ => {
-                out.push_str("\\u00");
-                out.push(HEX[usize::from(b >> 4)] as char);
-                out.push(HEX[usize::from(b & 0xf)] as char);
-            }
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            _ => out.extend_from_slice(&[b'\\', b'u', b'0', b'0', HEX[usize::from(b >> 4)], HEX[usize::from(b & 0xf)]]),
         }
         run = i + 1;
     }
-    out.push_str(&s[run..]);
+    out.extend_from_slice(&bytes[run..]);
 }
 
-/// Escapes everything formatted through it into the wrapped string.
-struct Escaped<'a>(&'a mut String);
+/// Escapes everything formatted through it into the wrapped buffer.
+struct Escaped<'a>(&'a mut Vec<u8>);
 
 impl fmt::Write for Escaped<'_> {
     fn write_str(&mut self, s: &str) -> fmt::Result {
@@ -766,5 +925,172 @@ mod tests {
             Json::parse(escaped).unwrap(),
             Json::Str("\" \\ / \u{8} \u{c} \n \r \t é → é😀".into())
         );
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::reference::ReferenceWriter;
+    use super::*;
+    use crate::SimRng;
+    use proptest::prelude::*;
+
+    /// Characters of every escape class: plain ASCII, the two escaped printables, the named
+    /// control escapes, `\u00XX` controls, DEL (not escaped) and multi-byte text.
+    const ALPHABET: [char; 16] =
+        ['a', 'Z', '7', ' ', '/', '"', '\\', '\n', '\r', '\t', '\u{1}', '\u{1f}', '\u{7f}', 'é', '→', '😀'];
+
+    /// A string of 0 to 47 characters: short ones take the fixed-width path when clean,
+    /// longer ones and those with an escape take the escaping path.
+    fn text(rng: &mut SimRng) -> String {
+        let len = rng.below(48);
+        let plain = rng.below(2) == 0;
+        (0..len)
+            .map(|_| if plain { ALPHABET[rng.below(5) as usize] } else { ALPHABET[rng.below(16) as usize] })
+            .collect()
+    }
+
+    /// An integer at or next to a digit-count boundary (0, 9, 10, 99, 100, ... and
+    /// `u64::MAX`), or an arbitrary one.
+    fn number(rng: &mut SimRng) -> u64 {
+        match rng.below(3) {
+            0 => {
+                let power = 10u64.checked_pow(rng.below(20) as u32).unwrap_or(u64::MAX);
+                power.wrapping_sub(rng.below(2))
+            }
+            1 => u64::MAX - rng.below(2),
+            _ => rng.next_u64() >> rng.below(64),
+        }
+    }
+
+    fn signed(rng: &mut SimRng) -> i64 {
+        match rng.below(4) {
+            0 => i64::MIN + rng.below(2) as i64,
+            1 => i64::MAX,
+            _ => number(rng) as i64,
+        }
+    }
+
+    fn float(rng: &mut SimRng) -> f64 {
+        match rng.below(4) {
+            0 => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, 1.0, f64::MIN_POSITIVE][rng.below(7) as usize],
+            1 => f64::from_bits(rng.next_u64()),
+            _ => (rng.next_f64() - 0.5) * 10f64.powi(rng.below(40) as i32 - 20),
+        }
+    }
+
+    /// Applies the same generated call sequence to both writers; returns both documents.
+    fn write_both(seed: u64, calls: usize) -> (String, String) {
+        let mut rng = SimRng::new(seed);
+        let mut new = JsonWriter::with_capacity(rng.below(64) as usize);
+        let mut old = ReferenceWriter::default();
+        let mut depth = 0usize;
+        macro_rules! both {
+            ($($call:tt)*) => {{
+                new.$($call)*;
+                old.$($call)*;
+            }};
+        }
+        for _ in 0..calls {
+            match rng.below(17) {
+                0 => both!(null()),
+                1 => {
+                    let b = rng.below(2) == 0;
+                    both!(bool(b))
+                }
+                2 => {
+                    let i = signed(&mut rng);
+                    both!(int(i))
+                }
+                3 | 4 => {
+                    let u = number(&mut rng);
+                    both!(uint(u))
+                }
+                5 => {
+                    let u = (rng.below(2) == 0).then(|| number(&mut rng));
+                    both!(opt_uint(u))
+                }
+                6 => {
+                    let n = float(&mut rng);
+                    both!(num(n))
+                }
+                7 => {
+                    let t = text(&mut rng);
+                    both!(str(&t))
+                }
+                8 => {
+                    let (t, u) = (text(&mut rng), number(&mut rng));
+                    new.str_uint(&t, u);
+                    old.str_fmt(format_args!("{t}{u}"));
+                }
+                9 => {
+                    let (t, u) = (text(&mut rng), signed(&mut rng));
+                    both!(str_fmt(format_args!("{t} / {u}: {t}")))
+                }
+                10 | 11 => {
+                    let t = text(&mut rng);
+                    both!(key(&t))
+                }
+                12 => {
+                    depth += 1;
+                    both!(begin_arr())
+                }
+                13 => {
+                    depth += 1;
+                    both!(begin_obj())
+                }
+                14 if depth > 0 => {
+                    depth -= 1;
+                    both!(end_arr())
+                }
+                15 if depth > 0 => {
+                    depth -= 1;
+                    both!(end_obj())
+                }
+                _ => {
+                    // Nest past the 32 levels one indentation prefix holds.
+                    for _ in 0..rng.below(40) {
+                        depth += 1;
+                        both!(begin_arr());
+                    }
+                }
+            }
+        }
+        for _ in 0..depth {
+            both!(end_obj());
+        }
+        (new.finish(), old.finish())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The byte-level writer writes exactly what the `String` writer it replaced wrote, on
+        /// random call sequences over every value kind, escape class and nesting depth.
+        #[test]
+        fn writer_matches_the_reference_writer(seed in any::<u64>(), calls in 0usize..160) {
+            let (new, old) = write_both(seed, calls);
+            prop_assert_eq!(new, old);
+        }
+    }
+
+    #[test]
+    fn every_digit_boundary_matches_the_reference_writer() {
+        let mut values = vec![0, u64::MAX, u64::MAX - 1];
+        for exp in 1..20 {
+            let power = 10u64.pow(exp);
+            values.extend([power - 1, power, power + 1]);
+        }
+        let mut new = JsonWriter::default();
+        let mut old = ReferenceWriter::default();
+        new.begin_arr();
+        old.begin_arr();
+        for &v in &values {
+            new.uint(v).int(v as i64).str_uint("n", v);
+            old.uint(v).int(v as i64).str_fmt(format_args!("n{v}"));
+        }
+        new.int(i64::MIN).int(i64::MAX).begin_arr().end_arr().begin_obj().end_obj().end_arr();
+        old.int(i64::MIN).int(i64::MAX).begin_arr().end_arr().begin_obj().end_obj().end_arr();
+        assert_eq!(new.finish(), old.finish());
     }
 }

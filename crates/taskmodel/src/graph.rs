@@ -7,7 +7,7 @@
 //! RAW/WAW/WAR rules, and [`ExecutionValidator`] checks that a simulated execution honoured it.
 //! These two types are the backbone of the workspace's correctness tests.
 
-use std::collections::HashMap;
+use tis_sim::FxHashMap;
 
 use crate::dep::DepAddr;
 use crate::program::{ProgramOp, TaskProgram};
@@ -48,7 +48,7 @@ impl DepGraph {
             last_writer: Option<usize>,
             readers_since_write: Vec<usize>,
         }
-        let mut addr_state: HashMap<DepAddr, AddrState> = HashMap::new();
+        let mut addr_state: FxHashMap<DepAddr, AddrState> = FxHashMap::default();
         let mut current_phase = 0usize;
         let mut next_index = 0usize;
 
@@ -348,13 +348,116 @@ impl ExecutionValidator {
         ExecutionValidator { graph }
     }
 
-    /// Validates an execution trace.
+    /// Validates an execution trace, in time linear in tasks and edges plus a sort of the
+    /// records by core and start.
     ///
     /// # Errors
     ///
     /// Returns the first violation found: every task executes exactly once, dependence edges and
-    /// taskwait phases are honoured, and no core runs two task bodies at once.
+    /// taskwait phases are honoured, and no core runs two task bodies at once. Of several
+    /// barrier violations the one with the lowest earlier task, then the lowest later task, is
+    /// reported; of several overlaps, the lowest core's first.
     pub fn check(&self, records: &[ExecRecord]) -> Result<(), ValidationError> {
+        let recs = self.records_by_task(records)?;
+        self.check_edges(&recs)?;
+        self.check_phases(&recs)?;
+        check_cores(recs)
+    }
+
+    /// Each task's record, in task order, after checking that every record names a task of the
+    /// program, has a non-negative duration and is the only one of its task, and that no task
+    /// lacks one.
+    fn records_by_task(&self, records: &[ExecRecord]) -> Result<Vec<ExecRecord>, ValidationError> {
+        let n = self.graph.task_count();
+        let mut by_task: Vec<Option<ExecRecord>> = vec![None; n];
+        for r in records {
+            let idx = r.task.raw() as usize;
+            if idx >= n {
+                return Err(ValidationError::UnknownTask(r.task));
+            }
+            if r.end < r.start {
+                return Err(ValidationError::NegativeDuration(r.task));
+            }
+            if by_task[idx].is_some() {
+                return Err(ValidationError::DuplicateTask(r.task));
+            }
+            by_task[idx] = Some(*r);
+        }
+        by_task
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| r.ok_or(ValidationError::MissingTask(TaskId(i as u64))))
+            .collect()
+    }
+
+    /// Checks that no task started before a predecessor of it finished.
+    fn check_edges(&self, recs: &[ExecRecord]) -> Result<(), ValidationError> {
+        for (i, p) in recs.iter().enumerate() {
+            for s in self.graph.successors(TaskId(i as u64)) {
+                let c = recs[s.raw() as usize];
+                if c.start < p.end {
+                    return Err(ValidationError::OrderViolation {
+                        predecessor: TaskId(i as u64),
+                        successor: s,
+                        predecessor_end: p.end,
+                        successor_start: c.start,
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks that no task started before a task of an earlier phase finished. Phases never
+    /// decrease in spawn order, so the tasks of phases later than task `i`'s are a suffix of
+    /// the tasks, and `i` is violated exactly when the earliest start in that suffix comes
+    /// before `i` ends.
+    fn check_phases(&self, recs: &[ExecRecord]) -> Result<(), ValidationError> {
+        let phase = &self.graph.phase;
+        debug_assert!(phase.windows(2).all(|p| p[0] <= p[1]), "phases follow spawn order");
+        let n = recs.len();
+        let mut earliest_start = vec![u64::MAX; n + 1];
+        for i in (0..n).rev() {
+            earliest_start[i] = earliest_start[i + 1].min(recs[i].start);
+        }
+        let mut later = 0;
+        for (i, r) in recs.iter().enumerate() {
+            while later < n && phase[later] <= phase[i] {
+                later += 1;
+            }
+            if earliest_start[later] < r.end {
+                let j = (later..n).find(|&j| recs[j].start < r.end).expect("the suffix holds the earliest start");
+                return Err(ValidationError::BarrierViolation { earlier: TaskId(i as u64), later: TaskId(j as u64) });
+            }
+        }
+        Ok(())
+    }
+
+    /// The underlying reference graph.
+    pub fn graph(&self) -> &DepGraph {
+        &self.graph
+    }
+}
+
+/// Checks that no core ran two task bodies at once: each core's records in start order, cores
+/// in index order.
+fn check_cores(mut recs: Vec<ExecRecord>) -> Result<(), ValidationError> {
+    recs.sort_by_key(|r| (r.core, r.start));
+    for pair in recs.windows(2) {
+        // Zero-length records (empty payloads) may share a start cycle.
+        if pair[0].core == pair[1].core && pair[1].start < pair[0].end {
+            return Err(ValidationError::CoreOverlap { core: pair[0].core, first: pair[0].task, second: pair[1].task });
+        }
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+impl ExecutionValidator {
+    /// The all-pairs check that [`ExecutionValidator::check`] replaced, kept as the reference of
+    /// its property test. It visits cores in index order (a `BTreeMap`), where it visited them
+    /// in a randomly seeded `HashMap`'s order and so reported an arbitrary core's overlap.
+    fn reference_check(&self, records: &[ExecRecord]) -> Result<(), ValidationError> {
         let n = self.graph.task_count();
         let mut by_task: Vec<Option<ExecRecord>> = vec![None; n];
         for r in records {
@@ -376,8 +479,6 @@ impl ExecutionValidator {
             }
         }
         let rec = |i: usize| by_task[i].expect("verified present above");
-
-        // Dependence edges.
         for i in 0..n {
             for s in self.graph.successors(TaskId(i as u64)) {
                 let p = rec(i);
@@ -392,7 +493,6 @@ impl ExecutionValidator {
                 }
             }
         }
-        // Barrier phases.
         for i in 0..n {
             for j in 0..n {
                 if self.graph.phase(TaskId(j as u64)) > self.graph.phase(TaskId(i as u64))
@@ -405,30 +505,19 @@ impl ExecutionValidator {
                 }
             }
         }
-        // Core exclusivity.
-        let mut by_core: HashMap<usize, Vec<ExecRecord>> = HashMap::new();
+        let mut by_core: std::collections::BTreeMap<usize, Vec<ExecRecord>> = std::collections::BTreeMap::new();
         for r in by_task.iter().flatten() {
             by_core.entry(r.core).or_default().push(*r);
         }
         for (core, mut recs) in by_core {
             recs.sort_by_key(|r| r.start);
             for pair in recs.windows(2) {
-                // Zero-length records (empty payloads) may share a start cycle.
                 if pair[1].start < pair[0].end {
-                    return Err(ValidationError::CoreOverlap {
-                        core,
-                        first: pair[0].task,
-                        second: pair[1].task,
-                    });
+                    return Err(ValidationError::CoreOverlap { core, first: pair[0].task, second: pair[1].task });
                 }
             }
         }
         Ok(())
-    }
-
-    /// The underlying reference graph.
-    pub fn graph(&self) -> &DepGraph {
-        &self.graph
     }
 }
 
@@ -572,6 +661,25 @@ mod tests {
     }
 
     #[test]
+    fn of_several_overlaps_the_lowest_core_is_reported() {
+        let mut b = ProgramBuilder::new("overlaps");
+        for _ in 0..4 {
+            b.spawn(Payload::compute(10), vec![]);
+        }
+        let v = ExecutionValidator::new(&b.build());
+        let recs = vec![
+            ExecRecord { task: TaskId(0), core: 3, start: 0, end: 10 },
+            ExecRecord { task: TaskId(1), core: 3, start: 5, end: 15 },
+            ExecRecord { task: TaskId(2), core: 1, start: 0, end: 10 },
+            ExecRecord { task: TaskId(3), core: 1, start: 5, end: 15 },
+        ];
+        assert_eq!(
+            v.check(&recs),
+            Err(ValidationError::CoreOverlap { core: 1, first: TaskId(2), second: TaskId(3) })
+        );
+    }
+
+    #[test]
     fn validator_detects_barrier_violation() {
         let mut b = ProgramBuilder::new("barrier");
         b.spawn(Payload::compute(10), vec![Dependence::write(0x1)]);
@@ -670,6 +778,52 @@ mod proptests {
                 t += d;
             }
             prop_assert_eq!(v.check(&recs), Ok(()));
+        }
+
+        /// The linear-time validator reports exactly what the all-pairs reference reports, on
+        /// serial schedules spread over four cores with planted violations of every kind:
+        /// shifted starts and ends (order, barrier and overlap violations, negative durations),
+        /// moved cores, and dropped, duplicated and unknown records.
+        #[test]
+        fn validator_matches_the_all_pairs_reference(
+            p in arbitrary_program(24, 6),
+            plants in proptest::collection::vec((0u8..8, any::<u64>(), 0u64..60), 0..4),
+        ) {
+            let v = ExecutionValidator::new(&p);
+            let mut t = 0u64;
+            let mut recs: Vec<ExecRecord> = Vec::new();
+            for (i, spec) in p.tasks().enumerate() {
+                let d = spec.payload.compute_cycles.max(1);
+                recs.push(ExecRecord { task: spec.id, core: i % 4, start: t, end: t + d });
+                t += d;
+            }
+            prop_assert_eq!(v.check(&recs), Ok(()));
+            for (kind, pick, amount) in plants {
+                let i = (pick % recs.len() as u64) as usize;
+                let n = p.task_count() as u64;
+                match kind {
+                    0 => recs[i].start = recs[i].start.saturating_sub(amount),
+                    1 => recs[i].end += amount,
+                    2 => recs[i].start += amount,
+                    3 => recs[i].core = (pick >> 8) as usize % 4,
+                    4 => {
+                        recs.remove(i);
+                        if recs.is_empty() {
+                            break;
+                        }
+                    }
+                    5 => recs.push(recs[i]),
+                    6 => recs.push(ExecRecord { task: TaskId(n + amount), ..recs[i] }),
+                    _ => {
+                        // Run a later task alongside an earlier one on its core.
+                        let j = (pick >> 8) as usize % recs.len();
+                        let (a, b) = (recs[i.min(j)], i.max(j));
+                        recs[b].core = a.core;
+                        recs[b].start = a.start + amount % (a.end - a.start).max(1);
+                    }
+                }
+            }
+            prop_assert_eq!(v.check(&recs), v.reference_check(&recs));
         }
 
         /// The critical path never exceeds the total weight and parallelism is at least 1.

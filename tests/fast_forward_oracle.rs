@@ -6,8 +6,9 @@
 //! platforms, materialized, streamed and multi-tenant sources, fault-injected machines and
 //! every observation mode, and requires them to agree on everything a caller can see: the
 //! `Result` (report or error), every observer event in order, and the recorder's spans,
-//! samples, event count and rendered Perfetto trace. A many-core Phentos case also compares
-//! bare recorders, which take a parked core's repeated events as one batch.
+//! samples, event count and rendered Perfetto, tenant Perfetto and metrics documents. A
+//! many-core Phentos case also compares bare recorders, which take a parked core's repeated
+//! events as one batch.
 
 use proptest::prelude::*;
 use tis::bench::{Harness, Platform};
@@ -18,7 +19,7 @@ use tis::machine::{
     FaultConfig, MemoryModel, NullFabric, RuntimeSystem, SchedulerFabric,
 };
 use tis::nanos::{AxiFabric, Nanos, NanosVariant};
-use tis::obs::{MemEvent, MetricsSample, ObsConfig, Observer, Recorder, TaskEvent};
+use tis::obs::{trace_json_tenants, MemEvent, MetricsSample, ObsConfig, Observer, Recorder, TaskEvent};
 use tis::picos::TrackerConfig;
 use tis::sim::{Cycle, SimRng};
 use tis::taskmodel::{
@@ -157,6 +158,9 @@ fn assert_bare_recorders_match(
     assert_recorders_equal(&f, &r, harness.cores(), what);
 }
 
+/// Checks that two recorders hold the same spans, samples and event count, and render the same
+/// Perfetto trace, tenant Perfetto trace (over a round-robin assignment of three tenants) and
+/// metrics document.
 fn assert_recorders_equal(f: &Recorder, r: &Recorder, cores: usize, what: &str) {
     assert_eq!(f.spans(), r.spans(), "{what}: spans differ");
     assert_eq!(f.metrics().samples(), r.metrics().samples(), "{what}: samples differ");
@@ -165,6 +169,19 @@ fn assert_recorders_equal(f: &Recorder, r: &Recorder, cores: usize, what: &str) 
         f.perfetto_json(what, cores).render(),
         r.perfetto_json(what, cores).render(),
         "{what}: Perfetto traces differ"
+    );
+    let names: Vec<String> = (0..3).map(|t| format!("t{t}")).collect();
+    let assignment: Vec<u32> = (0..f.spans().len() as u32).map(|task| task % 3).collect();
+    let tenant_trace = |rec: &Recorder| {
+        trace_json_tenants(what, cores, rec.spans(), rec.metrics().samples(), &names, &assignment).render()
+    };
+    assert_eq!(tenant_trace(f), tenant_trace(r), "{what}: tenant Perfetto traces differ");
+    // The closing sample sits at the makespan.
+    let makespan = f.metrics().samples().last().map_or(0, |s| s.cycle);
+    assert_eq!(
+        f.metrics_json(what, makespan).render(),
+        r.metrics_json(what, makespan).render(),
+        "{what}: metrics documents differ"
     );
 }
 

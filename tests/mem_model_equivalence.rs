@@ -10,7 +10,11 @@
 //! * identical resident `(line, MESI state)` sets in every core's cache after every step;
 //! * `check_coherence_invariants` on both — which additionally proves the directory stays
 //!   *precise* (it mirrors actual cache residency exactly); the snooping bus keeps the same
-//!   record as its snoop filter.
+//!   record as its snoop filter;
+//! * identical per-core cache statistics (hits, misses, upgrades, evictions, writebacks and
+//!   snoop invalidations) at the end of the trace, while each model reports only its own
+//!   pricing counters (no NoC messages or invalidation fan-out on the bus, no bus
+//!   transactions on the mesh).
 //!
 //! Latencies are deliberately **not** compared: distance-dependent NoC costs are the whole
 //! point of the second model.
@@ -130,6 +134,15 @@ fn drive_trace(cores: usize, cache: CacheConfig, trace: &[(usize, u64, AccessKin
     assert_eq!(sb.dram_fetches, sc.dram_fetches, "contention changed DRAM fetches");
     assert_eq!(sb.dram_writebacks, sc.dram_writebacks, "contention changed writebacks");
     assert_eq!(sb.invalidations, sc.invalidations, "contention changed invalidation fan-out");
+    // Every cache saw the same protocol events: hits, misses, upgrades, evictions, writebacks
+    // and snoop invalidations are per-core facts of the protocol, not of the interconnect.
+    assert_eq!(sa.per_core, sb.per_core, "per-core cache statistics diverged");
+    assert_eq!(sb.per_core, sc.per_core, "contention changed per-core cache statistics");
+    // Each model keeps only its own price list's counters: the bus sends no NoC message and
+    // fans out no point-to-point invalidation, the mesh has no bus.
+    assert_eq!((sa.invalidations, sa.noc_messages), (0, 0), "the bus counted mesh traffic");
+    assert_eq!(sb.bus_transactions, 0, "the ideal mesh counted bus transactions");
+    assert_eq!(sc.bus_transactions, 0, "the contended mesh counted bus transactions");
     // The zero-rate fault layer is *statistically* invisible too: every counter — including
     // the fault counters themselves — matches the fault-free contended mesh exactly.
     assert_eq!(sc, zero_faulted.stats(), "zero-rate fault stats diverged from fault-free");

@@ -7,7 +7,12 @@
 //! under the pure transition tables [`tis_mem::mesi::local_transition`],
 //! [`tis_mem::mesi::snoop_transition`] and
 //! [`tis_mem::directory::dir_transition`], and proves two invariants over the
-//! whole space:
+//! whole space. A miss composes them exactly as `tis_mem::MemorySystem` does
+//! under both memory models: the directory transition's action, through
+//! [`tis_mem::directory::DirAction::snoops`], alone picks the remote copies
+//! that take a snoop transition, and a read of a line no cache holds fills
+//! Exclusive. The snooping bus and the directory mesh differ only in how they
+//! price the traffic, so this check covers the protocol both of them run:
 //!
 //! - **SWMR** (single writer / multiple readers): at most one core holds the
 //!   line writable (M/E), and a writable copy excludes every other copy.
@@ -22,7 +27,7 @@
 //! space is noticed.
 
 use tis_mem::directory::{dir_transition, DirAction, DirOp, DirState};
-use tis_mem::mesi::{local_transition, snoop_transition, AccessKind, BusOp, LocalAction};
+use tis_mem::mesi::{local_transition, snoop_transition, AccessKind, LocalAction};
 use tis_mem::MesiState;
 
 /// An invariant breach found in a global `(caches, directory)` state.
@@ -195,22 +200,12 @@ impl Global {
     }
 }
 
-/// Applies a directory action's remote side effects through the snoop table,
-/// keeping the two protocol tables honest against each other.
+/// Applies a directory action's remote side effects through the snoop table, as
+/// `tis_mem::MemorySystem` does on every miss under both memory models.
 fn apply_dir_action(caches: &mut [MesiState], action: DirAction) {
-    match action {
-        DirAction::FetchFromMemory | DirAction::None => {}
-        DirAction::DowngradeOwner(o) => {
-            caches[o] = snoop_transition(caches[o], BusOp::BusRead).1;
-        }
-        DirAction::RecallOwner(o) => {
-            caches[o] = snoop_transition(caches[o], BusOp::BusReadExclusive).1;
-        }
-        DirAction::InvalidateForUpgrade(s) | DirAction::InvalidateAndFetch(s) => {
-            for c in s.iter() {
-                caches[c] = snoop_transition(caches[c], BusOp::BusReadExclusive).1;
-            }
-        }
+    let (targets, op) = action.snoops();
+    for c in targets.iter() {
+        caches[c] = snoop_transition(caches[c], op);
     }
 }
 
@@ -262,9 +257,9 @@ pub fn model_check_protocol(cores: usize) -> Result<ModelCheckReport, ProtocolVi
                         report.dir_pairs[dir_shape(next.dir)][op_shape(op)] = true;
                         let (dir_action, dir_next) = dir_transition(next.dir, op);
                         apply_dir_action(&mut next.caches, dir_action);
-                        // Same promotion rule as the snoop model: sole holder
-                        // reads straight to Exclusive.
-                        next.caches[core] = if dir_next == DirState::Owned(core) {
+                        // The simulator's fill rule: a read of a line no
+                        // cache holds installs Exclusive.
+                        next.caches[core] = if next.dir == DirState::Uncached {
                             MesiState::Exclusive
                         } else {
                             MesiState::Shared

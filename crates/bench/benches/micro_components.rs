@@ -20,7 +20,7 @@ use std::hint::black_box;
 use std::time::Instant;
 use tis_bench::{Harness, Platform};
 use tis_core::rocc::{RoccInstruction, TaskSchedOp};
-use tis_mem::{AccessKind, CacheConfig, MemLatencies, MemorySystem};
+use tis_mem::{AccessKind, CacheConfig, MemLatencies, MemoryModel, MemorySystem};
 use tis_picos::{decode_descriptor, encode_descriptor, DependenceTracker, PicosId, SubmittedTask, TrackerConfig};
 use tis_taskmodel::{
     Dependence, Payload, ProgramOp, SourcePoll, TaskId, TaskSource, TaskSpec,
@@ -269,18 +269,31 @@ fn bench_rocc_codec(c: &mut Criterion) {
     });
 }
 
+/// One line bounced between four cores: every access after the first is a dirty recall, priced
+/// by the bus and by the mesh through the same miss path.
 fn bench_mesi(c: &mut Criterion) {
-    c.bench_function("mesi_ping_pong_1000_accesses", |b| {
-        b.iter(|| {
-            let mut m = MemorySystem::new(4, CacheConfig::rocket_l1d(), MemLatencies::default());
-            let mut total = 0u64;
-            for i in 0..1000u64 {
-                let core = (i % 4) as usize;
-                total += m.access(core, 0x9000, AccessKind::Atomic, 8, i * 10).latency;
-            }
-            black_box(total)
-        })
-    });
+    let models = [
+        ("mesi_ping_pong_1000_accesses", MemoryModel::SnoopBus),
+        ("mesi_ping_pong_1000_accesses_dir_mesh", MemoryModel::directory_mesh()),
+    ];
+    for (name, model) in models {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let mut m = MemorySystem::with_model(
+                    4,
+                    CacheConfig::rocket_l1d(),
+                    MemLatencies::default(),
+                    model,
+                );
+                let mut total = 0u64;
+                for i in 0..1000u64 {
+                    let core = (i % 4) as usize;
+                    total += m.access(core, 0x9000, AccessKind::Atomic, 8, i * 10).latency;
+                }
+                black_box(total)
+            })
+        });
+    }
 }
 
 /// Median nanoseconds per call of `f` over `samples` batches of `batch` calls each.

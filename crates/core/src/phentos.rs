@@ -107,7 +107,6 @@ pub struct Phentos {
     workers: Vec<WorkerState>,
     records: Vec<ExecRecord>,
     collect_records: bool,
-    name: String,
     /// Scratch buffer for descriptor packets, reused across submissions.
     packet_scratch: Vec<u32>,
 }
@@ -132,7 +131,6 @@ impl Phentos {
         // pre-processor macro picks the size per application; we pick it per program, from the
         // source's declared bound (a stream cannot be scanned up front).
         let element_bytes = if source.max_deps() <= 7 { 64 } else { 128 };
-        let name = format!("phentos({})", source.name());
         Phentos {
             cfg,
             source,
@@ -146,7 +144,6 @@ impl Phentos {
             workers: vec![WorkerState::default(); cores],
             records: Vec::new(),
             collect_records: true,
-            name,
             packet_scratch: Vec::new(),
         }
     }
@@ -460,11 +457,6 @@ impl RuntimeSystem for Phentos {
 }
 
 impl Phentos {
-    /// Descriptive name including the program (useful in multi-run reports).
-    pub fn qualified_name(&self) -> &str {
-        &self.name
-    }
-
     /// Mutable access to the task source, for post-run recovery of source-side state (the
     /// multi-tenant harness downcasts it to take the tenant assignment).
     pub fn source_mut(&mut self) -> &mut dyn TaskSource {

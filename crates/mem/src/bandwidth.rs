@@ -44,11 +44,6 @@ impl BandwidthModel {
         }
     }
 
-    /// Peak bandwidth in bytes per core cycle.
-    pub fn peak_bytes_per_cycle(&self) -> f64 {
-        self.bytes_per_cycle
-    }
-
     /// Requests a transfer of `bytes` starting at cycle `now`; returns the number of cycles the
     /// requesting core is stalled (queueing delay plus service time).
     pub fn transfer(&mut self, now: Cycle, bytes: u64) -> Cycle {

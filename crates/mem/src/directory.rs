@@ -12,9 +12,11 @@
 //! and (like the paper's no-L2 prototype) moves dirty data between cores **through memory** —
 //! an owner recalled or downgraded must write back before the requester fetches. Caches notify
 //! the home on every eviction ([`DirOp::Evict`]), clean or dirty, so the directory is always
-//! *precise* — the property the differential suite in `tests/mem_model_equivalence.rs` pins
-//! against the snooping baseline. The snooping bus keeps the same precise record as its snoop
-//! filter, so a bus miss probes only the caches that hold the line.
+//! *precise*. Both memory models keep this record and act on its transitions: a miss's
+//! [`DirAction`] alone decides which remote copies change ([`DirAction::snoops`]), and the bus
+//! or the mesh only prices the resulting traffic.
+
+use crate::mesi::BusOp;
 
 /// A bitset of cores holding a line, supporting machines up to 256 cores (the sweep grid goes
 /// to 64; four words leave headroom without heap allocation).
@@ -144,6 +146,23 @@ pub enum DirAction {
     None,
 }
 
+impl DirAction {
+    /// The remote caches the action acts on and the bus operation each of them observes,
+    /// to be applied through [`crate::mesi::snoop_transition`]: a downgrade is a read seen by
+    /// the owner, a recall or an invalidation a read-for-ownership seen by the owner or by
+    /// each sharer. An action that involves no remote cache yields the empty set.
+    pub fn snoops(self) -> (SharerSet, BusOp) {
+        match self {
+            DirAction::DowngradeOwner(owner) => (SharerSet::only(owner), BusOp::BusRead),
+            DirAction::RecallOwner(owner) => (SharerSet::only(owner), BusOp::BusReadExclusive),
+            DirAction::InvalidateForUpgrade(sharers) | DirAction::InvalidateAndFetch(sharers) => {
+                (sharers, BusOp::BusReadExclusive)
+            }
+            DirAction::FetchFromMemory | DirAction::None => (SharerSet::empty(), BusOp::BusRead),
+        }
+    }
+}
+
 /// Computes the home tile's action and the line's next directory state for a request.
 ///
 /// Mirrors [`crate::mesi::local_transition`] / [`crate::mesi::snoop_transition`]: a pure
@@ -206,12 +225,16 @@ mod tests {
     use DirOp::*;
     use DirState::*;
 
-    fn shared(cores: &[usize]) -> DirState {
+    fn sharers(cores: &[usize]) -> SharerSet {
         let mut s = SharerSet::empty();
         for &c in cores {
             s.insert(c);
         }
-        Shared(s)
+        s
+    }
+
+    fn shared(cores: &[usize]) -> DirState {
+        Shared(sharers(cores))
     }
 
     #[test]
@@ -336,6 +359,19 @@ mod tests {
         assert_eq!(dir_transition(shared(&[5]), Evict(5)), (A::None, Uncached));
         // Evicting a core that was never a sharer leaves the set untouched.
         assert_eq!(dir_transition(shared(&[0, 5]), Evict(3)), (A::None, shared(&[0, 5])));
+    }
+
+    #[test]
+    fn actions_snoop_the_owner_or_the_sharers() {
+        use BusOp::*;
+        assert_eq!(A::DowngradeOwner(2).snoops(), (sharers(&[2]), BusRead));
+        assert_eq!(A::RecallOwner(2).snoops(), (sharers(&[2]), BusReadExclusive));
+        let upgrade = A::InvalidateForUpgrade(sharers(&[0, 5]));
+        assert_eq!(upgrade.snoops(), (sharers(&[0, 5]), BusReadExclusive));
+        let fetch = A::InvalidateAndFetch(sharers(&[1]));
+        assert_eq!(fetch.snoops(), (sharers(&[1]), BusReadExclusive));
+        assert!(A::FetchFromMemory.snoops().0.is_empty());
+        assert!(A::None.snoops().0.is_empty());
     }
 
     #[test]

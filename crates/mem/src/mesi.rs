@@ -81,20 +81,6 @@ pub fn local_transition(state: MesiState, kind: AccessKind) -> (LocalAction, Mes
     }
 }
 
-/// What a *remote* cache must do when it observes a bus transaction for a line it holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnoopAction {
-    /// The remote cache does nothing.
-    None,
-    /// The remote cache downgrades to Shared; if it held the line Modified it must first write
-    /// the dirty data back to memory (MESI without an L2 cannot forward dirty data directly).
-    WritebackAndShare,
-    /// The remote cache invalidates its copy; if dirty, it must first write back.
-    WritebackAndInvalidate,
-    /// The remote cache invalidates a clean copy (no writeback needed).
-    Invalidate,
-}
-
 /// Bus transactions observed by remote caches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BusOp {
@@ -104,19 +90,14 @@ pub enum BusOp {
     BusReadExclusive,
 }
 
-/// Computes the snoop action and resulting state for a remote cache holding `state`.
-pub fn snoop_transition(state: MesiState, op: BusOp) -> (SnoopAction, MesiState) {
-    use BusOp::*;
-    use MesiState::*;
-    use SnoopAction::*;
-    match (state, op) {
-        (Invalid, _) => (None, Invalid),
-        (Modified, BusRead) => (WritebackAndShare, Shared),
-        (Modified, BusReadExclusive) => (WritebackAndInvalidate, Invalid),
-        (Exclusive, BusRead) => (WritebackAndShare, Shared), // clean, "writeback" is a no-op flush
-        (Exclusive, BusReadExclusive) => (Invalidate, Invalid),
-        (Shared, BusRead) => (None, Shared),
-        (Shared, BusReadExclusive) => (Invalidate, Invalid),
+/// The state a *remote* cache holding `state` moves to when it observes `op`: a read leaves a
+/// held copy Shared, a read-for-ownership invalidates it. A copy leaving Modified writes its
+/// dirty data back to memory first (MESI without an L2 cannot forward dirty data directly), so
+/// a snooped copy writes back exactly when its old state [`MesiState::is_dirty`].
+pub fn snoop_transition(state: MesiState, op: BusOp) -> MesiState {
+    match op {
+        BusOp::BusRead if state != MesiState::Invalid => MesiState::Shared,
+        BusOp::BusRead | BusOp::BusReadExclusive => MesiState::Invalid,
     }
 }
 
@@ -165,14 +146,14 @@ mod tests {
     #[test]
     fn snoop_transitions_match_mesi_textbook() {
         use BusOp::*;
-        use SnoopAction::*;
-        assert_eq!(snoop_transition(Modified, BusRead), (WritebackAndShare, Shared));
-        assert_eq!(snoop_transition(Modified, BusReadExclusive), (WritebackAndInvalidate, Invalid));
-        assert_eq!(snoop_transition(Shared, BusReadExclusive), (Invalidate, Invalid));
-        assert_eq!(snoop_transition(Shared, BusRead), (None, Shared));
-        assert_eq!(snoop_transition(Invalid, BusRead), (None, Invalid));
-        assert_eq!(snoop_transition(Exclusive, BusRead), (WritebackAndShare, Shared));
-        assert_eq!(snoop_transition(Exclusive, BusReadExclusive), (Invalidate, Invalid));
+        assert_eq!(snoop_transition(Modified, BusRead), Shared);
+        assert_eq!(snoop_transition(Modified, BusReadExclusive), Invalid);
+        assert_eq!(snoop_transition(Shared, BusReadExclusive), Invalid);
+        assert_eq!(snoop_transition(Shared, BusRead), Shared);
+        assert_eq!(snoop_transition(Invalid, BusRead), Invalid);
+        assert_eq!(snoop_transition(Invalid, BusReadExclusive), Invalid);
+        assert_eq!(snoop_transition(Exclusive, BusRead), Shared);
+        assert_eq!(snoop_transition(Exclusive, BusReadExclusive), Invalid);
     }
 
     #[test]
@@ -188,8 +169,7 @@ mod tests {
     #[test]
     fn bus_read_exclusive_always_invalidates_remotes() {
         for s in [Modified, Exclusive, Shared] {
-            let (_, next) = snoop_transition(s, BusOp::BusReadExclusive);
-            assert_eq!(next, Invalid);
+            assert_eq!(snoop_transition(s, BusOp::BusReadExclusive), Invalid);
         }
     }
 }

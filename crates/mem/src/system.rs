@@ -1,23 +1,27 @@
 //! The multi-core coherent memory system.
 //!
 //! [`MemorySystem`] glues the per-core [`L1Cache`]s together with a coherence interconnect and
-//! a DRAM backend. Two interconnect models are selectable via [`MemoryModel`]:
+//! a DRAM backend. Both interconnect models run one protocol path: a miss or upgrade moves the
+//! line's precise directory entry ([`crate::directory`]) once, and the [`DirAction`] that
+//! transition orders alone decides which remote copies are downgraded, recalled or invalidated
+//! (each through [`crate::mesi::snoop_transition`]), whether a dirty copy bounces through
+//! memory, and which state the requester fills. [`MemoryModel`] chooses only the price list:
 //!
 //! * [`MemoryModel::SnoopBus`] — the paper's prototype (Section V-B): a snooping bus with
 //!   **no shared L2**, so a line that is dirty in one core's cache can only reach another core
 //!   by being written back to main memory and re-fetched — this is why cache-line bouncing on
 //!   shared runtime data is so expensive on the prototype. The memory clock (667 MHz) is much
-//!   faster than the 80 MHz core clock, so plain DRAM misses are comparatively cheap, and
-//!   upgrades (a core writing a Shared line) cost a bus transaction that invalidates every
-//!   other copy. Faithful at 8 cores, *optimistic* beyond one snoop domain. The bus is priced
-//!   as a broadcast, but the host snoops only the caches that hold the line: the bus keeps the
-//!   same precise per-line record as the directory below and uses it as a snoop filter.
-//! * [`MemoryModel::DirectoryMesh`] — a directory protocol ([`crate::directory`]) over a 2D
-//!   mesh NoC ([`crate::noc`]): misses travel to the line's home tile, the directory's sharer
-//!   bitset routes downgrades/recalls/invalidations point-to-point, and every message pays
-//!   per-hop latency. Functionally MESI-equivalent (same states, same hit/miss/bounce
-//!   outcomes — pinned by the differential suite in `tests/mem_model_equivalence.rs`), but
-//!   with latencies that grow with the mesh diameter, which is what makes 64-core results
+//!   faster than the 80 MHz core clock, so plain DRAM misses are comparatively cheap: a miss
+//!   pays the bus wait, any writeback and the DRAM fetch, and an upgrade (a core writing a
+//!   Shared line) a bus transaction that invalidates every other copy. Faithful at 8 cores,
+//!   *optimistic* beyond one snoop domain. The bus is priced as a broadcast, but the host
+//!   snoops only the caches the directory action names, as a snoop filter would.
+//! * [`MemoryModel::DirectoryMesh`] — a directory protocol over a 2D mesh NoC
+//!   ([`crate::noc`]): misses travel to the line's home tile, the directory's sharer bitset
+//!   routes downgrades/recalls/invalidations point-to-point, and every message pays per-hop
+//!   latency. Functionally the bus by construction (same states, same hit/miss/bounce
+//!   outcomes, still pinned by the differential suite in `tests/mem_model_equivalence.rs`),
+//!   but with latencies that grow with the mesh diameter, which is what makes 64-core results
 //!   defensible.
 //!
 //! Every runtime in the workspace performs its metadata accesses through this model, so the
@@ -32,8 +36,8 @@ use tis_sim::{Cycle, FxHashMap};
 
 use crate::addr::{line_of, line_range, Addr, LINE_SIZE};
 use crate::cache::{CacheConfig, CacheStats, L1Cache};
-use crate::directory::{dir_transition, DirAction, DirOp, DirState, MAX_SHARERS};
-use crate::mesi::{local_transition, snoop_transition, AccessKind, BusOp, LocalAction, MesiState, SnoopAction};
+use crate::directory::{dir_transition, DirAction, DirOp, DirState, SharerSet, MAX_SHARERS};
+use crate::mesi::{local_transition, snoop_transition, AccessKind, BusOp, LocalAction, MesiState};
 use crate::noc::{Mesh, NocConfig, NocContention, NocTraffic, CTRL_MSG_BYTES, DATA_MSG_BYTES};
 
 /// Which coherence interconnect the [`MemorySystem`] simulates.
@@ -196,10 +200,10 @@ pub struct MemorySystem {
     latencies: MemLatencies,
     model: MemoryModel,
     mesh: Mesh,
-    /// Per-line directory state, keyed by line number, kept precise under both models: the
-    /// mesh routes its coherence messages by it and the snooping bus uses it as its snoop
-    /// filter. Entries are removed when a line returns to `Uncached`, so the map tracks exactly
-    /// the lines some cache holds.
+    /// Per-line directory state, keyed by line number, kept precise under both models: every
+    /// miss's transition of it decides which remote copies change, and the mesh also routes
+    /// its coherence messages by it. Entries are removed when a line returns to `Uncached`, so
+    /// the map tracks exactly the lines some cache holds.
     directory: FxHashMap<u64, DirState>,
     /// Per-link occupancy state; populated only under a [`MemoryModel::DirectoryMesh`] whose
     /// [`NocConfig::contention`] is [`NocContention::Contended`]. `None` means messages are
@@ -225,8 +229,9 @@ pub struct MemorySystem {
     /// dependency — and nothing is buffered while disarmed (the default).
     observing: bool,
     noc_leg_log: Vec<NocLegRecord>,
-    /// Test-only reference mode: the snooping bus probes every remote cache, as a broadcast
-    /// bus without a snoop filter does.
+    /// Test-only reference mode: a miss snoops every remote cache with the requester's bus
+    /// operation, as a broadcast bus without a snoop filter does, instead of the caches its
+    /// directory action names.
     #[cfg(test)]
     snoop_every_cache: bool,
 }
@@ -263,17 +268,6 @@ fn dir_request(op: BusOp, core: usize) -> DirOp {
         BusOp::BusRead => DirOp::GetS(core),
         BusOp::BusReadExclusive => DirOp::GetM(core),
     }
-}
-
-/// What snooping the remote holders of a line found.
-#[derive(Default)]
-struct Snooped {
-    /// Cycles spent writing dirty copies back through memory.
-    writeback_cycles: Cycle,
-    /// Whether a remote copy was dirty.
-    remote_dirty: bool,
-    /// Remote caches that still hold the line.
-    sharers: usize,
 }
 
 impl MemorySystem {
@@ -471,8 +465,10 @@ impl MemorySystem {
     }
 
     /// Access of a single line; returns (latency, was_hit, remote_was_dirty). The line is looked
-    /// up once: a hit is served here the same way under both models, and a miss or upgrade goes
-    /// to the model's interconnect with the slot of the line it upgrades.
+    /// up once, and everything but the price is the same under both models: a hit is served
+    /// locally; a miss or upgrade moves the line's directory entry once with
+    /// [`MemorySystem::request_line`], applies the resulting action to the remote copies, lets
+    /// the model price the transaction, and fills or upgrades the line.
     fn access_line(
         &mut self,
         core: usize,
@@ -480,8 +476,9 @@ impl MemorySystem {
         kind: AccessKind,
         now: Cycle,
     ) -> (Cycle, bool, bool) {
+        let line = line_of(line_addr);
         let cache = &mut self.caches[core];
-        let slot = cache.slot_of(line_of(line_addr));
+        let slot = cache.slot_of(line);
         let state = slot.map_or(MesiState::Invalid, |slot| cache.state_at(slot));
         let (action, new_state) = local_transition(state, kind);
         let op = match action {
@@ -495,75 +492,63 @@ impl MemorySystem {
         };
         // A write to a Shared line upgrades it in place; every other miss fills the line.
         let upgrade = slot.filter(|_| state == MesiState::Shared);
-        match self.model {
-            MemoryModel::SnoopBus => self.miss_snoop(core, line_addr, op, upgrade, now),
-            MemoryModel::DirectoryMesh(noc) => {
-                self.miss_directory(core, line_addr, op, upgrade, noc, now)
-            }
+        let (holders, action) = self.request_line(line, dir_request(op, core));
+        let snoops = action.snoops();
+        #[cfg(test)]
+        let snoops = if self.snoop_every_cache { (self.every_cache_but(core), op) } else { snoops };
+        let dirty = self.snoop_remotes(line, snoops);
+        if upgrade.is_none() {
+            self.dram_fetches += 1;
         }
-    }
-
-    /// Snoop-bus miss or upgrade of a single line (the paper's prototype path); `upgrade` is the
-    /// slot of a Shared line being written.
-    fn miss_snoop(
-        &mut self,
-        core: usize,
-        line_addr: Addr,
-        op: BusOp,
-        upgrade: Option<usize>,
-        now: Cycle,
-    ) -> (Cycle, bool, bool) {
-        let (mut lat, dirty, sharers) = self.bus_transaction(core, line_addr, op, now);
+        if dirty {
+            self.dirty_bounces += 1;
+        }
+        let latency = match self.model {
+            MemoryModel::SnoopBus => {
+                // Wait for the bus, write a dirty copy back, fetch the line from DRAM: without
+                // an L2 dirty data goes through memory, and clean sharers do not forward. An
+                // upgrade already has the data, so only its invalidation round trip counts.
+                let writeback = if dirty { self.latencies.writeback } else { 0 };
+                let miss = self.wait_for_bus(now) + writeback + self.latencies.dram_fetch;
+                match upgrade {
+                    Some(_) => miss.min(self.latencies.upgrade + self.wait_for_bus(now)),
+                    None => miss,
+                }
+            }
+            MemoryModel::DirectoryMesh(noc) => self.mesh_latency(core, line, action, dirty, noc, now),
+        };
+        let cache = &mut self.caches[core];
         match upgrade {
             Some(slot) => {
-                // Upgrade: the data is already local, only the invalidation round trip
-                // counts — so the data-less transaction performs no DRAM fetch. The bus
-                // charged one unconditionally (its latency is min'd away just below);
-                // correct the counter so both memory models report identical DRAM traffic
-                // on identical traces.
-                self.dram_fetches -= 1;
-                self.caches[core].note_upgrade();
-                lat = lat.min(self.latencies.upgrade + self.wait_for_bus(now));
-                self.caches[core].touch_slot(slot, MesiState::Modified);
+                cache.note_upgrade();
+                cache.touch_slot(slot, MesiState::Modified);
             }
             None => {
-                self.caches[core].note_miss();
-                self.install_with_eviction(core, line_addr, fill_state(op, sharers == 0), now);
+                cache.note_miss();
+                // A read installs Exclusive when no cache held the line. The eviction (and, on
+                // the mesh, its Put notification) happens when the fill arrives.
+                let fill = fill_state(op, holders == DirState::Uncached);
+                self.install_with_eviction(core, line_addr, fill, now + latency);
             }
         }
-        (lat, false, dirty)
+        (latency, false, dirty)
     }
 
-    /// Directory/NoC miss or upgrade of a single line. Functionally identical to the snoop path
-    /// — same install states, same dirty-bounce semantics — but every coherence action is
-    /// routed through the line's home tile and priced in mesh hops.
-    fn miss_directory(
-        &mut self,
-        core: usize,
-        line_addr: Addr,
-        op: BusOp,
-        upgrade: Option<usize>,
-        noc: NocConfig,
-        now: Cycle,
-    ) -> (Cycle, bool, bool) {
-        let (lat, dirty, was_uncached) =
-            self.directory_transaction(core, line_addr, dir_request(op, core), noc, now);
-        match upgrade {
-            Some(slot) => {
-                self.caches[core].note_upgrade();
-                self.caches[core].touch_slot(slot, MesiState::Modified);
-            }
-            None => {
-                self.caches[core].note_miss();
-                // Same rule as the snoop model's zero-sharer answer: a cold line installs
-                // Exclusive, a line someone else holds installs Shared.
-                let state = fill_state(op, was_uncached);
-                // The eviction (and its Put notification) happens when the fill arrives, one
-                // transaction latency after the access started.
-                self.install_with_eviction(core, line_addr, state, now + lat);
-            }
+    /// Applies a directory action's remote effects, the `(targets, op)` of
+    /// [`DirAction::snoops`]: every target cache that holds `line` takes its
+    /// [`snoop_transition`] under `op`, a dirty copy writing back through memory first. Returns
+    /// whether a copy was dirty, which only the owner's can be.
+    fn snoop_remotes(&mut self, line: u64, (targets, op): (SharerSet, BusOp)) -> bool {
+        let mut dirty = false;
+        for core in targets.iter() {
+            let cache = &mut self.caches[core];
+            let Some(slot) = cache.slot_of(line) else { continue };
+            let state = cache.state_at(slot);
+            cache.snoop_slot(slot, snoop_transition(state, op), state.is_dirty());
+            self.dram_writebacks += u64::from(state.is_dirty());
+            dirty |= state.is_dirty();
         }
-        (lat, false, dirty)
+        dirty
     }
 
     /// Sends one protocol message over the NoC and returns its latency. Under the ideal link
@@ -606,69 +591,40 @@ impl MemorySystem {
         }
     }
 
-    /// Sends a request to the line's home tile and orchestrates the resulting directory
-    /// action: owner downgrade/recall (through memory, as the no-L2 hierarchy demands),
-    /// invalidation fan-out, memory fetch. Returns (latency, remote_dirty, line_was_uncached).
+    /// Prices a miss or upgrade on the mesh: the request travels to the line's home tile, the
+    /// directory looks the line up, `action`'s remote legs run (owner downgrade or recall
+    /// through memory, as the no-L2 hierarchy demands, or the invalidation fan-out), memory
+    /// supplies the line, and the response returns to the requester. `dirty` says whether the
+    /// owner's copy was dirty.
     ///
     /// Every protocol leg is an explicit [`MemorySystem::noc_send`] with its true payload
     /// size — control-sized requests/acks/invalidations, data-sized fill responses and dirty
     /// writebacks — so under [`NocContention::Contended`] each leg loads the links it crosses.
     /// Under the ideal model the per-leg sum telescopes to exactly the closed-form pricing of
     /// the bandwidth-free model (pinned by `tests/figure_pins.rs`).
-    fn directory_transaction(
+    fn mesh_latency(
         &mut self,
         requester: usize,
-        line_addr: Addr,
-        op: DirOp,
+        line: u64,
+        action: DirAction,
+        dirty: bool,
         noc: NocConfig,
         now: Cycle,
-    ) -> (Cycle, bool, bool) {
-        let line = line_of(line_addr);
+    ) -> Cycle {
         let home = self.mesh.home_of(line);
-        let (dir_state, action) = self.request_line(line, op);
-        let was_uncached = dir_state == DirState::Uncached;
-
-        // Request to the home tile (control-sized), directory lookup; the response travels
-        // back to the requester at the end of the transaction, data-sized when a line fill
-        // rides along.
         let mut latency = self.noc_send(requester, home, CTRL_MSG_BYTES, &noc, now);
         latency += noc.directory_lookup;
-        let mut remote_dirty = false;
-        let mut data_response = false;
-
         match action {
-            DirAction::FetchFromMemory => {
-                latency += self.latencies.dram_fetch;
-                self.dram_fetches += 1;
-                data_response = true;
-            }
             DirAction::DowngradeOwner(owner) | DirAction::RecallOwner(owner) => {
                 // Forward to the owner; its reply carries the dirty line when a writeback is
                 // due, so the bounce costs proportionally to the payload on contended links.
                 latency += self.noc_send(home, owner, CTRL_MSG_BYTES, &noc, now + latency);
-                let owner_slot = self.caches[owner].slot_of(line);
-                let owner_state =
-                    owner_slot.map_or(MesiState::Invalid, |slot| self.caches[owner].state_at(slot));
-                let dirty = owner_state.is_dirty();
                 let reply = if dirty { DATA_MSG_BYTES } else { CTRL_MSG_BYTES };
                 latency += self.noc_send(owner, home, reply, &noc, now + latency);
                 if dirty {
                     // No shared L2: the dirty line goes through DRAM before the refetch.
-                    remote_dirty = true;
-                    self.dram_writebacks += 1;
                     latency += self.latencies.writeback;
                 }
-                let owner_next = if matches!(action, DirAction::DowngradeOwner(_)) {
-                    MesiState::Shared
-                } else {
-                    MesiState::Invalid
-                };
-                if let Some(slot) = owner_slot {
-                    self.caches[owner].snoop_slot(slot, owner_next, dirty);
-                }
-                latency += self.latencies.dram_fetch;
-                self.dram_fetches += 1;
-                data_response = true;
             }
             DirAction::InvalidateForUpgrade(sharers) | DirAction::InvalidateAndFetch(sharers) => {
                 let count = sharers.count() as u64;
@@ -680,7 +636,6 @@ impl MemorySystem {
                 // once the invalidation has reached the sharer.
                 let mut max_round_trip = 0;
                 for (k, s) in sharers.iter().enumerate() {
-                    self.caches[s].apply_snoop(line_addr, MesiState::Invalid, false);
                     let issue = now + latency + k as u64 * noc.per_invalidation;
                     let inv = self.noc_send(home, s, CTRL_MSG_BYTES, &noc, issue);
                     let ack = self.noc_send(s, home, CTRL_MSG_BYTES, &noc, issue + inv);
@@ -689,20 +644,16 @@ impl MemorySystem {
                 if count > 0 {
                     latency += noc.per_invalidation * count + max_round_trip;
                 }
-                if matches!(action, DirAction::InvalidateAndFetch(_)) {
-                    latency += self.latencies.dram_fetch;
-                    self.dram_fetches += 1;
-                    data_response = true;
-                }
             }
-            DirAction::None => {}
+            DirAction::FetchFromMemory | DirAction::None => {}
         }
-        let response = if data_response { DATA_MSG_BYTES } else { CTRL_MSG_BYTES };
-        latency += self.noc_send(home, requester, response, &noc, now + latency);
-        if remote_dirty {
-            self.dirty_bounces += 1;
+        // Every action but an in-place upgrade fetches the line, and the response carries it.
+        let fetch = !matches!(action, DirAction::InvalidateForUpgrade(_) | DirAction::None);
+        if fetch {
+            latency += self.latencies.dram_fetch;
         }
-        (latency, remote_dirty, was_uncached)
+        let response = if fetch { DATA_MSG_BYTES } else { CTRL_MSG_BYTES };
+        latency + self.noc_send(home, requester, response, &noc, now + latency)
     }
 
     /// Records NoC traffic statistics.
@@ -733,92 +684,6 @@ impl MemorySystem {
         self.bus_free_at = now.max(self.bus_free_at.min(now + max_queue)) + self.latencies.bus_occupancy;
         self.bus_transactions += 1;
         wait
-    }
-
-    /// Performs the bus side of a miss/upgrade: snoops the remote caches that hold the line,
-    /// forces writebacks of dirty copies through memory, fetches the line from DRAM. Returns
-    /// (latency, remote_dirty, remaining_sharers).
-    ///
-    /// The line's directory entry is the snoop filter: its holders before the request are the
-    /// caches snooped. Pricing is a broadcast's: a cache without the line costs nothing either
-    /// way.
-    fn bus_transaction(
-        &mut self,
-        requester: usize,
-        line_addr: Addr,
-        op: BusOp,
-        now: Cycle,
-    ) -> (Cycle, bool, usize) {
-        let mut latency = self.wait_for_bus(now);
-        let line = line_of(line_addr);
-        let (holders, _) = self.request_line(line, dir_request(op, requester));
-        let found = self.snoop_holders(requester, line, op, holders);
-        latency += found.writeback_cycles;
-        // Data always comes from DRAM in this no-L2 hierarchy (clean sharers do not forward).
-        latency += self.latencies.dram_fetch;
-        self.dram_fetches += 1;
-        if found.remote_dirty {
-            self.dirty_bounces += 1;
-        }
-        (latency, found.remote_dirty, found.sharers)
-    }
-
-    /// Snoops the recorded `holders` of `line` other than the requester, in ascending core
-    /// order.
-    fn snoop_holders(
-        &mut self,
-        requester: usize,
-        line: u64,
-        op: BusOp,
-        holders: DirState,
-    ) -> Snooped {
-        let mut found = Snooped::default();
-        #[cfg(test)]
-        if self.snoop_every_cache {
-            for other in (0..self.caches.len()).filter(|&c| c != requester) {
-                self.snoop_cache(other, line, op, &mut found);
-            }
-            return found;
-        }
-        match holders {
-            DirState::Uncached => {}
-            DirState::Owned(owner) => {
-                if owner != requester {
-                    self.snoop_cache(owner, line, op, &mut found);
-                }
-            }
-            DirState::Shared(sharers) => {
-                for other in sharers.iter().filter(|&c| c != requester) {
-                    self.snoop_cache(other, line, op, &mut found);
-                }
-            }
-        }
-        found
-    }
-
-    /// Snoops one remote cache for `line`: a dirty copy is written back through memory, and
-    /// the copy is downgraded or invalidated as the bus operation demands. A cache that does
-    /// not hold the line is skipped.
-    fn snoop_cache(&mut self, other: usize, line: u64, op: BusOp, found: &mut Snooped) {
-        let cache = &mut self.caches[other];
-        let Some(slot) = cache.slot_of(line) else { return };
-        let remote_state = cache.state_at(slot);
-        if remote_state == MesiState::Invalid {
-            return;
-        }
-        let (action, next) = snoop_transition(remote_state, op);
-        let wrote_back = remote_state.is_dirty()
-            && matches!(action, SnoopAction::WritebackAndShare | SnoopAction::WritebackAndInvalidate);
-        if wrote_back {
-            found.remote_dirty = true;
-            self.dram_writebacks += 1;
-            // Without an L2, the dirty data goes to DRAM before the requester can fetch it.
-            found.writeback_cycles += self.latencies.writeback;
-        }
-        cache.snoop_slot(slot, next, wrote_back);
-        if next != MesiState::Invalid {
-            found.sharers += 1;
-        }
     }
 
     /// Fills a line the requester has just missed on, after its bus or directory transaction.
@@ -1367,6 +1232,15 @@ mod tests {
             .collect();
         for cache in [CacheConfig::tiny(), CacheConfig::rocket_l1d()] {
             assert_filter_matches_broadcast(72, cache, &trace);
+        }
+    }
+
+    impl MemorySystem {
+        /// Every core but `core`: the caches the broadcast reference snoops.
+        pub(super) fn every_cache_but(&self, core: usize) -> SharerSet {
+            let mut every = SharerSet::empty();
+            (0..self.cores()).filter(|&c| c != core).for_each(|c| every.insert(c));
+            every
         }
     }
 

@@ -268,12 +268,6 @@ impl Picos {
         }
     }
 
-    /// Whether a ready descriptor is visible at cycle `now`.
-    pub fn has_ready(&mut self, now: Cycle) -> bool {
-        self.advance(now);
-        matches!(self.ready_queue.front(), Some(rt) if rt.available_at <= now)
-    }
-
     /// Number of descriptors currently sitting in the ready queue (regardless of visibility).
     pub fn ready_queue_len(&self) -> usize {
         self.ready_queue.len() + self.pending_ready.len()

@@ -28,11 +28,6 @@ impl SimRng {
         z ^ (z >> 31)
     }
 
-    /// Returns the next 32-bit value.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Returns a uniformly distributed value in `[0, bound)`.
     ///
     /// # Panics

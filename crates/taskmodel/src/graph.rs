@@ -343,11 +343,6 @@ impl ExecutionValidator {
         ExecutionValidator { graph: program.reference_graph() }
     }
 
-    /// Creates a validator from an already-built graph.
-    pub fn from_graph(graph: DepGraph) -> Self {
-        ExecutionValidator { graph }
-    }
-
     /// Validates an execution trace, in time linear in tasks and edges plus a sort of the
     /// records by core and start.
     ///

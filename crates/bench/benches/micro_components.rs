@@ -1,5 +1,6 @@
 //! Criterion microbenchmarks of the core data paths: the Picos dependence tracker, the packet
-//! codec, the RoCC instruction codec and the MESI memory system — plus a **tracker regression
+//! codec, the RoCC instruction codec, the Picos fabric over each CPU–accelerator link and the
+//! MESI memory system — plus a **tracker regression
 //! guard** that measures the current tracker against a faithful copy of the seed-era
 //! implementation, so the hot-path speedup is measured on every run, not asserted once in a
 //! commit message.
@@ -20,8 +21,14 @@ use std::hint::black_box;
 use std::time::Instant;
 use tis_bench::{Harness, Platform};
 use tis_core::rocc::{RoccInstruction, TaskSchedOp};
+use tis_core::TisFabric;
+use tis_machine::fabric::{FabricOutcome, SchedulerFabric};
 use tis_mem::{AccessKind, CacheConfig, MemLatencies, MemoryModel, MemorySystem};
-use tis_picos::{decode_descriptor, encode_descriptor, DependenceTracker, PicosId, SubmittedTask, TrackerConfig};
+use tis_nanos::AxiFabric;
+use tis_picos::{
+    decode_descriptor, encode_descriptor, encode_nonzero_prefix, DependenceTracker, PicosId, SubmittedTask,
+    TrackerConfig,
+};
 use tis_taskmodel::{
     Dependence, Payload, ProgramOp, SourcePoll, TaskId, TaskSource, TaskSpec,
 };
@@ -269,6 +276,48 @@ fn bench_rocc_codec(c: &mut Criterion) {
     });
 }
 
+/// Runs 1,000 tasks, each `inout` on one address, through a one-core fabric: submit, request,
+/// fetch (polling until the task is visible), retire. Returns the simulated cycles taken.
+fn drive_fabric(f: &mut impl SchedulerFabric, packets: &[u32]) -> u64 {
+    let mut now = 0;
+    for _ in 0..1000 {
+        loop {
+            let (latency, out) = f.submission_request(0, packets.len() as u32, now);
+            now += latency;
+            if out.is_success() {
+                break;
+            }
+        }
+        for chunk in packets.chunks(3) {
+            now += f.submit_packets(0, chunk, now).0;
+        }
+        now += f.ready_task_request(0, now).0;
+        loop {
+            let (latency, out) = f.fetch_sw_id(0, now);
+            now += latency;
+            if out.is_success() {
+                break;
+            }
+        }
+        let (latency, out) = f.fetch_picos_id(0, now);
+        let FabricOutcome::Success(picos_id) = out else { unreachable!("armed by the SW ID fetch") };
+        now += latency;
+        now += f.retire_task(0, picos_id, now);
+    }
+    now
+}
+
+/// The same task loop over each link's price list of the one Picos fabric.
+fn bench_fabric(c: &mut Criterion) {
+    let packets = encode_nonzero_prefix(&SubmittedTask::new(7, vec![Dependence::read_write(0x1000)]));
+    c.bench_function("picos_fabric_1000_tasks_rocc", |b| {
+        b.iter(|| black_box(drive_fabric(&mut TisFabric::with_cores(1), &packets)))
+    });
+    c.bench_function("picos_fabric_1000_tasks_axi", |b| {
+        b.iter(|| black_box(drive_fabric(&mut AxiFabric::with_cores(1), &packets)))
+    });
+}
+
 /// One line bounced between four cores: every access after the first is a dirty recall, priced
 /// by the bus and by the mesh through the same miss path.
 fn bench_mesi(c: &mut Criterion) {
@@ -476,7 +525,7 @@ fn streaming_host_throughput_guard() {
     }
 }
 
-criterion_group!(benches, bench_tracker, bench_packet_codec, bench_rocc_codec, bench_mesi);
+criterion_group!(benches, bench_tracker, bench_packet_codec, bench_rocc_codec, bench_fabric, bench_mesi);
 
 fn main() {
     benches();

@@ -6,6 +6,10 @@
 //! keeps is the *SW-ID-fetched* flag that couples `Fetch SW ID` and `Fetch Picos ID`: the
 //! Picos ID of a ready task can only be fetched (and the entry popped) after its SW ID has been
 //! successfully read, exactly as specified in Sections IV-E5 and IV-E6.
+//!
+//! The delegate is link-agnostic: [`PicosFabric`](crate::fabric::PicosFabric) routes every
+//! operation of either CPU–accelerator link through it and only prices the operation by link, so
+//! its counters are the fabric's statistics on both.
 
 use tis_machine::FailedOps;
 use tis_sim::Cycle;
@@ -16,29 +20,23 @@ use crate::rocc::TaskSchedOp;
 /// Per-core instruction counters (one slot per Table-I operation).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DelegateStats {
-    /// Instructions issued, indexed like [`TaskSchedOp::ALL`].
+    /// Instructions issued, indexed by `op as usize` (the order of [`TaskSchedOp::ALL`]).
     pub issued: [u64; 7],
-    /// Instructions that returned the failure flag, indexed like [`TaskSchedOp::ALL`].
+    /// Instructions that returned the failure flag, indexed like `issued`.
     pub failed: [u64; 7],
 }
 
 impl DelegateStats {
-    fn index(op: TaskSchedOp) -> usize {
-        TaskSchedOp::ALL.iter().position(|&o| o == op).expect("op is in ALL")
-    }
-
     fn record(&mut self, op: TaskSchedOp, ok: bool) {
-        let i = Self::index(op);
-        self.issued[i] += 1;
+        self.issued[op as usize] += 1;
         if !ok {
-            self.failed[i] += 1;
+            self.failed[op as usize] += 1;
         }
     }
 
     fn record_failures(&mut self, op: TaskSchedOp, times: u64) {
-        let i = Self::index(op);
-        self.issued[i] += times;
-        self.failed[i] += times;
+        self.issued[op as usize] += times;
+        self.failed[op as usize] += times;
     }
 
     /// Total instructions issued by this core.
@@ -49,6 +47,20 @@ impl DelegateStats {
     /// Total instructions that reported failure.
     pub fn total_failed(&self) -> u64 {
         self.failed.iter().sum()
+    }
+}
+
+impl<'a> std::iter::Sum<&'a DelegateStats> for DelegateStats {
+    fn sum<I: Iterator<Item = &'a DelegateStats>>(iter: I) -> Self {
+        iter.fold(DelegateStats::default(), |mut total, s| {
+            for (sum, n) in total.issued.iter_mut().zip(s.issued) {
+                *sum += n;
+            }
+            for (sum, n) in total.failed.iter_mut().zip(s.failed) {
+                *sum += n;
+            }
+            total
+        })
     }
 }
 
@@ -86,9 +98,8 @@ impl PicosDelegate {
     /// *Submit Packet* (one packet) or *Submit Three Packets* (three packets) — returns `true`
     /// on success.
     pub fn submit_packets(&mut self, manager: &mut PicosManager, packets: &[u32], now: Cycle) -> bool {
-        let op = if packets.len() >= 3 { TaskSchedOp::SubmitThreePackets } else { TaskSchedOp::SubmitPacket };
         let ok = manager.push_packets(self.core, packets, now);
-        self.stats.record(op, ok);
+        self.stats.record(TaskSchedOp::submit_for(packets.len()), ok);
         ok
     }
 
@@ -199,6 +210,13 @@ mod tests {
         // Fetch Picos ID.
         assert_eq!(d0.fetch_sw_id(&mut manager, now), Some(5));
         assert!(d0.fetch_picos_id(&mut manager, now).is_some());
+    }
+
+    #[test]
+    fn counters_are_indexed_in_table_i_order() {
+        for (i, op) in TaskSchedOp::ALL.into_iter().enumerate() {
+            assert_eq!(op as usize, i, "{op:?}");
+        }
     }
 
     #[test]

@@ -1,19 +1,39 @@
-//! The tightly-integrated scheduler fabric: Table I served in a couple of cycles per
-//! instruction.
+//! The Picos scheduler fabric: Table I served by one Picos accelerator behind either
+//! CPU–accelerator link.
 //!
-//! [`TisFabric`] assembles one [`PicosDelegate`] per core around a shared
-//! [`PicosManager`] (which owns the Picos device) and exposes the result as a
-//! [`SchedulerFabric`], the interface runtimes program against. Each operation costs the core a
-//! fixed RoCC instruction latency (2 cycles on Rocket, Section IV-F2) plus whatever the blocking
-//! *Retire Task* transaction adds — this is the "FPGA-CPU communication latency eliminated"
-//! property the paper's speedups come from.
+//! [`PicosFabric`] assembles one [`PicosDelegate`] per core around a shared [`PicosManager`]
+//! (which owns the Picos device) and exposes the result as a [`SchedulerFabric`], the interface
+//! runtimes program against. Every operation takes the same path on every link; the link,
+//! a [`PicosLink`], only prices it. [`TisFabric`] is the paper's link: each RoCC instruction
+//! costs the core a fixed latency (2 cycles on Rocket, Section IV-F2) plus whatever the blocking
+//! *Retire Task* transaction adds, which is the "FPGA-CPU communication latency eliminated"
+//! property the paper's speedups come from. `tis_nanos::AxiFabric` prices the same operations as
+//! the Picos++ driver's MMIO and DMA transfers.
 
 use tis_machine::fabric::{CoreId, FabricOutcome, FabricStats, FailedOps, SchedulerFabric};
 use tis_picos::PicosConfig;
 use tis_sim::Cycle;
 
-use crate::delegate::PicosDelegate;
+use crate::delegate::{DelegateStats, PicosDelegate};
 use crate::manager::{ManagerConfig, PicosManager};
+use crate::rocc::TaskSchedOp;
+
+/// A CPU–accelerator link: the configuration of a [`PicosFabric`] and the price of each
+/// Table-I operation on it.
+pub trait PicosLink: Copy {
+    /// Name of the fabric over this link (used in reports).
+    const NAME: &'static str;
+
+    /// Picos Manager sizing and crossing latencies.
+    fn manager(&self) -> ManagerConfig;
+
+    /// Picos device configuration.
+    fn picos(&self) -> PicosConfig;
+
+    /// Cycles the issuing core spends on `op` transferring `packets` submission packets, before
+    /// the manager's latency that a *Retire Task* adds.
+    fn price(&self, op: TaskSchedOp, packets: u32) -> Cycle;
+}
 
 /// Configuration of the tightly-integrated scheduling subsystem.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,39 +56,54 @@ impl Default for TisConfig {
     }
 }
 
-/// The RoCC-integrated Picos scheduling fabric (the paper's contribution).
-#[derive(Debug, Clone)]
-pub struct TisFabric {
-    config: TisConfig,
-    manager: PicosManager,
-    delegates: Vec<PicosDelegate>,
-    stats: FabricStats,
+impl PicosLink for TisConfig {
+    const NAME: &'static str = "rocc-picos";
+
+    fn manager(&self) -> ManagerConfig {
+        self.manager
+    }
+
+    fn picos(&self) -> PicosConfig {
+        self.picos
+    }
+
+    fn price(&self, _op: TaskSchedOp, _packets: u32) -> Cycle {
+        self.rocc_latency
+    }
 }
 
-impl TisFabric {
+/// The Picos accelerator behind the link `L`: per-core delegates around one shared manager.
+#[derive(Debug, Clone)]
+pub struct PicosFabric<L> {
+    link: L,
+    manager: PicosManager,
+    delegates: Vec<PicosDelegate>,
+}
+
+/// The RoCC-integrated Picos scheduling fabric (the paper's contribution).
+pub type TisFabric = PicosFabric<TisConfig>;
+
+impl<L: PicosLink> PicosFabric<L> {
     /// Builds the fabric for a machine with `cores` cores.
-    pub fn new(cores: usize, config: TisConfig) -> Self {
-        TisFabric {
-            config,
-            manager: PicosManager::new(cores, config.manager, config.picos),
+    pub fn new(cores: usize, link: L) -> Self {
+        PicosFabric {
+            link,
+            manager: PicosManager::new(cores, link.manager(), link.picos()),
             delegates: (0..cores).map(PicosDelegate::new).collect(),
-            stats: FabricStats::default(),
         }
     }
 
-    /// Builds the fabric with default configuration.
-    pub fn with_cores(cores: usize) -> Self {
-        TisFabric::new(cores, TisConfig::default())
+    /// Builds the fabric with the link's default configuration.
+    pub fn with_cores(cores: usize) -> Self
+    where
+        L: Default,
+    {
+        PicosFabric::new(cores, L::default())
     }
 
     /// Configuration in use.
-    pub fn config(&self) -> TisConfig {
-        self.config
-    }
-
-    /// The shared Picos Manager (for statistics and tests).
-    pub fn manager(&self) -> &PicosManager {
-        &self.manager
+    pub fn config(&self) -> L {
+        self.link
     }
 
     /// Per-core delegate statistics.
@@ -80,11 +115,16 @@ impl TisFabric {
     pub fn tasks_in_flight(&self) -> usize {
         self.manager.tasks_in_flight()
     }
+
+    /// The link's price of `op` with the operation's result as the outcome.
+    fn priced<T>(&self, op: TaskSchedOp, packets: u32, result: Option<T>) -> (Cycle, FabricOutcome<T>) {
+        (self.link.price(op, packets), result.map_or(FabricOutcome::Failure, FabricOutcome::Success))
+    }
 }
 
-impl SchedulerFabric for TisFabric {
+impl<L: PicosLink> SchedulerFabric for PicosFabric<L> {
     fn name(&self) -> &'static str {
-        "rocc-picos"
+        L::NAME
     }
 
     fn set_time_horizon(&mut self, safe_now: Cycle) {
@@ -92,68 +132,51 @@ impl SchedulerFabric for TisFabric {
     }
 
     fn submission_request(&mut self, core: CoreId, packet_count: u32, now: Cycle) -> (Cycle, FabricOutcome<()>) {
-        self.stats.operations += 1;
         let ok = self.delegates[core].submission_request(&mut self.manager, packet_count, now);
-        if !ok {
-            self.stats.submission_failures += 1;
-        }
-        (self.config.rocc_latency, if ok { FabricOutcome::Success(()) } else { FabricOutcome::Failure })
+        self.priced(TaskSchedOp::SubmissionRequest, 0, ok.then_some(()))
     }
 
     fn submit_packets(&mut self, core: CoreId, packets: &[u32], now: Cycle) -> (Cycle, FabricOutcome<()>) {
-        self.stats.operations += 1;
         let ok = self.delegates[core].submit_packets(&mut self.manager, packets, now);
-        (self.config.rocc_latency, if ok { FabricOutcome::Success(()) } else { FabricOutcome::Failure })
+        self.priced(TaskSchedOp::submit_for(packets.len()), packets.len() as u32, ok.then_some(()))
     }
 
     fn ready_task_request(&mut self, core: CoreId, now: Cycle) -> (Cycle, FabricOutcome<()>) {
-        self.stats.operations += 1;
         let ok = self.delegates[core].ready_task_request(&mut self.manager, now);
-        (self.config.rocc_latency, if ok { FabricOutcome::Success(()) } else { FabricOutcome::Failure })
+        self.priced(TaskSchedOp::ReadyTaskRequest, 0, ok.then_some(()))
     }
 
     fn fetch_sw_id(&mut self, core: CoreId, now: Cycle) -> (Cycle, FabricOutcome<u64>) {
-        self.stats.operations += 1;
-        match self.delegates[core].fetch_sw_id(&mut self.manager, now) {
-            Some(sw) => (self.config.rocc_latency, FabricOutcome::Success(sw)),
-            None => {
-                self.stats.fetch_failures += 1;
-                (self.config.rocc_latency, FabricOutcome::Failure)
-            }
-        }
+        let sw_id = self.delegates[core].fetch_sw_id(&mut self.manager, now);
+        self.priced(TaskSchedOp::FetchSwId, 0, sw_id)
     }
 
     fn fetch_picos_id(&mut self, core: CoreId, now: Cycle) -> (Cycle, FabricOutcome<u32>) {
-        self.stats.operations += 1;
-        match self.delegates[core].fetch_picos_id(&mut self.manager, now) {
-            Some(pid) => {
-                self.stats.tasks_dispatched += 1;
-                (self.config.rocc_latency, FabricOutcome::Success(pid))
-            }
-            None => {
-                self.stats.fetch_failures += 1;
-                (self.config.rocc_latency, FabricOutcome::Failure)
-            }
-        }
+        let picos_id = self.delegates[core].fetch_picos_id(&mut self.manager, now);
+        self.priced(TaskSchedOp::FetchPicosId, 0, picos_id)
     }
 
     fn retire_task(&mut self, core: CoreId, picos_id: u32, now: Cycle) -> Cycle {
-        self.stats.operations += 1;
-        self.stats.tasks_retired += 1;
         let manager_latency = self.delegates[core].retire_task(&mut self.manager, picos_id, now);
-        self.config.rocc_latency + manager_latency
+        self.link.price(TaskSchedOp::RetireTask, 0) + manager_latency
     }
 
     fn stats(&self) -> FabricStats {
+        use TaskSchedOp::{FetchPicosId, FetchSwId, RetireTask, SubmissionRequest};
+        let ops: DelegateStats = self.delegates.iter().map(PicosDelegate::stats).sum();
         let picos = self.manager.picos().stats();
         FabricStats {
             // A descriptor may reach Picos during any later operation's advance, so the count
             // comes from the manager rather than from the submit that completed it.
             tasks_submitted: self.manager.stats().descriptors_forwarded,
+            submission_failures: ops.failed[SubmissionRequest as usize],
+            tasks_dispatched: ops.issued[FetchPicosId as usize] - ops.failed[FetchPicosId as usize],
+            fetch_failures: ops.failed[FetchSwId as usize] + ops.failed[FetchPicosId as usize],
+            tasks_retired: ops.issued[RetireTask as usize],
+            operations: ops.total_issued(),
             tracker_losses: picos.tracker_losses,
             tracker_resubmits: picos.tracker_resubmits,
             tracker_recovery_cycles: picos.tracker_recovery_cycles,
-            ..self.stats.clone()
         }
     }
 
@@ -187,13 +210,6 @@ impl SchedulerFabric for TisFabric {
     }
 
     fn charge_failed_polls(&mut self, core: CoreId, ops: FailedOps, polls: u64) {
-        self.stats.operations += polls * ops.count();
-        if ops.submission_packets > 0 {
-            self.stats.submission_failures += polls;
-        }
-        if ops.fetch_sw_id {
-            self.stats.fetch_failures += polls;
-        }
         self.delegates[core].charge_failed_polls(ops, polls);
         self.manager.charge_refusals(ops, polls);
     }
@@ -217,6 +233,12 @@ mod tests {
             assert!(out.is_success());
         }
         true
+    }
+
+    #[test]
+    fn rocc_instruction_cost_matches_paper() {
+        // Section IV-F2: ready descriptors are fetched "with two 2-cycle-long RoCC instructions".
+        assert_eq!(TisConfig::default().rocc_latency, 2);
     }
 
     #[test]

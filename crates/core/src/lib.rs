@@ -9,13 +9,14 @@
 //!
 //! * [`rocc`] — the RoCC instruction format (Figure 1) and the Table-I instruction set;
 //! * [`delegate`] — the per-core **Picos Delegate**: the RoCC accelerator stub that implements
-//!   each custom instruction against the shared manager (Section IV-E);
+//!   each custom instruction against the shared manager (Section IV-E), on either link;
 //! * [`manager`] — **Picos Manager** (Section IV-F): the Submission Handler with its Guided
 //!   Arbiter and Zero Padder, the Work-Fetch Arbiter, the Packet Encoder, the Round-Robin
 //!   retirement arbiter, the per-core ready queues and the protocol-crossing glue around Picos;
-//! * [`fabric`] — [`TisFabric`]: the above assembled into a
-//!   [`SchedulerFabric`](tis_machine::SchedulerFabric) that cores drive with ~2-cycle
-//!   instructions;
+//! * [`fabric`] — [`PicosFabric`]: the above assembled into a
+//!   [`SchedulerFabric`](tis_machine::SchedulerFabric) whose [`PicosLink`] only prices each
+//!   operation; [`TisFabric`] is the RoCC link cores drive with ~2-cycle instructions, and
+//!   `tis_nanos::AxiFabric` the Picos++ AXI/MMIO link;
 //! * [`phentos`] — the **Phentos** fly-weight runtime (Section V-B): no non-IO syscalls,
 //!   cache-line-sized task metadata, private retirement counters with batched atomic updates,
 //!   bounded spin polling;
@@ -53,7 +54,7 @@ pub mod phentos;
 pub mod resources;
 pub mod rocc;
 
-pub use fabric::{TisConfig, TisFabric};
+pub use fabric::{PicosFabric, PicosLink, TisConfig, TisFabric};
 pub use phentos::{Phentos, PhentosConfig};
 pub use resources::{ResourceReport, ResourceRow};
 pub use rocc::{RoccInstruction, TaskSchedOp, CUSTOM0_OPCODE};

@@ -54,6 +54,16 @@ impl TaskSchedOp {
         TaskSchedOp::RetireTask,
     ];
 
+    /// The submit instruction that carries `packets` packets: *Submit Three Packets* for three,
+    /// *Submit Packet* otherwise.
+    pub fn submit_for(packets: usize) -> TaskSchedOp {
+        if packets >= 3 {
+            TaskSchedOp::SubmitThreePackets
+        } else {
+            TaskSchedOp::SubmitPacket
+        }
+    }
+
     /// The `funct7` encoding of the operation.
     pub fn funct7(self) -> u32 {
         match self {

@@ -17,7 +17,8 @@
 //! The constants below are *inputs* to the model, not the paper's results: they come from the
 //! structure of each code path (documented per field) and from public measurements of Linux
 //! futex/syscall costs on small in-order cores, scaled to 80 MHz. EXPERIMENTS.md compares the
-//! end-to-end overheads that *emerge* from composing them against Figure 7.
+//! end-to-end overheads that *emerge* from composing them against Figure 7. The prices of the
+//! CPU–accelerator links live with the links: `tis_core::TisConfig` and `tis_nanos::AxiConfig`.
 
 use tis_sim::Cycle;
 
@@ -52,24 +53,6 @@ pub struct CostModel {
     /// yields, sleeps and timer queries.
     pub syscall_base: Cycle,
 
-    // --- RoCC (tightly-integrated) path ---
-    /// Issuing one RoCC custom instruction and receiving its response through the Rocket
-    /// core's RoCC interface ("two 2-cycle-long RoCC instructions", Section IV-F2).
-    pub rocc_instruction: Cycle,
-
-    // --- AXI/MMIO (Picos++ baseline) path ---
-    /// One uncached MMIO write crossing the CPU–FPGA AXI bridge.
-    pub axi_mmio_write: Cycle,
-    /// One uncached MMIO read crossing the CPU–FPGA AXI bridge (round trip).
-    pub axi_mmio_read: Cycle,
-    /// Setting up a DMA descriptor / driver bookkeeping for a batched transfer (the
-    /// "DMA-like communication module" of Picos++), charged once per task submission.
-    /// Fitted against Figure 7's Nanos-AXI row (the one per-task knob on that path): 753
-    /// cycles puts the composed Task-Free(15) overhead within 0.5% of the paper's 17 042.
-    pub axi_dma_setup: Cycle,
-    /// Cost of the driver/ioctl layer entered per scheduler interaction on the ARM+FPGA system.
-    pub axi_driver_call: Cycle,
-
     // --- serial-baseline ---
     /// Call overhead per task body in the serial (non-task) version of a benchmark.
     pub serial_call_overhead: Cycle,
@@ -88,11 +71,6 @@ impl Default for CostModel {
             futex_wake: 900,
             spin_backoff: 12,
             syscall_base: 700,
-            rocc_instruction: 2,
-            axi_mmio_write: 110,
-            axi_mmio_read: 160,
-            axi_dma_setup: 753,
-            axi_driver_call: 650,
             serial_call_overhead: 8,
         }
     }
@@ -115,11 +93,6 @@ impl CostModel {
             futex_wake: 0,
             spin_backoff: 1,
             syscall_base: 0,
-            rocc_instruction: 0,
-            axi_mmio_write: 0,
-            axi_mmio_read: 0,
-            axi_dma_setup: 0,
-            axi_driver_call: 0,
             serial_call_overhead: 0,
         }
     }
@@ -133,18 +106,10 @@ mod tests {
     fn defaults_are_ordered_sensibly() {
         let c = CostModel::default();
         // The whole premise of the paper, encoded as orderings rather than absolute values.
-        assert!(c.rocc_instruction < c.axi_mmio_write, "RoCC must beat MMIO");
-        assert!(c.axi_mmio_write < c.futex_wait, "an MMIO write is cheaper than parking a thread");
         assert!(c.function_call < c.virtual_call);
         assert!(c.mutex_uncontended < c.futex_wait);
         assert!(c.spin_backoff < c.mutex_uncontended);
         assert!(c.heap_alloc > c.function_call);
-    }
-
-    #[test]
-    fn rocc_instruction_cost_matches_paper() {
-        // Section IV-F2: ready descriptors are fetched "with two 2-cycle-long RoCC instructions".
-        assert_eq!(CostModel::default().rocc_instruction, 2);
     }
 
     #[test]

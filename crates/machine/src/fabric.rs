@@ -2,12 +2,13 @@
 //!
 //! A [`SchedulerFabric`] is what a core "sees" when it asks for task-scheduling services. The
 //! seven operations correspond one-to-one to the custom instructions of Table I of the paper.
-//! Three implementations exist in the workspace:
+//! Two implementations exist in the workspace:
 //!
-//! * `tis-core::TisFabric` — the paper's contribution: RoCC instructions served by the per-core
-//!   Picos Delegates and the shared Picos Manager, each a couple of cycles;
-//! * `tis-nanos::AxiFabric` — the Picos++ baseline: the same Picos accelerator behind an
-//!   AXI/MMIO driver, hundreds-to-thousands of cycles per interaction;
+//! * `tis-core::PicosFabric` — per-core Picos Delegates and the shared Picos Manager, behind one
+//!   of two CPU–accelerator links that differ only in what each operation costs:
+//!   `tis-core::TisFabric`, the paper's contribution, where every RoCC instruction takes a couple
+//!   of cycles, and `tis-nanos::AxiFabric`, the Picos++ baseline, where each operation crosses an
+//!   AXI/MMIO driver for hundreds to thousands of cycles;
 //! * [`NullFabric`] — used by the software-only Nanos-SW runtime, which never touches scheduling
 //!   hardware (every operation fails).
 //!

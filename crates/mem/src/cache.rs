@@ -273,15 +273,8 @@ impl L1Cache {
         }
     }
 
-    /// Applies a snoop result: sets the line's state (possibly Invalid), recording writeback and
-    /// invalidation statistics. Does nothing if the line is not resident.
-    pub fn apply_snoop(&mut self, addr: Addr, new_state: MesiState, wrote_back: bool) {
-        if let Some(slot) = self.slot_of(line_of(addr)) {
-            self.snoop_slot(slot, new_state, wrote_back);
-        }
-    }
-
-    /// [`L1Cache::apply_snoop`] to the line in `slot`.
+    /// Applies a snoop result to the line in `slot`: sets its state (possibly Invalid), recording
+    /// writeback and invalidation statistics.
     pub(crate) fn snoop_slot(&mut self, slot: usize, new_state: MesiState, wrote_back: bool) {
         if wrote_back {
             self.stats.writebacks += 1;
@@ -360,20 +353,22 @@ mod tests {
     fn snoop_invalidation_removes_line() {
         let mut c = L1Cache::new(CacheConfig::rocket_l1d());
         c.install(0x2000, MesiState::Modified);
-        c.apply_snoop(0x2000, MesiState::Invalid, true);
+        let slot = c.slot_of(line_of(0x2000)).expect("resident");
+        c.snoop_slot(slot, MesiState::Invalid, true);
         assert_eq!(c.state_of(0x2000), MesiState::Invalid);
+        assert_eq!(c.slot_of(line_of(0x2000)), None, "the slot is free again");
         assert_eq!(c.stats().snoop_invalidations, 1);
         assert_eq!(c.stats().writebacks, 1);
-        // Snooping an absent line is a no-op.
-        c.apply_snoop(0x9999, MesiState::Invalid, false);
-        assert_eq!(c.stats().snoop_invalidations, 1);
+        // An absent line has no slot to snoop.
+        assert_eq!(c.slot_of(line_of(0x9999)), None);
     }
 
     #[test]
     fn snoop_downgrade_keeps_line_shared() {
         let mut c = L1Cache::new(CacheConfig::rocket_l1d());
         c.install(0x3000, MesiState::Modified);
-        c.apply_snoop(0x3000, MesiState::Shared, true);
+        let slot = c.slot_of(line_of(0x3000)).expect("resident");
+        c.snoop_slot(slot, MesiState::Shared, true);
         assert_eq!(c.state_of(0x3000), MesiState::Shared);
         assert_eq!(c.resident_lines(), 1);
     }
@@ -422,7 +417,11 @@ mod proptests {
                 match op {
                     0 => { c.install(addr, MesiState::Shared); }
                     1 => { c.install(addr, MesiState::Modified); }
-                    _ => { c.apply_snoop(addr, MesiState::Invalid, false); }
+                    _ => {
+                        if let Some(slot) = c.slot_of(line_of(addr)) {
+                            c.snoop_slot(slot, MesiState::Invalid, false);
+                        }
+                    }
                 }
                 prop_assert!(c.resident_lines() <= cfg.total_lines());
                 for set in 0..cfg.sets() as u64 {
@@ -475,7 +474,9 @@ mod proptests {
                         // A snoop leaves a line Shared or takes it away.
                         let next =
                             if state == MesiState::Shared { state } else { MesiState::Invalid };
-                        flat.apply_snoop(addr, next, wrote_back);
+                        if let Some(slot) = flat.slot_of(first) {
+                            flat.snoop_slot(slot, next, wrote_back);
+                        }
                         reference.apply_snoop(addr, next, wrote_back);
                     }
                     3 => {

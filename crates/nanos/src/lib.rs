@@ -17,8 +17,9 @@
 //! * [`tuning`] — the calibrated per-operation path lengths of the Nanos code base;
 //! * [`shared`] — the shared-memory structures Nanos hammers (the scheduler lock, the central
 //!   ready queue, the taskwait counter) and a deterministic lock/futex contention model;
-//! * [`axi`] — [`AxiFabric`]: the same Picos Manager as `tis-core`, reached
-//!   through MMIO/DMA latencies instead of 2-cycle instructions;
+//! * [`axi`] — [`AxiConfig`], the Picos++ link's price list, and [`AxiFabric`]: the one Picos
+//!   fabric of `tis-core` over that link, so MMIO/DMA latencies replace 2-cycle instructions
+//!   and nothing else changes;
 //! * [`runtime`] — [`Nanos`], a [`RuntimeSystem`](tis_machine::RuntimeSystem)
 //!   implementation parameterised by [`NanosVariant`].
 

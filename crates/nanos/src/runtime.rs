@@ -16,7 +16,8 @@
 //! * [`NanosVariant::PicosRocc`] (Nanos-RV) — dependences tracked by the hardware through the
 //!   RoCC fabric of `tis-core`;
 //! * [`NanosVariant::PicosAxi`] (Nanos-AXI) — the same, but the caller supplies an
-//!   [`AxiFabric`](crate::axi::AxiFabric), reproducing the Picos++ baseline.
+//!   [`AxiFabric`](crate::axi::AxiFabric), reproducing the Picos++ baseline. It is the same
+//!   Picos fabric as Nanos-RV's with AXI prices, so the runtime code path is identical too.
 
 use tis_machine::fabric::{FabricOutcome, SchedulerFabric};
 use tis_machine::{CoreCtx, CoreStatus, RuntimeSystem};

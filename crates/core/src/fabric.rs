@@ -1,20 +1,20 @@
 //! The Picos scheduler fabric: Table I served by one Picos accelerator behind either
 //! CPU–accelerator link.
 //!
-//! [`PicosFabric`] assembles one [`PicosDelegate`] per core around a shared [`PicosManager`]
-//! (which owns the Picos device) and exposes the result as a [`SchedulerFabric`], the interface
-//! runtimes program against. Every operation takes the same path on every link; the link,
-//! a [`PicosLink`], only prices it. [`TisFabric`] is the paper's link: each RoCC instruction
-//! costs the core a fixed latency (2 cycles on Rocket, Section IV-F2) plus whatever the blocking
-//! *Retire Task* transaction adds, which is the "FPGA-CPU communication latency eliminated"
-//! property the paper's speedups come from. `tis_nanos::AxiFabric` prices the same operations as
-//! the Picos++ driver's MMIO and DMA transfers.
+//! [`PicosFabric`] is the per-core Picos Delegates of Figure 2 (Section IV-E) around a shared
+//! [`PicosManager`] (which owns the Picos device), exposed as a [`SchedulerFabric`], the interface
+//! runtimes program against. Each operation goes straight to the manager, which also keeps the
+//! one bit of delegate state, the *SW-ID-fetched* flag; the fabric counts its outcome per core
+//! ([`OpCounts`]) and has its link, a [`PicosLink`], price it. [`TisFabric`] is the paper's link:
+//! each RoCC instruction costs the core a fixed latency (2 cycles on Rocket, Section IV-F2) plus
+//! whatever the blocking *Retire Task* transaction adds, which is the "FPGA-CPU communication
+//! latency eliminated" property the paper's speedups come from. `tis_nanos::AxiFabric` prices
+//! the same operations as the Picos++ driver's MMIO and DMA transfers.
 
 use tis_machine::fabric::{CoreId, FabricOutcome, FabricStats, FailedOps, SchedulerFabric};
 use tis_picos::PicosConfig;
 use tis_sim::Cycle;
 
-use crate::delegate::{DelegateStats, PicosDelegate};
 use crate::manager::{ManagerConfig, PicosManager};
 use crate::rocc::TaskSchedOp;
 
@@ -72,12 +72,33 @@ impl PicosLink for TisConfig {
     }
 }
 
-/// The Picos accelerator behind the link `L`: per-core delegates around one shared manager.
+/// One core's Table-I operation counters.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct OpCounts {
+    /// Operations issued, indexed by `op as usize` (the order of [`TaskSchedOp::ALL`]).
+    pub issued: [u64; 7],
+    /// Operations that returned the failure flag, indexed like `issued`.
+    pub failed: [u64; 7],
+}
+
+impl OpCounts {
+    fn record(&mut self, op: TaskSchedOp, issued: u64, failed: u64) {
+        self.issued[op as usize] += issued;
+        self.failed[op as usize] += failed;
+    }
+
+    /// Total operations issued.
+    pub fn total_issued(&self) -> u64 {
+        self.issued.iter().sum()
+    }
+}
+
+/// The Picos accelerator behind the link `L`: one shared manager and per-core operation counts.
 #[derive(Debug, Clone)]
 pub struct PicosFabric<L> {
     link: L,
     manager: PicosManager,
-    delegates: Vec<PicosDelegate>,
+    ops: Vec<OpCounts>,
 }
 
 /// The RoCC-integrated Picos scheduling fabric (the paper's contribution).
@@ -89,7 +110,7 @@ impl<L: PicosLink> PicosFabric<L> {
         PicosFabric {
             link,
             manager: PicosManager::new(cores, link.manager(), link.picos()),
-            delegates: (0..cores).map(PicosDelegate::new).collect(),
+            ops: vec![OpCounts::default(); cores],
         }
     }
 
@@ -106,9 +127,9 @@ impl<L: PicosLink> PicosFabric<L> {
         self.link
     }
 
-    /// Per-core delegate statistics.
-    pub fn delegate(&self, core: CoreId) -> &PicosDelegate {
-        &self.delegates[core]
+    /// Operations issued by `core`.
+    pub fn op_counts(&self, core: CoreId) -> &OpCounts {
+        &self.ops[core]
     }
 
     /// Number of tasks currently tracked by Picos.
@@ -116,8 +137,9 @@ impl<L: PicosLink> PicosFabric<L> {
         self.manager.tasks_in_flight()
     }
 
-    /// The link's price of `op` with the operation's result as the outcome.
-    fn priced<T>(&self, op: TaskSchedOp, packets: u32, result: Option<T>) -> (Cycle, FabricOutcome<T>) {
+    /// Counts `op`'s result for `core` and returns the link's price with the outcome.
+    fn issue<T>(&mut self, core: CoreId, op: TaskSchedOp, packets: u32, result: Option<T>) -> (Cycle, FabricOutcome<T>) {
+        self.ops[core].record(op, 1, u64::from(result.is_none()));
         (self.link.price(op, packets), result.map_or(FabricOutcome::Failure, FabricOutcome::Success))
     }
 }
@@ -132,48 +154,49 @@ impl<L: PicosLink> SchedulerFabric for PicosFabric<L> {
     }
 
     fn submission_request(&mut self, core: CoreId, packet_count: u32, now: Cycle) -> (Cycle, FabricOutcome<()>) {
-        let ok = self.delegates[core].submission_request(&mut self.manager, packet_count, now);
-        self.priced(TaskSchedOp::SubmissionRequest, 0, ok.then_some(()))
+        let ok = self.manager.submission_request(core, packet_count, now);
+        self.issue(core, TaskSchedOp::SubmissionRequest, 0, ok.then_some(()))
     }
 
     fn submit_packets(&mut self, core: CoreId, packets: &[u32], now: Cycle) -> (Cycle, FabricOutcome<()>) {
-        let ok = self.delegates[core].submit_packets(&mut self.manager, packets, now);
-        self.priced(TaskSchedOp::submit_for(packets.len()), packets.len() as u32, ok.then_some(()))
+        let ok = self.manager.push_packets(core, packets, now);
+        self.issue(core, TaskSchedOp::submit_for(packets.len()), packets.len() as u32, ok.then_some(()))
     }
 
     fn ready_task_request(&mut self, core: CoreId, now: Cycle) -> (Cycle, FabricOutcome<()>) {
-        let ok = self.delegates[core].ready_task_request(&mut self.manager, now);
-        self.priced(TaskSchedOp::ReadyTaskRequest, 0, ok.then_some(()))
+        let ok = self.manager.ready_task_request(core, now);
+        self.issue(core, TaskSchedOp::ReadyTaskRequest, 0, ok.then_some(()))
     }
 
     fn fetch_sw_id(&mut self, core: CoreId, now: Cycle) -> (Cycle, FabricOutcome<u64>) {
-        let sw_id = self.delegates[core].fetch_sw_id(&mut self.manager, now);
-        self.priced(TaskSchedOp::FetchSwId, 0, sw_id)
+        let sw_id = self.manager.fetch_sw_id(core, now);
+        self.issue(core, TaskSchedOp::FetchSwId, 0, sw_id)
     }
 
     fn fetch_picos_id(&mut self, core: CoreId, now: Cycle) -> (Cycle, FabricOutcome<u32>) {
-        let picos_id = self.delegates[core].fetch_picos_id(&mut self.manager, now);
-        self.priced(TaskSchedOp::FetchPicosId, 0, picos_id)
+        let picos_id = self.manager.fetch_picos_id(core, now);
+        self.issue(core, TaskSchedOp::FetchPicosId, 0, picos_id)
     }
 
     fn retire_task(&mut self, core: CoreId, picos_id: u32, now: Cycle) -> Cycle {
-        let manager_latency = self.delegates[core].retire_task(&mut self.manager, picos_id, now);
-        self.link.price(TaskSchedOp::RetireTask, 0) + manager_latency
+        let manager_latency = self.manager.retire(picos_id, now);
+        self.issue(core, TaskSchedOp::RetireTask, 0, Some(())).0 + manager_latency
     }
 
     fn stats(&self) -> FabricStats {
         use TaskSchedOp::{FetchPicosId, FetchSwId, RetireTask, SubmissionRequest};
-        let ops: DelegateStats = self.delegates.iter().map(PicosDelegate::stats).sum();
+        let issued = |op: TaskSchedOp| self.ops.iter().map(|c| c.issued[op as usize]).sum::<u64>();
+        let failed = |op: TaskSchedOp| self.ops.iter().map(|c| c.failed[op as usize]).sum::<u64>();
         let picos = self.manager.picos().stats();
         FabricStats {
             // A descriptor may reach Picos during any later operation's advance, so the count
             // comes from the manager rather than from the submit that completed it.
             tasks_submitted: self.manager.stats().descriptors_forwarded,
-            submission_failures: ops.failed[SubmissionRequest as usize],
-            tasks_dispatched: ops.issued[FetchPicosId as usize] - ops.failed[FetchPicosId as usize],
-            fetch_failures: ops.failed[FetchSwId as usize] + ops.failed[FetchPicosId as usize],
-            tasks_retired: ops.issued[RetireTask as usize],
-            operations: ops.total_issued(),
+            submission_failures: failed(SubmissionRequest),
+            tasks_dispatched: issued(FetchPicosId) - failed(FetchPicosId),
+            fetch_failures: failed(FetchSwId) + failed(FetchPicosId),
+            tasks_retired: issued(RetireTask),
+            operations: self.ops.iter().map(OpCounts::total_issued).sum(),
             tracker_losses: picos.tracker_losses,
             tracker_resubmits: picos.tracker_resubmits,
             tracker_recovery_cycles: picos.tracker_recovery_cycles,
@@ -210,8 +233,15 @@ impl<L: PicosLink> SchedulerFabric for PicosFabric<L> {
     }
 
     fn charge_failed_polls(&mut self, core: CoreId, ops: FailedOps, polls: u64) {
-        self.delegates[core].charge_failed_polls(ops, polls);
-        self.manager.charge_refusals(ops, polls);
+        use TaskSchedOp::{FetchSwId, ReadyTaskRequest, SubmissionRequest};
+        for (op, fails) in [
+            (SubmissionRequest, ops.submission_packets > 0),
+            (ReadyTaskRequest, ops.ready_task_request),
+            (FetchSwId, ops.fetch_sw_id),
+        ] {
+            let repeats = polls * u64::from(fails);
+            self.ops[core].record(op, repeats, repeats);
+        }
     }
 }
 
@@ -340,6 +370,23 @@ mod tests {
     }
 
     #[test]
+    fn refused_requests_are_counted_as_the_issuing_core_s_failures() {
+        use TaskSchedOp::{ReadyTaskRequest, SubmissionRequest};
+        let manager = ManagerConfig { routing_queue_depth: 1, ..ManagerConfig::default() };
+        let mut f = TisFabric::new(2, TisConfig { manager, ..TisConfig::default() });
+        assert!(f.submission_request(0, 6, 0).1.is_success());
+        assert!(!f.submission_request(0, 6, 1).1.is_success(), "buffer still open");
+        assert!(f.submission_request(1, 6, 2).1.is_success(), "another core's buffer is independent");
+        assert!(f.ready_task_request(0, 3).1.is_success());
+        assert!(!f.ready_task_request(1, 4).1.is_success(), "routing queue holds a single outstanding request");
+        assert_eq!(f.op_counts(0).failed[SubmissionRequest as usize], 1);
+        assert_eq!(f.op_counts(1).failed[SubmissionRequest as usize], 0);
+        assert_eq!(f.op_counts(0).failed[ReadyTaskRequest as usize], 0);
+        assert_eq!(f.op_counts(1).failed[ReadyTaskRequest as usize], 1);
+        assert_eq!(SchedulerFabric::stats(&f).submission_failures, 1);
+    }
+
+    #[test]
     fn per_core_delegates_are_independent() {
         let mut f = TisFabric::with_cores(4);
         assert!(submit(&mut f, 2, 5, vec![], 0));
@@ -353,7 +400,7 @@ mod tests {
         // queue has an armed entry.
         assert!(!f.fetch_picos_id(1, now).1.is_success());
         assert!(f.fetch_picos_id(3, now).1.is_success());
-        assert!(f.delegate(3).stats().total_issued() > 0);
-        assert_eq!(f.delegate(0).stats().total_issued(), 0);
+        assert!(f.op_counts(3).total_issued() > 0);
+        assert_eq!(f.op_counts(0).total_issued(), 0);
     }
 }

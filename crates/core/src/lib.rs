@@ -8,14 +8,14 @@
 //! model of that contribution, layered on the substrates of the workspace:
 //!
 //! * [`rocc`] — the RoCC instruction format (Figure 1) and the Table-I instruction set;
-//! * [`delegate`] — the per-core **Picos Delegate**: the RoCC accelerator stub that implements
-//!   each custom instruction against the shared manager (Section IV-E), on either link;
 //! * [`manager`] — **Picos Manager** (Section IV-F): the Submission Handler with its Guided
 //!   Arbiter and Zero Padder, the Work-Fetch Arbiter, the Packet Encoder, the Round-Robin
-//!   retirement arbiter, the per-core ready queues and the protocol-crossing glue around Picos;
-//! * [`fabric`] — [`PicosFabric`]: the above assembled into a
-//!   [`SchedulerFabric`](tis_machine::SchedulerFabric) whose [`PicosLink`] only prices each
-//!   operation; [`TisFabric`] is the RoCC link cores drive with ~2-cycle instructions, and
+//!   retirement arbiter, the per-core ready queues and the protocol-crossing glue around Picos,
+//!   plus each core's *SW-ID-fetched* flag, the only state of a **Picos Delegate** (Section IV-E);
+//! * [`fabric`] — [`PicosFabric`]: the per-core delegates of Figure 2, a
+//!   [`SchedulerFabric`](tis_machine::SchedulerFabric) that carries out each custom instruction
+//!   against the shared manager, counts it per core and has its [`PicosLink`] price it;
+//!   [`TisFabric`] is the RoCC link cores drive with ~2-cycle instructions, and
 //!   `tis_nanos::AxiFabric` the Picos++ AXI/MMIO link;
 //! * [`phentos`] — the **Phentos** fly-weight runtime (Section V-B): no non-IO syscalls,
 //!   cache-line-sized task metadata, private retirement counters with batched atomic updates,
@@ -47,7 +47,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod delegate;
 pub mod fabric;
 pub mod manager;
 pub mod phentos;

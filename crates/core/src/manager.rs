@@ -1,4 +1,5 @@
 //! Picos Manager (Section IV-F): the glue between the per-core Picos Delegates and Picos itself.
+//! The fabric carries out each core's Table-I instructions directly against the manager.
 //!
 //! The manager decouples the CPU from the accelerator's API and adds the structures that make the
 //! integration fast:
@@ -12,7 +13,9 @@
 //! * **Packet Encoder** — compresses the three 32-bit ready packets produced by Picos into one
 //!   96-bit `(Picos ID, SW ID)` tuple stored in the per-core ready queues;
 //! * **per-core ready queues** — small buffers that hide roughly half of Picos' 8-cycle ready
-//!   fetch latency from the cores;
+//!   fetch latency from the cores, each gated by its core's *SW-ID-fetched* flag, the one bit
+//!   of state a Picos Delegate keeps (Sections IV-E5 and IV-E6): *Fetch Picos ID* pops the
+//!   head only after *Fetch SW ID* has read it;
 //! * **Round-Robin Arbiter** — merges the retirement packets of all cores into Picos' single
 //!   retirement interface;
 //! * **protocol crossings** — modelled as a fixed per-transfer latency between the manager's
@@ -54,13 +57,13 @@ impl Default for ManagerConfig {
 
 /// A 96-bit ready-task tuple sitting in a core-specific ready queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReadyEntry {
+struct ReadyEntry {
     /// Picos task-memory index, needed at retirement.
-    pub picos_id: u32,
+    picos_id: u32,
     /// Software identifier chosen by the submitting runtime.
-    pub sw_id: u64,
+    sw_id: u64,
     /// Cycle from which the entry is visible to Fetch SW ID.
-    pub available_at: Cycle,
+    available_at: Cycle,
 }
 
 /// One core's submission buffer. It is reused for every descriptor the core sends: opening it
@@ -83,18 +86,11 @@ pub struct ManagerStats {
     pub zero_packets_padded: u64,
     /// Ready tuples routed to core-specific queues.
     pub ready_routed: u64,
-    /// Ready Task Requests rejected because the routing queue was full.
-    pub routing_rejections: u64,
-    /// Submission Requests rejected (buffer busy or Picos full).
-    pub submission_rejections: u64,
-    /// Retirement packets merged by the round-robin arbiter.
-    pub retirements: u64,
 }
 
 /// The Picos Manager.
 #[derive(Debug, Clone)]
 pub struct PicosManager {
-    cores: usize,
     config: ManagerConfig,
     picos: Picos,
     submission_buffers: Vec<SubmissionBuffer>,
@@ -102,6 +98,8 @@ pub struct PicosManager {
     forward_queue: BoundedQueue<CoreId>,
     routing_queue: BoundedQueue<CoreId>,
     ready_queues: Vec<BoundedQueue<ReadyEntry>>,
+    /// Per core: a *Fetch SW ID* read the ready-queue head and no *Fetch Picos ID* popped it yet.
+    sw_id_fetched: Vec<bool>,
     retire_arbiter_free_at: Cycle,
     stats: ManagerStats,
     /// Scratch buffer the Zero Padder expands descriptors into, reused across submissions.
@@ -126,7 +124,6 @@ impl PicosManager {
     pub fn new(cores: usize, config: ManagerConfig, picos_config: PicosConfig) -> Self {
         assert!(cores > 0, "manager needs at least one core");
         PicosManager {
-            cores,
             config,
             picos: Picos::new(picos_config),
             submission_buffers: vec![SubmissionBuffer::default(); cores],
@@ -135,6 +132,7 @@ impl PicosManager {
             ready_queues: (0..cores)
                 .map(|_| BoundedQueue::new(config.ready_queue_per_core))
                 .collect(),
+            sw_id_fetched: vec![false; cores],
             retire_arbiter_free_at: 0,
             stats: ManagerStats::default(),
             scratch_descriptor: Vec::with_capacity(PACKETS_PER_DESCRIPTOR),
@@ -143,16 +141,6 @@ impl PicosManager {
             moved_heads: Vec::new(),
             head_moved: vec![false; cores],
         }
-    }
-
-    /// Number of attached cores.
-    pub fn cores(&self) -> usize {
-        self.cores
-    }
-
-    /// Manager configuration.
-    pub fn config(&self) -> ManagerConfig {
-        self.config
     }
 
     /// Immutable access to the underlying Picos device (for statistics).
@@ -233,7 +221,6 @@ impl PicosManager {
     pub fn submission_request(&mut self, core: CoreId, packet_count: u32, now: Cycle) -> bool {
         self.advance(now);
         if self.refuses_submission(core, packet_count) {
-            self.stats.submission_rejections += 1;
             return false;
         }
         self.changes += 1;
@@ -278,7 +265,6 @@ impl PicosManager {
     pub fn ready_task_request(&mut self, core: CoreId, now: Cycle) -> bool {
         self.advance(now);
         if self.routing_queue.push(core).is_err() {
-            self.stats.routing_rejections += 1;
             return false;
         }
         self.changes += 1;
@@ -286,26 +272,27 @@ impl PicosManager {
         true
     }
 
-    /// Front of a core's private ready queue, if visible at `now`.
-    pub fn front_ready(&mut self, core: CoreId, now: Cycle) -> Option<ReadyEntry> {
+    /// *Fetch SW ID*: the SW ID at the head of the core's private ready queue, if visible at
+    /// `now`. Does not pop; a success arms the core's *Fetch Picos ID*.
+    pub fn fetch_sw_id(&mut self, core: CoreId, now: Cycle) -> Option<u64> {
         self.advance(now);
-        match self.ready_queues[core].front() {
-            Some(e) if e.available_at <= now => Some(*e),
-            _ => None,
-        }
+        let sw_id = self.ready_queues[core].front().filter(|e| e.available_at <= now)?.sw_id;
+        self.sw_id_fetched[core] = true;
+        Some(sw_id)
     }
 
-    /// Pops the front of a core's private ready queue (used by *Fetch Picos ID*).
-    pub fn pop_ready(&mut self, core: CoreId, now: Cycle) -> Option<ReadyEntry> {
-        self.advance(now);
-        match self.ready_queues[core].front() {
-            Some(e) if e.available_at <= now => {
-                self.changes += 1;
-                self.note_head_moved(core);
-                self.ready_queues[core].pop()
-            }
-            _ => None,
+    /// *Fetch Picos ID*: pops the head of the core's private ready queue and returns its Picos
+    /// ID, but only after a successful *Fetch SW ID*; otherwise fails and changes nothing.
+    pub fn fetch_picos_id(&mut self, core: CoreId, now: Cycle) -> Option<u32> {
+        if !self.sw_id_fetched[core] {
+            return None;
         }
+        self.advance(now);
+        self.ready_queues[core].front().filter(|e| e.available_at <= now)?;
+        self.sw_id_fetched[core] = false;
+        self.changes += 1;
+        self.note_head_moved(core);
+        self.ready_queues[core].pop().map(|e| e.picos_id)
     }
 
     /// *Retire Task*: push a retirement packet through the Round-Robin arbiter into Picos.
@@ -315,7 +302,7 @@ impl PicosManager {
     ///
     /// Panics if the Picos ID does not name an in-flight task — that is a runtime bug (double
     /// retirement), not a recoverable hardware condition.
-    pub fn retire(&mut self, _core: CoreId, picos_id: u32, now: Cycle) -> Cycle {
+    pub fn retire(&mut self, picos_id: u32, now: Cycle) -> Cycle {
         self.advance(now);
         let wait = self.retire_arbiter_free_at.saturating_sub(now);
         let start = now + wait;
@@ -324,7 +311,6 @@ impl PicosManager {
         self.picos
             .retire(tis_picos::PicosId(picos_id), start)
             .unwrap_or_else(|e| panic!("retirement of an unknown task: {e}"));
-        self.stats.retirements += 1;
         self.advance(now);
         wait + self.config.retire_arbiter_occupancy + self.config.protocol_crossing
     }
@@ -385,16 +371,6 @@ impl PicosManager {
         }
     }
 
-    /// Counts `polls` repeats of the refused requests in `ops`, as the real requests would.
-    pub(crate) fn charge_refusals(&mut self, ops: FailedOps, polls: u64) {
-        if ops.submission_packets > 0 {
-            self.stats.submission_rejections += polls;
-        }
-        if ops.ready_task_request {
-            self.stats.routing_rejections += polls;
-        }
-    }
-
     /// Whether any task is still in flight inside Picos.
     pub fn tasks_in_flight(&self) -> usize {
         self.picos.in_flight()
@@ -443,17 +419,16 @@ mod tests {
         // Core 1 asks for work and eventually receives the task.
         assert!(m.ready_task_request(1, 10));
         let mut now = 10;
-        let entry = loop {
+        let sw_id = loop {
             now += 5;
-            if let Some(e) = m.front_ready(1, now) {
-                break e;
+            if let Some(sw_id) = m.fetch_sw_id(1, now) {
+                break sw_id;
             }
             assert!(now < 10_000, "ready task never arrived");
         };
-        assert_eq!(entry.sw_id, 42);
-        let popped = m.pop_ready(1, now).unwrap();
-        assert_eq!(popped.picos_id, entry.picos_id);
-        let lat = m.retire(1, popped.picos_id, now + 100);
+        assert_eq!(sw_id, 42);
+        let picos_id = m.fetch_picos_id(1, now).unwrap();
+        let lat = m.retire(picos_id, now + 100);
         assert!(lat >= 1);
         assert_eq!(m.tasks_in_flight(), 0);
         assert_eq!(m.stats().descriptors_forwarded, 1);
@@ -478,7 +453,9 @@ mod tests {
         assert_eq!(m.stats().ready_routed, 2);
         assert_eq!(drain(&mut m), vec![2], "the second entry queues behind the first");
         assert!(drain(&mut m).is_empty());
-        assert!(m.pop_ready(2, 20_000).is_some());
+        assert_eq!(m.fetch_sw_id(2, 20_000), Some(1));
+        assert!(drain(&mut m).is_empty(), "a SW ID fetch moves no head");
+        assert!(m.fetch_picos_id(2, 20_000).is_some());
         assert_eq!(drain(&mut m), vec![2], "a pop exposes the next entry");
     }
 
@@ -499,7 +476,6 @@ mod tests {
         assert!(m.submission_request(0, 6, 0));
         assert!(!m.submission_request(0, 6, 1), "buffer still open");
         assert!(m.submission_request(1, 6, 2), "another core's buffer is independent");
-        assert_eq!(m.stats().submission_rejections, 1);
     }
 
     #[test]
@@ -544,14 +520,14 @@ mod tests {
         while (got2.is_none() || got0.is_none()) && now < 10_000 {
             now += 5;
             if got2.is_none() {
-                got2 = m.front_ready(2, now);
+                got2 = m.fetch_sw_id(2, now);
             }
             if got0.is_none() {
-                got0 = m.front_ready(0, now);
+                got0 = m.fetch_sw_id(0, now);
             }
         }
-        assert_eq!(got2.unwrap().sw_id, 11, "first requester gets the first ready task");
-        assert_eq!(got0.unwrap().sw_id, 22);
+        assert_eq!(got2, Some(11), "first requester gets the first ready task");
+        assert_eq!(got0, Some(22));
     }
 
     #[test]
@@ -560,14 +536,13 @@ mod tests {
         let mut m = PicosManager::new(2, cfg, PicosConfig::default());
         assert!(m.ready_task_request(0, 0));
         assert!(!m.ready_task_request(1, 1), "routing queue holds a single outstanding request");
-        assert_eq!(m.stats().routing_rejections, 1);
     }
 
     #[test]
     fn fetch_from_empty_queue_is_none() {
         let mut m = manager(1);
-        assert!(m.front_ready(0, 100).is_none());
-        assert!(m.pop_ready(0, 100).is_none());
+        assert!(m.fetch_sw_id(0, 100).is_none());
+        assert!(m.fetch_picos_id(0, 100).is_none());
     }
 
     #[test]
@@ -579,14 +554,12 @@ mod tests {
         assert!(m.push_packets(0, &pkts, 0));
         m.ready_task_request(0, 10);
         let mut now = 10;
-        let e = loop {
+        while m.fetch_sw_id(0, now).is_none() {
             now += 5;
-            if let Some(e) = m.pop_ready(0, now) {
-                break e;
-            }
-        };
-        m.retire(0, e.picos_id, now);
-        m.retire(0, e.picos_id, now + 10);
+        }
+        let picos_id = m.fetch_picos_id(0, now).unwrap();
+        m.retire(picos_id, now);
+        m.retire(picos_id, now + 10);
     }
 
     #[test]
@@ -598,9 +571,9 @@ mod tests {
         assert!(m.ready_task_request(0, 0));
         // The entry cannot be visible before Picos' submission pipeline + ready publication.
         let floor = PicosTiming::default().submission_cycles(0);
-        assert!(m.front_ready(0, floor / 2).is_none());
+        assert!(m.fetch_sw_id(0, floor / 2).is_none());
         let mut now = floor;
-        while m.front_ready(0, now).is_none() {
+        while m.fetch_sw_id(0, now).is_none() {
             now += 1;
             assert!(now < 1_000);
         }

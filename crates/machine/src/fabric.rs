@@ -4,8 +4,9 @@
 //! seven operations correspond one-to-one to the custom instructions of Table I of the paper.
 //! Two implementations exist in the workspace:
 //!
-//! * `tis-core::PicosFabric` — per-core Picos Delegates and the shared Picos Manager, behind one
-//!   of two CPU–accelerator links that differ only in what each operation costs:
+//! * `tis-core::PicosFabric` — the shared Picos Manager driven directly by each core's Table-I
+//!   operations (the per-core Picos Delegates of the paper), behind one of two CPU–accelerator
+//!   links that differ only in what each operation costs:
 //!   `tis-core::TisFabric`, the paper's contribution, where every RoCC instruction takes a couple
 //!   of cycles, and `tis-nanos::AxiFabric`, the Picos++ baseline, where each operation crosses an
 //!   AXI/MMIO driver for hundreds to thousands of cycles;

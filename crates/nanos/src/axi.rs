@@ -91,6 +91,7 @@ mod tests {
     use tis_machine::fabric::{FabricOutcome, SchedulerFabric};
     use tis_machine::CostModel;
     use tis_picos::{encode_nonzero_prefix, SubmittedTask};
+    use tis_taskmodel::Dependence;
 
     fn submit(fabric: &mut dyn SchedulerFabric, core: usize, sw_id: u64, now: u64) -> Cycle {
         let pkts = encode_nonzero_prefix(&SubmittedTask::new(sw_id, vec![]));
@@ -130,6 +131,102 @@ mod tests {
         assert!(f.fetch_picos_id(1, 10_000).1.is_success());
         assert_eq!(f.stats().tasks_dispatched, 1);
         assert_eq!(f.stats().fetch_failures, 1);
+    }
+
+    #[test]
+    fn fetch_picos_id_requires_prior_sw_id_fetch() {
+        fn check<L: PicosLink + Default>() {
+            let mut f = PicosFabric::<L>::with_cores(2);
+            submit(&mut f, 0, 77, 0);
+            // By cycle 5 000 the task is ready, so the request routes it to core 1 at once.
+            assert!(f.ready_task_request(1, 5_000).1.is_success());
+            // Long after the entry became visible, a Picos ID fetch without a SW ID fetch first
+            // must fail and not pop anything.
+            assert_eq!(f.fetch_picos_id(1, 10_000).1, FabricOutcome::Failure);
+            assert_eq!(f.fetch_sw_id(1, 10_000).1, FabricOutcome::Success(77));
+            let pid = f.fetch_picos_id(1, 10_000).1.success().expect("armed by the SW ID fetch");
+            // The entry was popped: a second pair of fetches fails until new work arrives.
+            assert_eq!(f.fetch_sw_id(1, 10_000).1, FabricOutcome::Failure);
+            assert_eq!(f.fetch_picos_id(1, 10_000).1, FabricOutcome::Failure);
+            f.retire_task(1, pid, 10_050);
+            assert_eq!(f.tasks_in_flight(), 0);
+        }
+        check::<TisConfig>();
+        check::<AxiConfig>();
+    }
+
+    #[test]
+    fn sw_id_fetch_does_not_pop_the_queue() {
+        fn check<L: PicosLink + Default>() {
+            let mut f = PicosFabric::<L>::with_cores(2);
+            submit(&mut f, 0, 5, 0);
+            assert!(f.ready_task_request(0, 5).1.is_success());
+            let mut now = 5;
+            while !f.fetch_sw_id(0, now).1.is_success() {
+                now += 5;
+                assert!(now < 10_000);
+            }
+            // Fetching the SW ID again still sees the same task: the entry is only consumed by
+            // Fetch Picos ID.
+            assert_eq!(f.fetch_sw_id(0, now).1, FabricOutcome::Success(5));
+            assert!(f.fetch_picos_id(0, now).1.is_success());
+        }
+        check::<TisConfig>();
+        check::<AxiConfig>();
+    }
+
+    #[test]
+    fn stats_count_failures() {
+        fn check<L: PicosLink + Default>() {
+            let mut f = PicosFabric::<L>::with_cores(2);
+            assert_eq!(f.fetch_sw_id(0, 0).1, FabricOutcome::Failure);
+            assert_eq!(f.fetch_picos_id(0, 0).1, FabricOutcome::Failure);
+            assert_eq!(f.op_counts(0).issued.iter().sum::<u64>(), 2);
+            assert_eq!(f.op_counts(0).failed.iter().sum::<u64>(), 2);
+            assert_eq!(f.op_counts(0).failed[TaskSchedOp::FetchSwId as usize], 1);
+            assert_eq!(f.op_counts(0).failed[TaskSchedOp::FetchPicosId as usize], 1);
+            assert_eq!(f.stats().fetch_failures, 2);
+            submit(&mut f, 0, 1, 10);
+            assert!(f.op_counts(0).issued.iter().sum::<u64>() > 2);
+            assert_eq!(f.op_counts(1).issued, [0; 7]);
+        }
+        check::<TisConfig>();
+        check::<AxiConfig>();
+    }
+
+    #[test]
+    fn counters_are_indexed_in_table_i_order() {
+        for (i, op) in TaskSchedOp::ALL.into_iter().enumerate() {
+            assert_eq!(op as usize, i, "{op:?}");
+        }
+        fn check<L: PicosLink + Default>() {
+            let mut f = PicosFabric::<L>::with_cores(1);
+            let mut expected = [0; 7];
+            let mut counted = |f: &PicosFabric<L>, op: TaskSchedOp| {
+                expected[op as usize] += 1;
+                assert_eq!(f.op_counts(0).issued, expected, "{op:?}");
+            };
+            let pkts = encode_nonzero_prefix(&SubmittedTask::new(3, vec![Dependence::write(0x40)]));
+            assert!(f.submission_request(0, pkts.len() as u32, 0).1.is_success());
+            counted(&f, TaskSchedOp::SubmissionRequest);
+            assert!(f.submit_packets(0, &pkts[..3], 0).1.is_success());
+            counted(&f, TaskSchedOp::SubmitThreePackets);
+            for packet in &pkts[3..] {
+                assert!(f.submit_packets(0, std::slice::from_ref(packet), 0).1.is_success());
+                counted(&f, TaskSchedOp::SubmitPacket);
+            }
+            assert!(f.ready_task_request(0, 5_000).1.is_success());
+            counted(&f, TaskSchedOp::ReadyTaskRequest);
+            assert_eq!(f.fetch_sw_id(0, 10_000).1, FabricOutcome::Success(3));
+            counted(&f, TaskSchedOp::FetchSwId);
+            let pid = f.fetch_picos_id(0, 10_000).1.success().unwrap();
+            counted(&f, TaskSchedOp::FetchPicosId);
+            f.retire_task(0, pid, 10_000);
+            counted(&f, TaskSchedOp::RetireTask);
+            assert_eq!(f.op_counts(0).failed, [0; 7]);
+        }
+        check::<TisConfig>();
+        check::<AxiConfig>();
     }
 
     #[test]
@@ -200,6 +297,40 @@ mod proptests {
         let extra = rocc_latency - rocc.config().price(op, packets);
         assert_eq!(axi_latency - axi.config().price(op, packets), extra, "{op:?}");
         (rocc_out, extra)
+    }
+
+    /// From a state where each core's submission buffer is open and the one-entry routing queue
+    /// is full, so that every operation a parked poll can repeat fails, charges `rounds` of
+    /// `(core, refused submission packets, refused request, empty fetch, repeats)` to one fabric
+    /// and issues the same failed operations for real on another.
+    fn charge_and_issue<L: PicosLink>(link: L, cores: usize, rounds: &[(usize, u32, bool, bool, u64)]) {
+        let [mut charged, mut issued] = [0, 1].map(|_| PicosFabric::new(cores, link));
+        for f in [&mut charged, &mut issued] {
+            for core in 0..cores {
+                assert!(f.submission_request(core, 3, 0).1.is_success());
+            }
+            assert!(f.ready_task_request(0, 0).1.is_success());
+        }
+        for (round, &(core, submission_packets, ready_task_request, fetch_sw_id, repeats)) in rounds.iter().enumerate() {
+            let core = core % cores;
+            let now = 100 * (round as Cycle + 1);
+            charged.charge_failed_polls(core, FailedOps { submission_packets, ready_task_request, fetch_sw_id }, repeats);
+            for _ in 0..repeats {
+                if submission_packets > 0 {
+                    assert!(!issued.submission_request(core, submission_packets, now).1.is_success());
+                }
+                if ready_task_request {
+                    assert!(!issued.ready_task_request(core, now).1.is_success());
+                }
+                if fetch_sw_id {
+                    assert!(!issued.fetch_sw_id(core, now).1.is_success());
+                }
+            }
+            assert_eq!(charged.stats(), issued.stats());
+            for c in 0..cores {
+                assert_eq!(charged.op_counts(c), issued.op_counts(c));
+            }
+        }
     }
 
     /// The five counters a fabric derives from its per-core counters.
@@ -334,8 +465,21 @@ mod proptests {
                 prop_assert!(stats.tasks_submitted <= completed_submissions);
             }
             for core in 0..cores {
-                prop_assert_eq!(rocc.delegate(core).stats(), axi.delegate(core).stats());
+                prop_assert_eq!(rocc.op_counts(core), axi.op_counts(core));
             }
+        }
+
+        /// Charging `n` repeats of a parked poll's failed operations leaves `FabricStats` and
+        /// every core's counters exactly as issuing those `n` failed operations would, on both
+        /// links.
+        #[test]
+        fn charged_polls_count_like_issued_ones(
+            cores in 1usize..5,
+            rounds in proptest::collection::vec((0usize..4, 0u32..49, any::<bool>(), any::<bool>(), 0u64..6), 1..12),
+        ) {
+            let manager = ManagerConfig { routing_queue_depth: 1, ..ManagerConfig::default() };
+            charge_and_issue(TisConfig { manager, ..TisConfig::default() }, cores, &rounds);
+            charge_and_issue(AxiConfig { manager, ..AxiConfig::default() }, cores, &rounds);
         }
     }
 }

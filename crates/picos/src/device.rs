@@ -64,8 +64,6 @@ pub struct PicosStats {
     pub tracker: TrackerStats,
     /// Descriptors published to the ready queue.
     pub ready_published: u64,
-    /// Highest ready-queue occupancy observed.
-    pub ready_high_water: usize,
     /// Submissions rejected because the tracker was full.
     pub submissions_rejected: u64,
     /// Submissions transiently lost by an injected fault before their commit (each one was
@@ -214,7 +212,6 @@ impl Picos {
                 self.ready_log.push((t, sw_id));
             }
             self.stats.ready_published += 1;
-            self.stats.ready_high_water = self.stats.ready_high_water.max(self.ready_queue.len());
         }
     }
 

@@ -2,12 +2,9 @@
 //!
 //! Picos and Picos Manager are built almost entirely out of fixed-capacity FIFOs: the submission
 //! queue, the per-core ready queues, the retirement queue, the routing queue inside the
-//! work-fetch arbiter, and so on. [`BoundedQueue`] reproduces their behaviour:
-//!
-//! * pushes fail (return the rejected element) when the queue is full — this is what makes the
-//!   non-blocking RoCC instructions of the paper return failure flags;
-//! * occupancy statistics (high-water mark, total accepted/rejected) are recorded so experiments
-//!   can report queue pressure.
+//! work-fetch arbiter, and so on. [`BoundedQueue`] reproduces their behaviour: pushes fail
+//! (return the rejected element) when the queue is full — this is what makes the non-blocking
+//! RoCC instructions of the paper return failure flags.
 //!
 //! The distinction the paper draws between *fallthrough* Chisel queues and *non-fallthrough*
 //! Picos queues (Section IV-F2, "protocol crossing modules") is about combinational timing in
@@ -18,14 +15,11 @@ use std::collections::VecDeque;
 
 use crate::clock::Cycle;
 
-/// A bounded FIFO with occupancy accounting.
+/// A bounded FIFO.
 #[derive(Debug, Clone)]
 pub struct BoundedQueue<T> {
     items: VecDeque<T>,
     capacity: usize,
-    accepted: u64,
-    rejected: u64,
-    high_water: usize,
 }
 
 impl<T> BoundedQueue<T> {
@@ -36,13 +30,7 @@ impl<T> BoundedQueue<T> {
     /// Panics if `capacity` is zero: a zero-entry hardware queue cannot exist.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be non-zero");
-        BoundedQueue {
-            items: VecDeque::with_capacity(capacity),
-            capacity,
-            accepted: 0,
-            rejected: 0,
-            high_water: 0,
-        }
+        BoundedQueue { items: VecDeque::with_capacity(capacity), capacity }
     }
 
     /// Maximum number of elements the queue can hold.
@@ -65,25 +53,15 @@ impl<T> BoundedQueue<T> {
         self.items.len() >= self.capacity
     }
 
-    /// Remaining free slots.
-    pub fn free_slots(&self) -> usize {
-        self.capacity - self.items.len()
-    }
-
     /// Attempts to enqueue `item`.
     ///
     /// Returns `Ok(())` on success and `Err(item)` (handing the element back to the producer,
     /// exactly like a de-asserted `ready` signal) if the queue is full.
     pub fn push(&mut self, item: T) -> Result<(), T> {
         if self.is_full() {
-            self.rejected += 1;
             return Err(item);
         }
         self.items.push_back(item);
-        self.accepted += 1;
-        if self.items.len() > self.high_water {
-            self.high_water = self.items.len();
-        }
         Ok(())
     }
 
@@ -97,22 +75,7 @@ impl<T> BoundedQueue<T> {
         self.items.front()
     }
 
-    /// Total number of successfully enqueued elements over the queue's lifetime.
-    pub fn total_accepted(&self) -> u64 {
-        self.accepted
-    }
-
-    /// Total number of rejected pushes over the queue's lifetime.
-    pub fn total_rejected(&self) -> u64 {
-        self.rejected
-    }
-
-    /// Highest occupancy ever observed.
-    pub fn high_water_mark(&self) -> usize {
-        self.high_water
-    }
-
-    /// Removes all elements, keeping the lifetime statistics.
+    /// Removes all elements.
     pub fn clear(&mut self) {
         self.items.clear();
     }
@@ -211,8 +174,6 @@ mod tests {
         q.push("b").unwrap();
         assert!(q.is_full());
         assert_eq!(q.push("c"), Err("c"));
-        assert_eq!(q.total_rejected(), 1);
-        assert_eq!(q.total_accepted(), 2);
     }
 
     #[test]
@@ -226,12 +187,9 @@ mod tests {
         }
         q.push(10).unwrap();
         assert_eq!(q.len(), 3);
-        assert_eq!(q.free_slots(), 5);
-        assert_eq!(q.high_water_mark(), 5);
         assert_eq!(q.front(), Some(&3));
         q.clear();
         assert!(q.is_empty());
-        assert_eq!(q.total_accepted(), 6, "clear keeps lifetime stats");
     }
 
     #[test]

@@ -74,6 +74,14 @@ fn main() {
         })
         .collect();
     println!("  engine steps per task: {}", steps.join(", "));
+    let parking: Vec<String> = work
+        .iter()
+        .map(|w| {
+            let [parks, wakes, rechecks] = w.engine.parking_per_task(w.tasks);
+            format!("{} {parks:.2} / {wakes:.2} / {rechecks:.2}", w.platform.label())
+        })
+        .collect();
+    println!("  engine parks / wakes / rechecks per task: {}", parking.join(", "));
 
     let json = fig09_json(&results).render();
     match write_artifacts_if_requested(&[("BENCH_fig09.json".to_string(), &json)]) {

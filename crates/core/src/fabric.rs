@@ -11,7 +11,9 @@
 //! latency eliminated" property the paper's speedups come from. `tis_nanos::AxiFabric` prices
 //! the same operations as the Picos++ driver's MMIO and DMA transfers.
 
-use tis_machine::fabric::{CoreId, FabricOutcome, FabricStats, FailedOps, SchedulerFabric};
+use tis_machine::fabric::{
+    CoreId, FabricOutcome, FabricStats, FailedOps, InternalEvents, PollChanges, SchedulerFabric,
+};
 use tis_picos::PicosConfig;
 use tis_sim::Cycle;
 
@@ -99,6 +101,8 @@ pub struct PicosFabric<L> {
     link: L,
     manager: PicosManager,
     ops: Vec<OpCounts>,
+    /// Issue time of each core's last operation.
+    last_op: Vec<Cycle>,
 }
 
 /// The RoCC-integrated Picos scheduling fabric (the paper's contribution).
@@ -111,6 +115,7 @@ impl<L: PicosLink> PicosFabric<L> {
             link,
             manager: PicosManager::new(cores, link.manager(), link.picos()),
             ops: vec![OpCounts::default(); cores],
+            last_op: vec![0; cores],
         }
     }
 
@@ -137,9 +142,18 @@ impl<L: PicosLink> PicosFabric<L> {
         self.manager.tasks_in_flight()
     }
 
-    /// Counts `op`'s result for `core` and returns the link's price with the outcome.
-    fn issue<T>(&mut self, core: CoreId, op: TaskSchedOp, packets: u32, result: Option<T>) -> (Cycle, FabricOutcome<T>) {
+    /// Counts `op`'s result for `core`, issued at `now`, and returns the link's price with the
+    /// outcome.
+    fn issue<T>(
+        &mut self,
+        core: CoreId,
+        now: Cycle,
+        op: TaskSchedOp,
+        packets: u32,
+        result: Option<T>,
+    ) -> (Cycle, FabricOutcome<T>) {
         self.ops[core].record(op, 1, u64::from(result.is_none()));
+        self.last_op[core] = now;
         (self.link.price(op, packets), result.map_or(FabricOutcome::Failure, FabricOutcome::Success))
     }
 }
@@ -155,32 +169,32 @@ impl<L: PicosLink> SchedulerFabric for PicosFabric<L> {
 
     fn submission_request(&mut self, core: CoreId, packet_count: u32, now: Cycle) -> (Cycle, FabricOutcome<()>) {
         let ok = self.manager.submission_request(core, packet_count, now);
-        self.issue(core, TaskSchedOp::SubmissionRequest, 0, ok.then_some(()))
+        self.issue(core, now, TaskSchedOp::SubmissionRequest, 0, ok.then_some(()))
     }
 
     fn submit_packets(&mut self, core: CoreId, packets: &[u32], now: Cycle) -> (Cycle, FabricOutcome<()>) {
         let ok = self.manager.push_packets(core, packets, now);
-        self.issue(core, TaskSchedOp::submit_for(packets.len()), packets.len() as u32, ok.then_some(()))
+        self.issue(core, now, TaskSchedOp::submit_for(packets.len()), packets.len() as u32, ok.then_some(()))
     }
 
     fn ready_task_request(&mut self, core: CoreId, now: Cycle) -> (Cycle, FabricOutcome<()>) {
         let ok = self.manager.ready_task_request(core, now);
-        self.issue(core, TaskSchedOp::ReadyTaskRequest, 0, ok.then_some(()))
+        self.issue(core, now, TaskSchedOp::ReadyTaskRequest, 0, ok.then_some(()))
     }
 
     fn fetch_sw_id(&mut self, core: CoreId, now: Cycle) -> (Cycle, FabricOutcome<u64>) {
         let sw_id = self.manager.fetch_sw_id(core, now);
-        self.issue(core, TaskSchedOp::FetchSwId, 0, sw_id)
+        self.issue(core, now, TaskSchedOp::FetchSwId, 0, sw_id)
     }
 
     fn fetch_picos_id(&mut self, core: CoreId, now: Cycle) -> (Cycle, FabricOutcome<u32>) {
         let picos_id = self.manager.fetch_picos_id(core, now);
-        self.issue(core, TaskSchedOp::FetchPicosId, 0, picos_id)
+        self.issue(core, now, TaskSchedOp::FetchPicosId, 0, picos_id)
     }
 
     fn retire_task(&mut self, core: CoreId, picos_id: u32, now: Cycle) -> Cycle {
         let manager_latency = self.manager.retire(picos_id, now);
-        self.issue(core, TaskSchedOp::RetireTask, 0, Some(())).0 + manager_latency
+        self.issue(core, now, TaskSchedOp::RetireTask, 0, Some(())).0 + manager_latency
     }
 
     fn stats(&self) -> FabricStats {
@@ -219,17 +233,20 @@ impl<L: PicosLink> SchedulerFabric for PicosFabric<L> {
         Some(self.manager.epoch())
     }
 
-    fn next_internal_event(&self) -> Cycle {
-        self.manager.next_event()
+    fn next_internal_events(&self) -> InternalEvents {
+        self.manager.next_events()
     }
 
     fn poll_blocked_until(&self, core: CoreId, ops: FailedOps) -> Cycle {
         self.manager.poll_blocked_until(core, ops)
     }
 
-    fn drain_fetch_changes(&mut self, sink: &mut dyn FnMut(CoreId)) -> bool {
-        self.manager.drain_moved_heads(sink);
-        true
+    fn drain_poll_changes(&mut self, sink: &mut dyn FnMut(CoreId)) -> PollChanges {
+        PollChanges::Tracked(self.manager.drain_poll_changes(sink))
+    }
+
+    fn last_operation(&self, core: CoreId) -> Option<Cycle> {
+        Some(self.last_op[core])
     }
 
     fn charge_failed_polls(&mut self, core: CoreId, ops: FailedOps, polls: u64) {

@@ -21,7 +21,7 @@
 //! * **protocol crossings** — modelled as a fixed per-transfer latency between the manager's
 //!   queues and Picos' non-fallthrough queues.
 
-use tis_machine::FailedOps;
+use tis_machine::{FailedOps, InternalEvents};
 use tis_picos::{decode_descriptor_into, Picos, PicosConfig, SubmittedTask, PACKETS_PER_DESCRIPTOR};
 use tis_sim::{BoundedQueue, Cycle};
 
@@ -113,6 +113,8 @@ pub struct PicosManager {
     /// which of them are listed.
     moved_heads: Vec<CoreId>,
     head_moved: Vec<bool>,
+    /// [`PicosManager::acceptance`] at the last drain of the poll changes.
+    drained_acceptance: (bool, bool, usize, u64),
 }
 
 impl PicosManager {
@@ -123,7 +125,7 @@ impl PicosManager {
     /// Panics if `cores` is zero.
     pub fn new(cores: usize, config: ManagerConfig, picos_config: PicosConfig) -> Self {
         assert!(cores > 0, "manager needs at least one core");
-        PicosManager {
+        let mut manager = PicosManager {
             config,
             picos: Picos::new(picos_config),
             submission_buffers: vec![SubmissionBuffer::default(); cores],
@@ -140,7 +142,10 @@ impl PicosManager {
             changes: 0,
             moved_heads: Vec::new(),
             head_moved: vec![false; cores],
-        }
+            drained_acceptance: (false, false, 0, 0),
+        };
+        manager.drained_acceptance = manager.acceptance();
+        manager
     }
 
     /// Immutable access to the underlying Picos device (for statistics).
@@ -321,20 +326,20 @@ impl PicosManager {
         self.changes + self.picos.changes()
     }
 
-    /// Earliest operation time at which [`PicosManager::advance`] would find work due: a device
-    /// completion, a complete descriptor Picos can take now, or a ready descriptor the head of
-    /// the routing queue can take. `Cycle::MAX` if none.
-    pub(crate) fn next_event(&self) -> Cycle {
-        let mut next = self.picos.next_event();
-        if !self.forward_queue.is_empty() && self.picos.can_accept_submission() {
-            next = 0;
+    /// The next internal events a failed poll's [`PicosManager::advance`] would find due: a
+    /// complete descriptor Picos can take now, a ready descriptor the head of the routing queue
+    /// can take, and the device's own completions. A failed poll reaches the device only
+    /// through those two queues, so while neither can move, nothing is reachable.
+    pub(crate) fn next_events(&self) -> InternalEvents {
+        let forwards = !self.forward_queue.is_empty() && self.picos.can_accept_submission();
+        let routes = self.routing_queue.front().is_some_and(|&core| !self.ready_queues[core].is_full());
+        if !forwards && !routes {
+            return InternalEvents::NONE;
         }
-        if let Some(&core) = self.routing_queue.front() {
-            if !self.ready_queues[core].is_full() {
-                next = next.min(self.picos.ready_head().unwrap_or(Cycle::MAX));
-            }
-        }
-        next
+        let (publish, retire) = self.picos.next_events();
+        let head = if routes { self.picos.ready_head().unwrap_or(Cycle::MAX) } else { Cycle::MAX };
+        let by_op = if forwards { 0 } else { publish.min(head) };
+        InternalEvents { by_op, by_start: retire }
     }
 
     /// Earliest operation time at which `core` repeating the failed operations `ops` could
@@ -361,14 +366,30 @@ impl PicosManager {
         }
     }
 
-    /// Hands `sink` every core whose ready-queue head changed since the last call: the only
-    /// cores whose [`PicosManager::poll_blocked_until`] can have moved for a poll that issues
-    /// neither a request nor a submission.
-    pub(crate) fn drain_moved_heads(&mut self, sink: &mut dyn FnMut(CoreId)) {
+    /// Hands `sink` every core whose ready-queue head changed since the last call, and returns
+    /// whether what decides the acceptance of a request or a submission differs from what it
+    /// was at the last call. Together these are everything
+    /// [`PicosManager::poll_blocked_until`] reads besides the poll itself.
+    pub(crate) fn drain_poll_changes(&mut self, sink: &mut dyn FnMut(CoreId)) -> bool {
         for core in self.moved_heads.drain(..) {
             self.head_moved[core] = false;
             sink(core);
         }
+        let acceptance = self.acceptance();
+        std::mem::replace(&mut self.drained_acceptance, acceptance) != acceptance
+    }
+
+    /// What [`PicosManager::refuses_submission`] and a *Ready Task Request* read of the shared
+    /// state: whether the routing queue is full, whether Picos can take a descriptor, the
+    /// forward queue's length, and the descriptors forwarded so far (each forwarding closes a
+    /// submission buffer).
+    fn acceptance(&self) -> (bool, bool, usize, u64) {
+        (
+            self.routing_queue.is_full(),
+            self.picos.can_accept_submission(),
+            self.forward_queue.len(),
+            self.stats.descriptors_forwarded,
+        )
     }
 
     /// Whether any task is still in flight inside Picos.
@@ -440,7 +461,7 @@ mod tests {
         let mut m = manager(3);
         let drain = |m: &mut PicosManager| {
             let mut cores = Vec::new();
-            m.drain_moved_heads(&mut |core| cores.push(core));
+            m.drain_poll_changes(&mut |core| cores.push(core));
             cores
         };
         for sw_id in [1, 2] {
@@ -457,6 +478,39 @@ mod tests {
         assert!(drain(&mut m).is_empty(), "a SW ID fetch moves no head");
         assert!(m.fetch_picos_id(2, 20_000).is_some());
         assert_eq!(drain(&mut m), vec![2], "a pop exposes the next entry");
+    }
+
+    #[test]
+    fn acceptance_changes_are_reported_once_per_drain() {
+        let cfg = ManagerConfig { routing_queue_depth: 1, ..ManagerConfig::default() };
+        let mut m = PicosManager::new(2, cfg, PicosConfig::default());
+        let drain = |m: &mut PicosManager| m.drain_poll_changes(&mut |_| {});
+        assert!(!drain(&mut m));
+        assert!(m.ready_task_request(0, 0));
+        assert!(drain(&mut m), "the routing queue filled up");
+        assert!(!drain(&mut m));
+        assert!(!m.ready_task_request(1, 1));
+        assert!(!drain(&mut m), "a refused request changes nothing");
+    }
+
+    #[test]
+    fn a_failed_poll_reaches_the_device_only_through_its_queues() {
+        let mut m = manager(2);
+        let pkts = packets_for(1, vec![]);
+        assert!(m.submission_request(0, pkts.len() as u32, 0));
+        assert!(m.push_packets(0, &pkts, 0));
+        assert_eq!(m.next_events(), InternalEvents::NONE, "nothing routes the pending publication");
+        assert!(m.ready_task_request(1, 0));
+        let published = PicosTiming::default().submission_cycles(0) + PicosTiming::default().ready_publish;
+        assert_eq!(m.next_events(), InternalEvents { by_op: published, by_start: Cycle::MAX });
+        assert_eq!(m.fetch_sw_id(1, 1_000), None, "routed at 1,000, visible after the crossing");
+        assert_eq!(m.fetch_sw_id(1, 1_003), Some(1));
+        let picos_id = m.fetch_picos_id(1, 1_003).expect("the fetched head pops");
+        m.retire(picos_id, 2_000);
+        assert_eq!(m.next_events(), InternalEvents::NONE, "no poll reaches the retirement");
+        assert!(m.ready_task_request(1, 2_001));
+        let retired = 2_000 + PicosTiming::default().retirement_cycles(0);
+        assert_eq!(m.next_events(), InternalEvents { by_op: Cycle::MAX, by_start: retired });
     }
 
     #[test]

@@ -445,6 +445,15 @@ impl RuntimeSystem for Phentos {
         self.total_retired + self.shared_retired + u64::from(self.done)
     }
 
+    fn drain_epoch_changes(&mut self, sink: &mut dyn FnMut(usize)) -> bool {
+        // Retirements and flushes move only the main thread's epoch; `done` moves every core's.
+        if self.done {
+            return false;
+        }
+        sink(0);
+        true
+    }
+
     fn skip_polls(&mut self, core: usize, polls: u64, last_start: Cycle) {
         if core != 0 {
             let worker = &mut self.workers[core];

@@ -209,6 +209,8 @@ fn main() -> ExitCode {
         report.cells.len(),
         engine.skipped_polls
     );
+    let [parks, wakes, rechecks] = engine.parking_per_task(tasks);
+    println!("engine: {parks:.2} parks, {wakes:.2} wakes and {rechecks:.2} rechecks per task");
 
     // Co-scheduled cells measure speedup against the summed serial baseline, which the MTT
     // bound still caps: a violation is a cost-model inconsistency, tenants or not.

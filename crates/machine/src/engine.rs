@@ -12,13 +12,34 @@
 //!
 //! Runtimes wait by polling: a Phentos worker whose fetch fails backs off 40 cycles and polls
 //! again. Stepping every such poll is where almost all host time of an idle-heavy run goes, so
-//! the engine *parks* a core whose step was a pure, repeatable failed poll (a [`PollLoop`]): it
-//! leaves the run queue, its skipped polls are charged in closed form, and it resumes for real
-//! at the first point of its own poll grid where a poll could behave differently — after a step
-//! that changed something the poll observes, or when the fabric's next internal event falls
-//! due. Every observable effect lands exactly where stepping every poll would put it: reports,
-//! task events, metrics samples and errors are identical to the per-poll loop, which stays
-//! available to tests as [`run_machine_reference`].
+//! the engine *parks* a core whose step was a failed poll that repeats identically (a
+//! [`PollLoop`]): it leaves the run queue, its skipped polls are charged in closed form, and it
+//! resumes for real at its *wake*, the first poll of its own grid that could behave
+//! differently. The step that parks a core may itself have changed the fabric, by applying
+//! internal events that its failed operations found due; its repeats find none due before the
+//! fabric's next ones. A wake is the earliest of four parts:
+//!
+//! * the declaration's own bound, fixed when the core parks: the repeat at which the runtime
+//!   must run for real ([`PollLoop::repeats`]) or its own inputs could change
+//!   ([`PollLoop::until`]);
+//! * the first poll after a change the core saw since parking: a step that moved its
+//!   [`RuntimeSystem::observed_epoch`] or took its repeated line out of its L1. This part only
+//!   moves earlier;
+//! * the first poll that the fabric's current state could let succeed
+//!   ([`SchedulerFabric::poll_blocked_until`]). Each recheck after a fabric change replaces
+//!   it, later as well as earlier: a core woken for a routing slot that another core then
+//!   took goes back to sleep;
+//! * while this core's poll is the first of the parked cores' to reach the fabric's next
+//!   internal events ([`SchedulerFabric::next_internal_events`]), that poll. It goes when the
+//!   events move: whichever step moved them has already applied or displaced them.
+//!
+//! Only the parked cores a step could wake are rechecked: the runtime and the fabric name the
+//! cores whose answers a change may have moved ([`RuntimeSystem::drain_epoch_changes`],
+//! [`SchedulerFabric::drain_poll_changes`]). The first reacher of the fabric's next events is
+//! chosen only when a run-queue entry, filed at a lower bound of every parked core's reach,
+//! comes due. Every observable effect lands exactly where stepping every poll would put it:
+//! reports, task events, metrics samples and errors are identical to the per-poll loop, which
+//! stays available to tests as [`run_machine_reference`].
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -29,7 +50,7 @@ use tis_sim::Cycle;
 
 use crate::config::MachineConfig;
 use crate::context::{CoreCtx, CoreStats};
-use crate::fabric::{FailedOps, SchedulerFabric};
+use crate::fabric::{FailedOps, InternalEvents, PollChanges, SchedulerFabric};
 use crate::report::ExecutionReport;
 use tis_taskmodel::ExecRecord;
 
@@ -129,7 +150,9 @@ pub trait RuntimeSystem {
     /// Idle fast-forward: called right after every step of `core`. `Some` declares that the
     /// step was a failed poll which, repeated while nothing in [`RuntimeSystem::observed_epoch`]
     /// or the fabric changes, does exactly the same thing every time and changes no runtime
-    /// state beyond what [`RuntimeSystem::skip_polls`] replays. The default, `None`, never parks.
+    /// state beyond what [`RuntimeSystem::skip_polls`] replays. Every fabric operation of the
+    /// step failed; the step may still have changed the fabric by applying its internal
+    /// events. The default, `None`, never parks.
     fn poll_loop(&self, _core: usize) -> Option<PollLoop> {
         None
     }
@@ -147,6 +170,14 @@ pub trait RuntimeSystem {
     /// default is constant, like the default epochs.
     fn observed_version(&self) -> u64 {
         0
+    }
+
+    /// Hands `sink` every core whose [`RuntimeSystem::observed_epoch`] may have moved since the
+    /// last call, and returns `true`; a core not handed over keeps its epoch. The engine calls
+    /// it when it finds [`RuntimeSystem::observed_version`] moved after a step taken while a
+    /// core is parked. The default returns `false`: any change may have moved any core's epoch.
+    fn drain_epoch_changes(&mut self, _sink: &mut dyn FnMut(usize)) -> bool {
+        false
     }
 
     /// Applies `polls` skipped repeats of `core`'s poll loop to the runtime's own state; the
@@ -171,7 +202,8 @@ pub struct EngineStats {
     /// Polls charged in closed form instead of stepped. Steps plus skipped polls equal the
     /// steps of the per-poll reference run.
     pub skipped_polls: u64,
-    /// Parked cores examined after a step for something that could wake them.
+    /// Parked cores examined for something that could wake them: after a step, and when the
+    /// first reach of the fabric's next internal events is chosen.
     pub rechecks: u64,
     /// Closed-form charges of at least one skipped poll. A parked core is charged when it
     /// wakes and when the run ends or fails; metrics samples read parked cores without
@@ -187,11 +219,13 @@ impl EngineStats {
 
     /// Steps per retired task (0 for a run that retired none).
     pub fn steps_per_task(&self, tasks: u64) -> f64 {
-        if tasks == 0 {
-            0.0
-        } else {
-            self.steps() as f64 / tasks as f64
-        }
+        per_task(self.steps(), tasks)
+    }
+
+    /// Parks, wakes and rechecks per retired task, in that order (0 for a run that retired
+    /// none).
+    pub fn parking_per_task(&self, tasks: u64) -> [f64; 3] {
+        [self.parks, self.wakes, self.rechecks].map(|n| per_task(n, tasks))
     }
 
     /// Adds another run's counters to these.
@@ -206,6 +240,16 @@ impl EngineStats {
         self.settles += other.settles;
     }
 }
+
+/// `count` per retired task (0 for a run that retired none).
+fn per_task(count: u64, tasks: u64) -> f64 {
+    if tasks == 0 {
+        0.0
+    } else {
+        count as f64 / tasks as f64
+    }
+}
+
 /// Errors terminating a simulation without a result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
@@ -346,13 +390,119 @@ fn after(me: usize, step: StepAt) -> Cycle {
     }
 }
 
-/// Whether a poll's failed operations are a fetch alone (see
-/// [`SchedulerFabric::drain_fetch_changes`]).
-fn fetch_only(ops: FailedOps) -> bool {
-    !ops.ready_task_request && ops.submission_packets == 0
+/// A set of cores with constant-time insertion and removal, iterated in no particular order.
+#[derive(Debug)]
+struct CoreSet {
+    cores: Vec<usize>,
+    /// Each core's position in `cores`, or `usize::MAX` if it is not a member.
+    slot: Vec<usize>,
 }
 
-/// A parked core: out of the run queue, its polls charged in closed form until `wake`.
+impl CoreSet {
+    fn new(cores: usize) -> Self {
+        CoreSet { cores: Vec::new(), slot: vec![usize::MAX; cores] }
+    }
+
+    fn insert(&mut self, core: usize) {
+        self.slot[core] = self.cores.len();
+        self.cores.push(core);
+    }
+
+    fn remove(&mut self, core: usize) {
+        let i = std::mem::replace(&mut self.slot[core], usize::MAX);
+        if i != usize::MAX {
+            self.cores.swap_remove(i);
+            if let Some(&moved) = self.cores.get(i) {
+                self.slot[moved] = i;
+            }
+        }
+    }
+
+    fn contains(&self, core: usize) -> bool {
+        self.slot[core] != usize::MAX
+    }
+}
+
+/// The parked cores grouped by the shape of their poll, each group in the order of its polls'
+/// phase, so that the first poll to reach a cycle is found without examining every parked core.
+#[derive(Debug, Default)]
+struct ReachIndex {
+    groups: Vec<PhaseGroup>,
+}
+
+/// The parked cores whose polls have one period and one lead.
+#[derive(Debug)]
+struct PhaseGroup {
+    /// `(period, lead)` of the members' polls.
+    shape: (Cycle, u64),
+    /// `(poll start modulo period, core)` of each member, sorted.
+    members: Vec<(Cycle, usize)>,
+}
+
+impl ReachIndex {
+    fn insert(&mut self, core: usize, park: &Parked) {
+        let shape = (park.period, park.lead);
+        let member = (park.next % park.period, core);
+        let g = self.groups.iter().position(|g| g.shape == shape).unwrap_or_else(|| {
+            self.groups.push(PhaseGroup { shape, members: Vec::new() });
+            self.groups.len() - 1
+        });
+        let members = &mut self.groups[g].members;
+        members.insert(members.partition_point(|&m| m < member), member);
+    }
+
+    fn remove(&mut self, core: usize, park: &Parked) {
+        let shape = (park.period, park.lead);
+        let member = (park.next % park.period, core);
+        let g = self.groups.iter().position(|g| g.shape == shape).expect("parked cores are indexed");
+        let members = &mut self.groups[g].members;
+        members.remove(members.partition_point(|&m| m < member));
+        if members.is_empty() {
+            self.groups.swap_remove(g);
+        }
+    }
+
+    /// The parked core whose poll first reaches `events` after `step`, as `(its poll's
+    /// start, core)`, and how many cores were examined. In each group and for each event,
+    /// the cores come in the order of a lower bound of their reach, the first grid point at
+    /// or after the event that their phase allows; the walk stops once that bound passes the
+    /// best reach found.
+    fn first_reach(
+        &self,
+        parked: &[Option<Parked>],
+        step: StepAt,
+        events: InternalEvents,
+    ) -> (Option<StepAt>, u64) {
+        let mut best: Option<StepAt> = None;
+        let mut examined = 0;
+        for PhaseGroup { shape: (period, lead), members } in &self.groups {
+            let period = *period;
+            for (t, lead) in [(events.by_op, *lead), (events.by_start, 0)] {
+                if t == Cycle::MAX {
+                    continue;
+                }
+                let x = step.0.max(t.saturating_sub(lead));
+                let phase = x % period;
+                let start = members.partition_point(|&(p, _)| p < phase);
+                for k in 0..members.len() {
+                    let (p, core) = members[(start + k) % members.len()];
+                    let bound = x.saturating_add((p + period - phase) % period);
+                    if best.is_some_and(|b| (bound, core) >= b) {
+                        break;
+                    }
+                    examined += 1;
+                    let park = parked[core].as_ref().expect("indexed cores are parked");
+                    if let Some(reach) = park.poll_reaching_events(after(core, step), events) {
+                        best = Some(best.map_or((reach, core), |b| b.min((reach, core))));
+                    }
+                }
+            }
+        }
+        (best, examined)
+    }
+}
+
+/// A parked core: out of the run queue, its polls charged in closed form until its wake.
 #[derive(Debug)]
 struct Parked {
     poll: PollLoop,
@@ -360,6 +510,9 @@ struct Parked {
     period: Cycle,
     /// Runtime cycles one poll charges; its fabric operations all fall within them.
     runtime_cycles: u64,
+    /// Cycles from a poll's start to its last fabric operation, or `runtime_cycles` if the
+    /// fabric does not say (see [`SchedulerFabric::last_operation`]).
+    lead: u64,
     /// Idle cycles one poll charges, of which `idle_tail` are the wait the engine files after
     /// a `Waiting` poll, once its metrics sample (if any) is taken.
     idle_cycles: u64,
@@ -374,13 +527,26 @@ struct Parked {
     next_event: Cycle,
     /// [`RuntimeSystem::observed_epoch`] when the core parked.
     epoch: u64,
-    /// Start of the first poll that must run for real.
-    wake: Cycle,
-    /// Which park of the run this is, counted from 0.
-    id: u64,
+    /// The four parts of the wake, the start of the first poll that must run for real (see
+    /// the module docs). The declaration's own bound, fixed when the core parks.
+    bound: Cycle,
+    /// The first poll after a change seen since parking, a moved epoch or a lost line. It
+    /// only moves earlier.
+    changed: Cycle,
+    /// The first poll that the fabric's current state lets reach the cycle from which its
+    /// failed operations could succeed. Each recheck replaces it.
+    blocked: Cycle,
+    /// The poll that reaches the fabric's next internal events, while this core's reaches
+    /// them first; `Cycle::MAX` otherwise.
+    reach: Cycle,
 }
 
 impl Parked {
+    /// Start of the first poll that must run for real.
+    fn wake(&self) -> Cycle {
+        self.bound.min(self.changed).min(self.blocked).min(self.reach)
+    }
+
     /// Start of the first uncharged poll at or after `t`.
     fn poll_at_or_after(&self, t: Cycle) -> Cycle {
         if t <= self.next {
@@ -398,7 +564,15 @@ impl Parked {
     /// Start of the first poll at or after `from` whose operations could reach cycle `t`.
     /// Equal to `poll_reaching(poll_at_or_after(from), t)`, with one grid rounding fewer.
     fn poll_reaching(&self, from: Cycle, t: Cycle) -> Cycle {
-        self.poll_at_or_after(from.max(t.saturating_sub(self.runtime_cycles)))
+        self.poll_at_or_after(from.max(t.saturating_sub(self.lead)))
+    }
+
+    /// Start of the first poll at or after `from` that reaches one of `events`, if any.
+    fn poll_reaching_events(&self, from: Cycle, events: InternalEvents) -> Option<Cycle> {
+        let by_op = (events.by_op < Cycle::MAX).then(|| self.poll_reaching(from, events.by_op));
+        let by_start = events.by_start;
+        let by_start = (by_start < Cycle::MAX).then(|| self.poll_at_or_after(from.max(by_start)));
+        by_op.into_iter().chain(by_start).min()
     }
 
     /// Number of polls from the one starting at `from` that the step order puts before `bound`.
@@ -428,37 +602,50 @@ struct Engine<'a> {
     core_time: Vec<Cycle>,
     core_stats: Vec<CoreStats>,
     /// Cycle of each core's next step (its wake, if parked); `Cycle::MAX` once finished or
-    /// parked with nothing to wake it. Queue entries that disagree with it are stale.
+    /// parked with nothing to wake it. One more slot, `reach_slot`, holds the entry at a lower
+    /// bound of the first reach of the fabric's next internal events, `Cycle::MAX` if none is
+    /// filed. Queue entries that disagree with it are stale.
     key: Vec<Cycle>,
-    /// Min-heap of `(key, core)`: equal cycles step in core-index order.
+    /// Min-heap of `(key, slot)`: equal cycles step in core-index order.
     queue: BinaryHeap<Reverse<StepAt>>,
+    /// The queue slot of the first-reach entry, after every core's.
+    reach_slot: usize,
+    /// The last real step.
+    last_step: StepAt,
     parked: Vec<Option<Parked>>,
     /// Cores currently parked, those of them whose poll emits a task event, those whose poll
     /// repeats a memory access, and those whose poll issues more than a fetch.
-    parked_cores: Vec<usize>,
-    event_cores: Vec<usize>,
-    touch_cores: Vec<usize>,
-    request_cores: Vec<usize>,
-    /// Scratch list of the cores [`SchedulerFabric::drain_fetch_changes`] hands over.
-    fetch_changes: Vec<usize>,
+    parked_cores: CoreSet,
+    event_cores: CoreSet,
+    touch_cores: CoreSet,
+    request_cores: CoreSet,
+    /// The parked cores in the order their polls reach a cycle.
+    reach_index: ReachIndex,
+    /// Scratch lists of the cores [`SchedulerFabric::drain_poll_changes`] and
+    /// [`RuntimeSystem::drain_epoch_changes`] hand over.
+    poll_changes: Vec<usize>,
+    epoch_changes: Vec<usize>,
     /// Parked cores whose poll returns `Progressed`. While one is parked its skipped polls keep
     /// resetting the watchdog, so no step can trip it.
     progress_parked: usize,
     fabric_epoch: u64,
     /// [`RuntimeSystem::observed_version`] after the last step that found parked cores.
     runtime_version: u64,
-    /// The fabric's next internal event, fetched when first needed after each change.
-    next_internal: Option<Cycle>,
-    /// The next internal event that `reaches` and `first_reach` were found for.
-    reach_for: Cycle,
+    /// The fabric's next internal events, and whether a fabric change since they were fetched
+    /// may have moved them.
+    events: InternalEvents,
+    events_stale: bool,
+    /// The longest lead of any poll parked so far, and its value when the first-reach entry was
+    /// filed: the entry sits that far before the next operation-reached event.
+    reach_lead: u64,
+    filed_lead: u64,
+    /// The parked core whose poll reaches `events` first, as `(its poll's start, core)`, once
+    /// the first-reach entry came due; `None` before, and after it unparks, which sets
+    /// `reach_lost` until the entry is filed again.
+    first_reach: Option<StepAt>,
+    reach_lost: bool,
     /// The sample handed to the observer, its per-core lists reused.
     sample_buf: MetricsSample,
-    /// Min-heap of lower bounds on when each parked core's poll could reach that event, as
-    /// `(poll start, core, park id)`; entries of cores since unparked are dropped lazily.
-    reaches: BinaryHeap<Reverse<(Cycle, usize, u64)>>,
-    /// The parked core whose poll reaches that event first, as `(its poll's start, core)`,
-    /// once known; `None` after it unparks.
-    first_reach: Option<StepAt>,
     stats: EngineStats,
 }
 
@@ -485,6 +672,8 @@ impl<'a> Engine<'a> {
             None => (None, false),
         };
         let fabric_epoch = fabric.park_epoch();
+        let mut key = vec![0; cores];
+        key.push(Cycle::MAX);
         Engine {
             cfg,
             mem,
@@ -503,21 +692,27 @@ impl<'a> Engine<'a> {
             last_progress: 0,
             core_time: vec![0; cores],
             core_stats: vec![CoreStats::default(); cores],
-            key: vec![0; cores],
+            key,
             queue: (0..cores).map(|c| Reverse((0, c))).collect(),
+            reach_slot: cores,
+            last_step: (0, 0),
             parked: (0..cores).map(|_| None).collect(),
-            parked_cores: Vec::new(),
-            event_cores: Vec::new(),
-            touch_cores: Vec::new(),
-            request_cores: Vec::new(),
-            fetch_changes: Vec::new(),
+            parked_cores: CoreSet::new(cores),
+            event_cores: CoreSet::new(cores),
+            touch_cores: CoreSet::new(cores),
+            request_cores: CoreSet::new(cores),
+            reach_index: ReachIndex::default(),
+            poll_changes: Vec::new(),
+            epoch_changes: Vec::new(),
             progress_parked: 0,
             fabric_epoch: fabric_epoch.unwrap_or(0),
             runtime_version: runtime.observed_version(),
-            next_internal: None,
-            reach_for: Cycle::MAX,
-            reaches: BinaryHeap::new(),
+            events: InternalEvents::NONE,
+            events_stale: true,
+            reach_lead: 0,
+            filed_lead: 0,
             first_reach: None,
+            reach_lost: false,
             sample_buf: MetricsSample::default(),
             stats: EngineStats::default(),
             runtime,
@@ -536,7 +731,6 @@ impl<'a> Engine<'a> {
     }
 
     fn run_loop(&mut self) -> Result<ExecutionReport, EngineError> {
-        let mut last: StepAt = (0, 0);
         // Debug builds audit the memory system's global invariants (SWMR, directory precision)
         // every few thousand steps, catching a corrupted sharer set mid-run instead of at the
         // end of a property test. Stride-based so the check stays off the per-step hot path;
@@ -561,7 +755,11 @@ impl<'a> Engine<'a> {
             // The next real step: the live core furthest behind in time, or a parked core at
             // its wake. Skipped polls before it are replayed first.
             let next = self.peek();
-            if next.is_none() && self.parked_cores.is_empty() {
+            if next.is_some_and(|(_, slot)| slot == self.reach_slot) {
+                self.choose_first_reach();
+                continue;
+            }
+            if next.is_none() && self.parked_cores.cores.is_empty() {
                 return Err(EngineError::AllAgentsFinishedEarly { runtime: self.runtime_name() });
             }
             let step = next.unwrap_or((Cycle::MAX, usize::MAX));
@@ -576,16 +774,16 @@ impl<'a> Engine<'a> {
                 return Err(self.fail_after(limit, step));
             }
             let (now, core) = step;
-            if !self.parked_cores.is_empty() {
+            if !self.parked_cores.cores.is_empty() {
                 self.replay_until(step);
                 if self.parked[core].is_some() {
                     self.unpark(core, now);
                 }
             }
-            last = step;
+            self.last_step = step;
             self.step(now, core)?;
         }
-        self.settle_all(last);
+        self.settle_all(self.last_step);
 
         // The program's makespan is the time of the latest agent that actually did something;
         // idle workers parked far in the future (waiting for work that never came) do not
@@ -602,7 +800,7 @@ impl<'a> Engine<'a> {
         if self.obs.is_some() {
             // One closing sample at the makespan so the timeline always ends on the final state.
             if self.sample_interval.is_some() {
-                self.sample_through(total_cycles, last, None);
+                self.sample_through(total_cycles, self.last_step, None);
             }
             self.fabric.set_observing(false);
             self.mem.set_observing(false);
@@ -710,9 +908,10 @@ impl<'a> Engine<'a> {
         } else {
             self.key[core] = self.core_time[core];
             *self.queue.peek_mut().expect("the stepped core is queued") = Reverse((self.core_time[core], core));
-            // A step that changed the fabric or missed in the L1 did something its repeat
-            // would not.
-            if let Some(b) = before.filter(|_| !fabric_changed && !l1_missed) {
+            // A step that missed in the L1 did something its repeat would not. One that changed
+            // the fabric with failed operations only applied internal events found due, which
+            // its repeats find applied.
+            if let Some(b) = before.filter(|_| !l1_missed) {
                 self.try_park(core, now, end_time, status, &b);
             }
         }
@@ -722,7 +921,8 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    /// The next live core in step order, dropping stale queue entries.
+    /// The next entry of the run queue in step order, dropping stale ones: a live core, or the
+    /// first-reach entry.
     fn peek(&mut self) -> Option<StepAt> {
         while let Some(&Reverse((t, c))) = self.queue.peek() {
             if self.key[c] == t {
@@ -761,7 +961,7 @@ impl<'a> Engine<'a> {
         sample.noc_flits = ms.noc_flits;
         sample.noc_link_wait_cycles = ms.noc_link_wait_cycles;
         sample.max_link_occupancy = ms.max_link_occupancy;
-        for &p in &self.parked_cores {
+        for &p in &self.parked_cores.cores {
             let park = self.parked[p].as_ref().expect("listed cores are parked");
             let polls = park.polls_before(park.next, p, bound);
             sample.core_busy_cycles[p] += polls * park.runtime_cycles;
@@ -786,6 +986,7 @@ impl<'a> Engine<'a> {
     fn fail_after(&mut self, limit: Cycle, real: StepAt) -> EngineError {
         let first = self
             .parked_cores
+            .cores
             .iter()
             .map(|&p| (self.parked[p].as_ref().expect("listed cores are parked").poll_at_or_after(limit + 1), p))
             .fold(real, std::cmp::min);
@@ -802,12 +1003,13 @@ impl<'a> Engine<'a> {
     /// Emits what the skipped polls ordered before `bound` would have shown an observer: their
     /// task events, and a metrics sample after each one that crosses a bucket boundary.
     fn replay_until(&mut self, bound: StepAt) {
-        if self.obs.is_none() || self.parked_cores.is_empty() {
+        if self.obs.is_none() || self.parked_cores.cores.is_empty() {
             return;
         }
         while bound.0 >= self.next_sample {
             let crossing = self
                 .parked_cores
+                .cores
                 .iter()
                 .map(|&p| {
                     let park = self.parked[p].as_ref().expect("listed cores are parked");
@@ -830,7 +1032,7 @@ impl<'a> Engine<'a> {
         loop {
             let mut first: Option<StepAt> = None;
             let mut limit = bound;
-            for &p in &self.event_cores {
+            for &p in &self.event_cores.cores {
                 let at = (self.parked[p].as_ref().expect("listed cores are parked").next_event, p);
                 match first {
                     Some(f) if f < at => limit = limit.min(at),
@@ -854,8 +1056,8 @@ impl<'a> Engine<'a> {
 
     /// Charges every parked core's skipped polls ordered before `bound`.
     fn settle_all(&mut self, bound: StepAt) {
-        for i in 0..self.parked_cores.len() {
-            let p = self.parked_cores[i];
+        for i in 0..self.parked_cores.cores.len() {
+            let p = self.parked_cores.cores[i];
             let mut park = self.parked[p].take().expect("listed cores are parked");
             self.settle(p, &mut park, bound);
             self.parked[p] = Some(park);
@@ -906,10 +1108,17 @@ impl<'a> Engine<'a> {
             return;
         }
         let next = self.core_time[core];
+        let runtime_cycles = after.runtime_cycles - before.runtime_cycles;
         let mut park = Parked {
             poll,
             period: next - now,
-            runtime_cycles: after.runtime_cycles - before.runtime_cycles,
+            runtime_cycles,
+            lead: self
+                .fabric
+                .last_operation(core)
+                .and_then(|t| t.checked_sub(now))
+                .filter(|&lead| lead <= runtime_cycles)
+                .unwrap_or(runtime_cycles),
             idle_cycles: after.idle_cycles - before.idle_cycles,
             idle_tail: if status == CoreStatus::Progressed { 0 } else { next - end },
             memory_ops: after.memory_ops - before.memory_ops,
@@ -917,33 +1126,45 @@ impl<'a> Engine<'a> {
             next,
             next_event: next,
             epoch: self.runtime.observed_epoch(core),
-            wake: Cycle::MAX,
-            id: self.stats.parks,
+            bound: Cycle::MAX,
+            changed: Cycle::MAX,
+            blocked: Cycle::MAX,
+            reach: Cycle::MAX,
         };
-        let blocked = self.fabric.poll_blocked_until(core, poll.ops);
-        park.wake = next
+        park.bound = next
             .saturating_add(poll.repeats.saturating_mul(park.period))
-            .min(park.poll_at_or_after(poll.until))
-            .min(if blocked == Cycle::MAX { Cycle::MAX } else { park.poll_reaching(next, blocked) });
-        if park.wake == next {
+            .min(park.poll_at_or_after(poll.until));
+        let blocked = self.fabric.poll_blocked_until(core, poll.ops);
+        if blocked != Cycle::MAX {
+            park.blocked = park.poll_reaching(next, blocked);
+        }
+        let wake = park.wake();
+        if wake == next {
             return;
         }
-        self.key[core] = park.wake;
-        if park.wake < Cycle::MAX {
-            self.queue.push(Reverse((park.wake, core)));
+        self.key[core] = wake;
+        if wake < Cycle::MAX {
+            self.queue.push(Reverse((wake, core)));
+        }
+        if self.parked_cores.cores.is_empty() {
+            // The fabric's change reports go unread while no core is parked: catch up, so that
+            // the next report starts from the state this core saw.
+            self.fabric.drain_poll_changes(&mut |_| {});
         }
         self.progress_parked += usize::from(park.progressed);
+        self.reach_lead = self.reach_lead.max(park.lead);
         if park.poll.event.is_some() {
-            self.event_cores.push(core);
+            self.event_cores.insert(core);
         }
         if park.poll.touch.is_some() {
-            self.touch_cores.push(core);
+            self.touch_cores.insert(core);
         }
-        if !fetch_only(park.poll.ops) {
-            self.request_cores.push(core);
+        if park.poll.ops.ready_task_request || park.poll.ops.submission_packets > 0 {
+            self.request_cores.insert(core);
         }
+        self.reach_index.insert(core, &park);
         self.parked[core] = Some(park);
-        self.parked_cores.push(core);
+        self.parked_cores.insert(core);
         self.stats.parks += 1;
     }
 
@@ -951,12 +1172,14 @@ impl<'a> Engine<'a> {
     /// skipped.
     fn unpark(&mut self, core: usize, now: Cycle) {
         let mut park = self.parked[core].take().expect("unpark of a parked core");
-        self.parked_cores.retain(|&p| p != core);
-        self.event_cores.retain(|&p| p != core);
-        self.touch_cores.retain(|&p| p != core);
-        self.request_cores.retain(|&p| p != core);
+        self.reach_index.remove(core, &park);
+        for set in [&mut self.parked_cores, &mut self.event_cores, &mut self.touch_cores, &mut self.request_cores] {
+            set.remove(core);
+        }
         if self.first_reach.is_some_and(|(_, p)| p == core) {
+            // Refiled after the step: until then its queue entry is the top of the queue.
             self.first_reach = None;
+            self.reach_lost = true;
         }
         self.progress_parked -= usize::from(park.progressed);
         self.settle(core, &mut park, (now, core));
@@ -964,31 +1187,59 @@ impl<'a> Engine<'a> {
         self.stats.wakes += 1;
     }
 
-    /// After the step `step`, moves each parked core's wake up to its first poll that could
-    /// now behave differently: after a change to something its poll reads, or when its poll
-    /// could reach the fabric's next internal event. Only the parked core whose poll reaches
-    /// that event first is woken for it; its poll changes the fabric, which wakes the rest.
+    /// After the step `step`, moves each parked core's wake to its first poll that could now
+    /// behave differently: after a change to something its poll reads, when the fabric's state
+    /// lets its failed operations succeed, or when its poll is the first to reach the fabric's
+    /// next internal events.
     ///
-    /// Only the cores the step could wake are rechecked: those with a memory line, all of them
-    /// after a runtime change, and after a fabric change those whose answer from
-    /// [`SchedulerFabric::poll_blocked_until`] could have moved.
+    /// Only the cores the step could wake are rechecked: those with a memory line, those whose
+    /// epoch the runtime reports moved, and after a fabric change those whose answer from
+    /// [`SchedulerFabric::poll_blocked_until`] the fabric reports could have moved.
     fn wake_observers(&mut self, step: StepAt, fabric_changed: bool) {
-        if fabric_changed {
-            self.next_internal = None;
-        }
-        if self.parked_cores.is_empty() {
+        self.events_stale |= fabric_changed;
+        if self.parked_cores.cores.is_empty() {
             return;
         }
-        let next_internal = match self.next_internal {
-            Some(cycle) => cycle,
-            None => *self.next_internal.insert(self.fabric.next_internal_event()),
-        };
-        let version = self.runtime.observed_version();
-        let runtime_changed = version != self.runtime_version;
-        self.runtime_version = version;
-        // The core that just parked saw the current state in its own step.
-        for i in 0..self.touch_cores.len() {
-            let p = self.touch_cores[i];
+        self.recheck_touches(step);
+        self.recheck_epochs(step);
+        if fabric_changed {
+            self.recheck_poll_changes(step);
+        }
+        self.follow_events(step);
+    }
+
+    /// After a fabric change in the step `step`, rechecks the parked cores whose answer from
+    /// [`SchedulerFabric::poll_blocked_until`] the fabric reports could have moved.
+    fn recheck_poll_changes(&mut self, step: StepAt) {
+        let mut listed = std::mem::take(&mut self.poll_changes);
+        listed.clear();
+        match self.fabric.drain_poll_changes(&mut |core| listed.push(core)) {
+            PollChanges::Untracked => {
+                for i in 0..self.parked_cores.cores.len() {
+                    self.recheck_blocked(self.parked_cores.cores[i], step);
+                }
+            }
+            PollChanges::Tracked(acceptance) => {
+                if acceptance {
+                    for i in 0..self.request_cores.cores.len() {
+                        self.recheck_blocked(self.request_cores.cores[i], step);
+                    }
+                }
+                for &p in &listed {
+                    if self.parked[p].is_some() && !(acceptance && self.request_cores.contains(p)) {
+                        self.recheck_blocked(p, step);
+                    }
+                }
+            }
+        }
+        self.poll_changes = listed;
+    }
+
+    /// Moves up the wake of each parked core, other than the one that stepped at `step` (it
+    /// saw the current state), whose repeated access no longer hits without a state change.
+    fn recheck_touches(&mut self, step: StepAt) {
+        for i in 0..self.touch_cores.cores.len() {
+            let p = self.touch_cores.cores[i];
             if p == step.1 {
                 continue;
             }
@@ -997,122 +1248,144 @@ impl<'a> Engine<'a> {
             let t = park.poll.touch.expect("touch cores declare a touch");
             if !self.mem.hit_keeps_state(p, t.addr, t.kind, t.bytes) {
                 let wake = park.poll_after(p, step);
-                self.lower_wake(p, wake);
+                self.lower_changed(p, wake);
             }
         }
-        // A fabric change moves the answer of every poll that requests or submits, but that
-        // of a fetch-only poll only if the fabric hands its core over (or tracks none).
-        let mut fetch_changes = std::mem::take(&mut self.fetch_changes);
-        fetch_changes.clear();
-        let every_fetch = fabric_changed && !self.fabric.drain_fetch_changes(&mut |core| fetch_changes.push(core));
-        if runtime_changed || every_fetch {
-            for i in 0..self.parked_cores.len() {
-                let p = self.parked_cores[i];
-                self.stats.rechecks += 1;
-                let park = self.parked[p].as_ref().expect("listed cores are parked");
-                if p != step.1 && runtime_changed && self.runtime.observed_epoch(p) != park.epoch {
-                    let wake = park.poll_after(p, step);
-                    self.lower_wake(p, wake);
-                }
-                if fabric_changed {
-                    self.recheck_blocked(p, step);
-                }
-            }
-        } else if fabric_changed {
-            for i in 0..self.request_cores.len() {
-                self.stats.rechecks += 1;
-                self.recheck_blocked(self.request_cores[i], step);
-            }
-            for &p in &fetch_changes {
-                if self.parked[p].as_ref().is_some_and(|park| fetch_only(park.poll.ops)) {
-                    self.stats.rechecks += 1;
-                    self.recheck_blocked(p, step);
-                }
-            }
-        }
-        self.fetch_changes = fetch_changes;
-        self.wake_first_reach(step, next_internal);
     }
 
-    /// After a fabric change in the step `step`, moves parked `core`'s wake up to its first
-    /// poll that could reach the cycle from which its failed operations could succeed.
+    /// After a step that moved the runtime's observed version, moves up the wake of each
+    /// parked core whose epoch moved.
+    fn recheck_epochs(&mut self, step: StepAt) {
+        let version = self.runtime.observed_version();
+        if version == self.runtime_version {
+            return;
+        }
+        self.runtime_version = version;
+        let mut listed = std::mem::take(&mut self.epoch_changes);
+        listed.clear();
+        if !self.runtime.drain_epoch_changes(&mut |core| listed.push(core)) {
+            listed.clear();
+            listed.extend_from_slice(&self.parked_cores.cores);
+        }
+        for &p in &listed {
+            // The core that just parked saw the current state in its own step.
+            let Some(park) = self.parked[p].as_ref().filter(|_| p != step.1) else { continue };
+            self.stats.rechecks += 1;
+            if self.runtime.observed_epoch(p) != park.epoch {
+                let wake = park.poll_after(p, step);
+                self.lower_changed(p, wake);
+            }
+        }
+        self.epoch_changes = listed;
+    }
+
+    /// After a fabric change in the step `step`, moves parked `core`'s wake to its first poll
+    /// that could reach the cycle from which its failed operations could succeed, earlier or
+    /// later than before.
     fn recheck_blocked(&mut self, core: usize, step: StepAt) {
         // The core that just parked saw the current state in its own step.
         if core == step.1 {
             return;
         }
-        let park = self.parked[core].as_ref().expect("only parked cores are rechecked");
-        let blocked = self.fabric.poll_blocked_until(core, park.poll.ops);
-        if blocked != Cycle::MAX {
-            let wake = park.poll_reaching(after(core, step), blocked);
-            self.lower_wake(core, wake);
+        self.stats.rechecks += 1;
+        let park = self.parked[core].as_mut().expect("only parked cores are rechecked");
+        let answer = self.fabric.poll_blocked_until(core, park.poll.ops);
+        let blocked = if answer == Cycle::MAX { Cycle::MAX } else { park.poll_reaching(after(core, step), answer) };
+        if blocked != park.blocked {
+            park.blocked = blocked;
+            self.file_wake(core);
         }
     }
 
-    /// After the step `step`, moves up the wake of the parked core whose poll first reaches
-    /// the fabric's next internal event `t`.
-    ///
-    /// A core's reach never decreases as the step order advances or as `t` moves later, so
-    /// the bounds in `reaches` stay valid until `t` moves earlier, and the core found first
-    /// stays first until `t` moves or it unparks. Only then is the least bound made exact
-    /// again, one core at a time; a newly parked core is compared with the first alone.
-    fn wake_first_reach(&mut self, step: StepAt, t: Cycle) {
-        // Entries of unparked cores are also dropped here, so that the heap stays O(cores).
-        let rebuild = t < self.reach_for || self.reaches.len() > 2 * self.parked_cores.len();
-        if t != self.reach_for || rebuild {
-            self.reach_for = t;
-            self.first_reach = None;
+    /// After the step `step`, keeps the first reach of the fabric's next internal events
+    /// tracked: refiles its entry when the events moved, and compares a newly parked core
+    /// with the first reacher once that is known.
+    fn follow_events(&mut self, step: StepAt) {
+        let mut refile = std::mem::take(&mut self.reach_lost);
+        if std::mem::take(&mut self.events_stale) {
+            let events = self.fabric.next_internal_events();
+            refile |= events != self.events;
+            self.events = events;
         }
-        if t == Cycle::MAX {
-            self.reaches.clear();
+        // A filed entry must also stay at or before the reach of every core parked since.
+        let filed = self.key[self.reach_slot] != Cycle::MAX;
+        if refile || (filed && self.reach_lead > self.filed_lead) {
+            return self.file_reach();
+        }
+        let Some(park) = self.parked[step.1].as_ref() else { return };
+        if filed {
             return;
         }
-        if rebuild {
-            self.reaches.clear();
-            for i in 0..self.parked_cores.len() {
-                let p = self.parked_cores[i];
-                self.push_reach(p, step, t);
-            }
-        } else if self.parked[step.1].is_some() {
-            // A newly parked core only has to be compared with the first.
-            let reach = self.push_reach(step.1, step, t);
-            self.first_reach = self.first_reach.map(|first| first.min(reach));
-        }
-        while self.first_reach.is_none() {
-            let Reverse((bound, p, id)) = *self.reaches.peek().expect("every parked core has a bound");
-            let Some(park) = self.parked[p].as_ref().filter(|park| park.id == id) else {
-                self.reaches.pop();
-                continue;
-            };
+        if let Some(reach) = park.poll_reaching_events(after(step.1, step), self.events) {
             self.stats.rechecks += 1;
-            let reach = park.poll_reaching(after(p, step), t);
-            debug_assert!(reach >= bound, "a reach never decreases");
-            if reach == bound {
-                self.first_reach = Some((reach, p));
-            } else {
-                *self.reaches.peek_mut().expect("peeked above") = Reverse((reach, p, id));
+            if self.first_reach.is_none_or(|first| (reach, step.1) < first) {
+                self.set_first_reach(Some((reach, step.1)));
             }
         }
-        if let Some((wake, p)) = self.first_reach {
-            self.lower_wake(p, wake);
+    }
+
+    /// Files the run-queue entry for the first reach of the fabric's next internal events at
+    /// a lower bound of every parked core's reach, now and of any core that parks before it
+    /// comes due, and forgets the first reacher.
+    fn file_reach(&mut self) {
+        self.set_first_reach(None);
+        self.filed_lead = self.reach_lead;
+        let by_op = match self.events.by_op {
+            Cycle::MAX => Cycle::MAX,
+            t => t.saturating_sub(self.reach_lead),
+        };
+        // The entry sits just before `bound` in the step order; at bound 0 it sits after every
+        // core at cycle 0, where no parked core polls.
+        let bound = by_op.min(self.events.by_start);
+        let entry = if bound == Cycle::MAX { Cycle::MAX } else { bound.saturating_sub(1) };
+        self.key[self.reach_slot] = entry;
+        if entry < Cycle::MAX {
+            self.queue.push(Reverse((entry, self.reach_slot)));
         }
     }
 
-    /// Files parked `core`'s exact reach of `t` after `step` in `reaches`, and returns it.
-    fn push_reach(&mut self, core: usize, step: StepAt, t: Cycle) -> StepAt {
-        let park = self.parked[core].as_ref().expect("only parked cores reach");
-        let reach = park.poll_reaching(after(core, step), t);
-        self.reaches.push(Reverse((reach, core, park.id)));
-        self.stats.rechecks += 1;
-        (reach, core)
+    /// The first-reach entry came due: wakes the parked core whose poll reaches the fabric's
+    /// next internal events first. Its poll changes the fabric, which refiles the entry.
+    fn choose_first_reach(&mut self) {
+        self.queue.pop();
+        self.key[self.reach_slot] = Cycle::MAX;
+        let (first, examined) = self.reach_index.first_reach(&self.parked, self.last_step, self.events);
+        self.stats.rechecks += examined;
+        self.set_first_reach(first);
     }
 
-    fn lower_wake(&mut self, core: usize, wake: Cycle) {
+    /// Makes `first` the first reacher of the fabric's next internal events, moving the wake
+    /// of the one it replaces, if still parked, back to its other parts.
+    fn set_first_reach(&mut self, first: Option<StepAt>) {
+        if let Some((_, p)) = std::mem::replace(&mut self.first_reach, first) {
+            if let Some(park) = self.parked[p].as_mut() {
+                park.reach = Cycle::MAX;
+                self.file_wake(p);
+            }
+        }
+        if let Some((reach, p)) = first {
+            self.parked[p].as_mut().expect("the first reacher is parked").reach = reach;
+            self.file_wake(p);
+        }
+    }
+
+    /// Moves parked `core`'s wake up to `wake` for a change it saw.
+    fn lower_changed(&mut self, core: usize, wake: Cycle) {
         let park = self.parked[core].as_mut().expect("only parked cores have a wake");
-        if wake < park.wake {
-            park.wake = wake;
+        if wake < park.changed {
+            park.changed = wake;
+            self.file_wake(core);
+        }
+    }
+
+    /// Files parked `core` in the run queue at its wake, if that moved.
+    fn file_wake(&mut self, core: usize) {
+        let wake = self.parked[core].as_ref().expect("only parked cores have a wake").wake();
+        if wake != self.key[core] {
             self.key[core] = wake;
-            self.queue.push(Reverse((wake, core)));
+            if wake < Cycle::MAX {
+                self.queue.push(Reverse((wake, core)));
+            }
         }
     }
 }
@@ -1380,8 +1653,8 @@ mod tests {
         fn park_epoch(&self) -> Option<u64> {
             Some(0)
         }
-        fn next_internal_event(&self) -> Cycle {
-            Cycle::MAX
+        fn next_internal_events(&self) -> InternalEvents {
+            InternalEvents::NONE
         }
         fn poll_blocked_until(&self, _: usize, _: FailedOps) -> Cycle {
             Cycle::MAX

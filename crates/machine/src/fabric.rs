@@ -93,6 +93,36 @@ impl FailedOps {
     }
 }
 
+/// The fabric's next internal events as a failed poll reaches them (see
+/// [`SchedulerFabric::next_internal_events`]), by the rule that gates each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InternalEvents {
+    /// Earliest cycle at which an operation issued at or after it finds an event due (a ready
+    /// publication, a routing or a forwarding); `Cycle::MAX` if none.
+    pub by_op: Cycle,
+    /// Earliest cycle at which an operation of a step that starts at or after it finds an
+    /// event due: an event that the fabric applies only up to the time horizon the engine
+    /// sets at the start of each step ([`SchedulerFabric::set_time_horizon`]), such as a Picos
+    /// retirement. `Cycle::MAX` if none.
+    pub by_start: Cycle,
+}
+
+impl InternalEvents {
+    /// Nothing is pending that a failed poll could reach.
+    pub const NONE: InternalEvents = InternalEvents { by_op: Cycle::MAX, by_start: Cycle::MAX };
+}
+
+/// Which parked polls may see a new answer from [`SchedulerFabric::poll_blocked_until`] (see
+/// [`SchedulerFabric::drain_poll_changes`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PollChanges {
+    /// Any core's, for any poll: the fabric does not track its changes.
+    Untracked,
+    /// The listed cores', and, if the flag is set, every core's for a poll that issues a
+    /// request or a submission (what decides whether those are accepted moved).
+    Tracked(bool),
+}
+
 /// The per-core task-scheduling interface (Table I of the paper).
 ///
 /// All operations take the issuing core and the current cycle, and return the number of cycles
@@ -100,11 +130,13 @@ impl FailedOps {
 ///
 /// # Idle fast-forward
 ///
-/// The last five methods let the engine park a core whose step was a pure failed poll (see
+/// The last six methods let the engine park a core whose step was a failed poll (see
 /// [`PollLoop`](crate::engine::PollLoop)) instead of stepping every repeat. A fabric that
 /// supports it returns `Some` from [`SchedulerFabric::park_epoch`] and must then keep the
-/// promises of the others exactly; the defaults opt out, so every existing fabric (and every
-/// wrapper that does not forward them) keeps the per-poll behaviour.
+/// promises of the others exactly. A refused or failed operation may change its state only by
+/// applying the internal events it finds due ([`SchedulerFabric::next_internal_events`]). The
+/// defaults opt out, or give the answer that is always exact, so every existing fabric keeps
+/// the per-poll behaviour, and a wrapper that forwards only some of them stays exact.
 pub trait SchedulerFabric {
     /// Human-readable name of the fabric (used in reports).
     fn name(&self) -> &'static str;
@@ -166,27 +198,39 @@ pub trait SchedulerFabric {
         None
     }
 
-    /// Earliest operation time at which any operation would find internal work due (a timed
-    /// completion, or a queue that can drain now) and so change the state. `Cycle::MAX` if
-    /// nothing is pending. Only consulted when [`SchedulerFabric::park_epoch`] is `Some`.
-    fn next_internal_event(&self) -> Cycle {
-        0
+    /// The fabric's next internal events, as a failed poll reaches them: the earliest cycle at
+    /// which one of its refused or failed operations would find internal work due (a timed
+    /// completion, or a queue that can drain now) and so change the state. Only consulted when
+    /// [`SchedulerFabric::park_epoch`] is `Some`. The default, an event due at cycle 0 for every
+    /// operation, makes the engine step every poll that some other step does not already
+    /// cover, which is always exact.
+    fn next_internal_events(&self) -> InternalEvents {
+        InternalEvents { by_op: 0, by_start: Cycle::MAX }
     }
 
     /// Earliest operation time at which `core` repeating the failed operations `ops` could see
     /// a different outcome, assuming no other operation changes the state first and ignoring
-    /// [`SchedulerFabric::next_internal_event`]. `Cycle::MAX` if only a state change can.
+    /// [`SchedulerFabric::next_internal_events`]. `Cycle::MAX` if only a state change can.
     fn poll_blocked_until(&self, _core: CoreId, _ops: FailedOps) -> Cycle {
         0
     }
 
-    /// Hands `sink` every core for which [`SchedulerFabric::poll_blocked_until`] of a fetch-only
-    /// poll (one whose [`FailedOps`] issue neither a request nor a submission) may have moved
-    /// since the last call, and returns `true`. A core not handed over keeps its answer. The
-    /// default returns `false`: the fabric does not track this, and any change may have moved
-    /// any core's answer.
-    fn drain_fetch_changes(&mut self, _sink: &mut dyn FnMut(CoreId)) -> bool {
-        false
+    /// Reports whose [`SchedulerFabric::poll_blocked_until`] answers may differ from what they
+    /// were at the last call: the cores handed to `sink`, for any poll, and, as
+    /// [`PollChanges::Tracked`]'s flag, every core's answer for a poll that issues a request or
+    /// a submission. The engine calls it after each step that moved
+    /// [`SchedulerFabric::park_epoch`] while a core is parked, and when a first core parks.
+    /// The default, [`PollChanges::Untracked`], means that any answer may have moved.
+    fn drain_poll_changes(&mut self, _sink: &mut dyn FnMut(CoreId)) -> PollChanges {
+        PollChanges::Untracked
+    }
+
+    /// Issue time of `core`'s last operation, if the fabric records it. A repeat of a parked
+    /// poll reaches a cycle only through its operations, so the engine measures how far into
+    /// the poll its last one falls. The default, `None`, lets the engine assume they may run to
+    /// the end of the poll's runtime cycles, which is always exact.
+    fn last_operation(&self, _core: CoreId) -> Option<Cycle> {
+        None
     }
 
     /// Charges `polls` repeats of the failed operations `ops` by `core` to every statistic the

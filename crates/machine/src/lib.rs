@@ -46,7 +46,7 @@ pub use engine::{
     run_machine, run_machine_counted, run_machine_observed, run_machine_reference, CoreStatus,
     EngineError, EngineStats, PollLoop, PollTouch, RuntimeSystem,
 };
-pub use fabric::{FabricStats, FailedOps, NullFabric, SchedulerFabric};
+pub use fabric::{FabricStats, FailedOps, InternalEvents, NullFabric, PollChanges, SchedulerFabric};
 pub use report::{
     mtt_speedup_bound, mtt_speedup_bound_from_throughput, CoreUtilisation, ExecutionReport,
     TaskLifetimeBreakdown,

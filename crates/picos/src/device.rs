@@ -300,17 +300,18 @@ impl Picos {
         self.changes
     }
 
-    /// Earliest cycle at which [`Picos::advance`] would apply an internal completion: the
-    /// head of the retirement pipeline, or the head of pending ready publication while the
-    /// ready queue has room. `Cycle::MAX` if neither is pending.
-    pub fn next_event(&self) -> Cycle {
-        let retire = self.pending_retire.next_due().unwrap_or(Cycle::MAX);
+    /// The pending internal completions [`Picos::advance`] would apply, as `(publication,
+    /// retirement)`: the head of pending ready publication while the ready queue has room,
+    /// which an `advance(now)` applies once `now` reaches it, and the head of the retirement
+    /// pipeline, which it applies only once both `now` and the time horizon reach it.
+    /// `Cycle::MAX` where none is pending.
+    pub fn next_events(&self) -> (Cycle, Cycle) {
         let publish = if self.ready_queue.is_full() {
             Cycle::MAX
         } else {
             self.pending_ready.next_due().unwrap_or(Cycle::MAX)
         };
-        retire.min(publish)
+        (publish, self.pending_retire.next_due().unwrap_or(Cycle::MAX))
     }
 
     /// Publication cycle of the oldest descriptor in the ready queue, if any.

@@ -5,6 +5,9 @@
 //! on the serving scenario when every parked core was rechecked after every step. Metrics
 //! samples read parked cores in closed form instead of charging them: 2.35 closed-form
 //! charges per step on the serving scenario when every sample settled every parked core.
+//! A parked core wakes only for a poll that can behave differently: when wakes could only
+//! move earlier and a fabric event woke its first reacher a poll early, the serving scenario
+//! took 16.3 steps and 10.3 parks per task, and Phentos 3.46 steps per task on the catalog.
 
 use tis::bench::{evaluate_catalog_counted, Harness, Platform};
 use tis::exp::{SynthFamily, SynthSpec};
@@ -14,17 +17,18 @@ use tis::sim::SimRng;
 use tis::taskmodel::{ArrivalProcess, MaterializedSource, TenantSet, TenantTrackerPolicy};
 
 #[test]
-fn phentos_runs_the_fig09_catalog_in_at_most_ten_steps_per_task() {
+fn phentos_runs_the_fig09_catalog_in_at_most_four_steps_per_task() {
     let (_, work) = evaluate_catalog_counted(&Harness::paper_prototype(), &[Platform::Phentos]);
     let steps = work[0].steps_per_task();
-    assert!(steps <= 10.0, "Phentos took {steps:.1} engine steps per task over the catalog");
+    assert!(steps <= 4.0, "Phentos took {steps:.2} engine steps per task over the catalog");
 }
 
 /// The 8-tenant serving scenario of `sweep_multi_tenant` at 32 cores: dependence chains on a
 /// 16-entry tracker, a Poisson victim and bursty antagonists, observed by a recorder, under
-/// both tracker policies.
+/// both tracker policies. Each step also rechecks at most twelve parked cores and charges
+/// at most one in closed form.
 #[test]
-fn eight_tenant_serving_runs_in_at_most_seventeen_steps_and_twelve_rechecks_per_step() {
+fn eight_tenant_serving_takes_at_most_twelve_steps_and_six_parks_per_task() {
     const TENANTS: usize = 8;
     let tracker = TrackerConfig::new(16, 1024);
     let harness = Harness::with_cores(32).with_tracker(tracker);
@@ -50,7 +54,9 @@ fn eight_tenant_serving_runs_in_at_most_seventeen_steps_and_twelve_rechecks_per_
         let (report, _) = result.expect("the serving scenario completes");
         assert_eq!(report.tasks_retired, (TENANTS * spec.tasks) as u64);
         let steps = engine.steps_per_task(report.tasks_retired);
-        assert!(steps <= 17.0, "{policy:?}: {steps:.1} engine steps per task");
+        assert!(steps <= 12.0, "{policy:?}: {steps:.1} engine steps per task");
+        let [parks, ..] = engine.parking_per_task(report.tasks_retired);
+        assert!(parks <= 6.0, "{policy:?}: {parks:.1} parks per task");
         let rechecks = engine.rechecks as f64 / engine.steps() as f64;
         assert!(rechecks <= 12.0, "{policy:?}: {rechecks:.1} parked-core rechecks per step");
         let settles = engine.settles as f64 / engine.steps() as f64;

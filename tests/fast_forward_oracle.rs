@@ -14,16 +14,19 @@ use proptest::prelude::*;
 use tis::bench::{Harness, Platform};
 use tis::core::{Phentos, TisFabric};
 use tis::exp::{StreamingSynth, SynthFamily, SynthSpec};
+use tis::machine::fabric::FabricOutcome;
 use tis::machine::{
-    run_machine_counted, run_machine_reference, EngineError, EngineStats, ExecutionReport,
-    FaultConfig, MemoryModel, NullFabric, RuntimeSystem, SchedulerFabric,
+    run_machine_counted, run_machine_reference, CoreCtx, CoreStatus, EngineError, EngineStats,
+    ExecutionReport, FabricStats, FailedOps, FaultConfig, MemoryModel, NullFabric, PollLoop,
+    RuntimeSystem, SchedulerFabric,
 };
 use tis::nanos::{AxiFabric, Nanos, NanosVariant};
 use tis::obs::{trace_json_tenants, MemEvent, MetricsSample, ObsConfig, Observer, Recorder, TaskEvent};
 use tis::picos::TrackerConfig;
 use tis::sim::{Cycle, SimRng};
 use tis::taskmodel::{
-    ArrivalProcess, MaterializedSource, TaskProgram, TaskSource, TenantSet, TenantTrackerPolicy,
+    ArrivalProcess, ExecRecord, MaterializedSource, TaskProgram, TaskSource, TenantReport, TenantSet,
+    TenantTrackerPolicy,
 };
 
 /// One observer callback, in the order the engine made it.
@@ -229,15 +232,21 @@ fn spec_from(kind: u8, width: usize, tasks: usize, task_cycles: u64) -> SynthSpe
     SynthSpec { family, tasks, task_cycles, jitter: 0.5 }
 }
 
-/// Three tenants over `program`'s family: a Poisson victim and two bursty antagonists.
-fn tenant_source(spec: SynthSpec, seed: u64, tracker: TrackerConfig, partitioned: bool) -> Box<dyn TaskSource> {
+/// `tenants` tenants over `spec`'s family: a Poisson victim and bursty antagonists.
+fn tenant_source(
+    spec: SynthSpec,
+    tenants: u64,
+    seed: u64,
+    tracker: TrackerConfig,
+    partitioned: bool,
+) -> Box<dyn TaskSource> {
     let policy = if partitioned {
-        TenantTrackerPolicy::Partitioned { per_tenant_entries: tracker.per_tenant_entries(3) }
+        TenantTrackerPolicy::Partitioned { per_tenant_entries: tracker.per_tenant_entries(tenants as usize) }
     } else {
         TenantTrackerPolicy::Shared
     };
     let mut set = TenantSet::new().with_policy(policy);
-    for t in 0..3u64 {
+    for t in 0..tenants {
         let program: TaskProgram = spec.generate(&mut SimRng::new(seed).stream("tenant", t));
         let arrival = if t == 0 {
             ArrivalProcess::Poisson { mean_interarrival: 3 * spec.task_cycles }
@@ -272,7 +281,7 @@ proptest! {
         let source: Box<dyn Fn() -> Box<dyn TaskSource>> = match source_kind {
             0 => Box::new(|| Box::new(MaterializedSource::new(&program))),
             1 => Box::new(|| Box::new(StreamingSynth::new(spec, 3, SimRng::new(seed)))),
-            k => Box::new(move || tenant_source(spec, seed, tracker, k == 3)),
+            k => Box::new(move || tenant_source(spec, 3, seed, tracker, k == 3)),
         };
         for platform in Platform::ALL {
             for obs in observation_modes() {
@@ -305,7 +314,7 @@ proptest! {
         let tracker = harness.tis.picos.tracker;
         let source: Box<dyn Fn() -> Box<dyn TaskSource>> = match source_kind {
             1 => Box::new(|| Box::new(StreamingSynth::new(spec, 3, SimRng::new(seed)))),
-            k => Box::new(move || tenant_source(spec, seed, tracker, k == 3)),
+            k => Box::new(move || tenant_source(spec, 3, seed, tracker, k == 3)),
         };
         for obs in observation_modes() {
             let what = format!("{spec:?} seed {seed}, {cores} cores, shape {shape}, source {source_kind}, {obs:?}");
@@ -315,4 +324,184 @@ proptest! {
             }
         }
     }
+}
+
+/// The shape of the 8-tenant serving scenario (`sweep_multi_tenant`, hostbench `tenants`) at a
+/// size the per-poll reference runs quickly: 32 cores, 8 chain tenants on a 16-entry tracker,
+/// under both tracker policies, in every observation mode.
+#[test]
+fn serving_shape_equals_the_per_poll_reference() {
+    let tracker = TrackerConfig::new(16, 1024);
+    let harness = Harness::with_cores(32).with_tracker(tracker);
+    let spec = SynthSpec { family: SynthFamily::Chain, tasks: 6, task_cycles: 1_500, jitter: 0.25 };
+    for partitioned in [false, true] {
+        let source = || tenant_source(spec, 8, 1, tracker, partitioned);
+        for obs in observation_modes() {
+            let what = format!("serving shape, partitioned {partitioned}, {obs:?}");
+            let stats = assert_fast_matches_reference(&harness, Platform::Phentos, &source, obs, &what);
+            assert!(stats.parks > 0 && stats.skipped_polls > stats.steps(), "{what}: the idle workers park");
+        }
+    }
+}
+
+/// A chain of long tasks on 2 to 4 cores: while one core runs a task the others park, so the
+/// retirement of each task comes due with every other core parked, and the first of them to
+/// start a poll at or after it applies it.
+#[test]
+fn a_retirement_due_while_the_others_park_equals_the_per_poll_reference() {
+    let spec = SynthSpec { family: SynthFamily::Chain, tasks: 40, task_cycles: 4_000, jitter: 0.5 };
+    let program = spec.generate(&mut SimRng::new(3));
+    for cores in 2..=4 {
+        let harness = Harness::with_cores(cores);
+        let source = || Box::new(MaterializedSource::new(&program)) as Box<dyn TaskSource>;
+        for obs in observation_modes() {
+            let what = format!("long chain on {cores} cores, {obs:?}");
+            let stats = assert_fast_matches_reference(&harness, Platform::Phentos, &source, obs, &what);
+            assert!(stats.wakes >= spec.tasks as u64, "{what}: parked cores wake for the chain's tasks");
+        }
+    }
+}
+
+/// Forwards a runtime's or a fabric's hooks the way a decorator written before some of them
+/// would. With `parking` off it forwards only the Table-I operations, the reports and the
+/// observation hooks, like a tracing decorator, so that no core parks. With it on it also
+/// forwards every idle fast-forward hook except `RuntimeSystem::drain_epoch_changes` and
+/// `SchedulerFabric::next_internal_events`, `drain_poll_changes` and `last_operation`, which
+/// then keep their defaults.
+struct Forwarding<'a, T: ?Sized> {
+    inner: &'a mut T,
+    parking: bool,
+}
+
+impl RuntimeSystem for Forwarding<'_, dyn RuntimeSystem> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn step_core(&mut self, ctx: &mut CoreCtx<'_>, fabric: &mut dyn SchedulerFabric) -> CoreStatus {
+        self.inner.step_core(ctx, fabric)
+    }
+    fn is_finished(&self) -> bool {
+        self.inner.is_finished()
+    }
+    fn exec_records(&self) -> Vec<ExecRecord> {
+        self.inner.exec_records()
+    }
+    fn tasks_retired(&self) -> u64 {
+        self.inner.tasks_retired()
+    }
+    fn peak_resident_tasks(&self) -> u64 {
+        self.inner.peak_resident_tasks()
+    }
+    fn tenant_reports(&self) -> Vec<TenantReport> {
+        self.inner.tenant_reports()
+    }
+    fn poll_loop(&self, core: usize) -> Option<PollLoop> {
+        self.inner.poll_loop(core).filter(|_| self.parking)
+    }
+    fn observed_epoch(&self, core: usize) -> u64 {
+        if self.parking { self.inner.observed_epoch(core) } else { 0 }
+    }
+    fn observed_version(&self) -> u64 {
+        if self.parking { self.inner.observed_version() } else { 0 }
+    }
+    fn skip_polls(&mut self, core: usize, polls: u64, last_start: Cycle) {
+        if self.parking {
+            self.inner.skip_polls(core, polls, last_start);
+        }
+    }
+}
+
+impl SchedulerFabric for Forwarding<'_, dyn SchedulerFabric> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn set_time_horizon(&mut self, safe_now: Cycle) {
+        self.inner.set_time_horizon(safe_now);
+    }
+    fn submission_request(&mut self, core: usize, packets: u32, now: Cycle) -> (Cycle, FabricOutcome<()>) {
+        self.inner.submission_request(core, packets, now)
+    }
+    fn submit_packets(&mut self, core: usize, packets: &[u32], now: Cycle) -> (Cycle, FabricOutcome<()>) {
+        self.inner.submit_packets(core, packets, now)
+    }
+    fn ready_task_request(&mut self, core: usize, now: Cycle) -> (Cycle, FabricOutcome<()>) {
+        self.inner.ready_task_request(core, now)
+    }
+    fn fetch_sw_id(&mut self, core: usize, now: Cycle) -> (Cycle, FabricOutcome<u64>) {
+        self.inner.fetch_sw_id(core, now)
+    }
+    fn fetch_picos_id(&mut self, core: usize, now: Cycle) -> (Cycle, FabricOutcome<u32>) {
+        self.inner.fetch_picos_id(core, now)
+    }
+    fn retire_task(&mut self, core: usize, picos_id: u32, now: Cycle) -> Cycle {
+        self.inner.retire_task(core, picos_id, now)
+    }
+    fn stats(&self) -> FabricStats {
+        self.inner.stats()
+    }
+    fn set_observing(&mut self, on: bool) {
+        self.inner.set_observing(on);
+    }
+    fn drain_ready_log(&mut self, sink: &mut dyn FnMut(Cycle, u64)) {
+        self.inner.drain_ready_log(sink);
+    }
+    fn occupancy(&self) -> (usize, usize) {
+        self.inner.occupancy()
+    }
+    fn park_epoch(&self) -> Option<u64> {
+        self.inner.park_epoch().filter(|_| self.parking)
+    }
+    fn poll_blocked_until(&self, core: usize, ops: FailedOps) -> Cycle {
+        if self.parking { self.inner.poll_blocked_until(core, ops) } else { 0 }
+    }
+    fn charge_failed_polls(&mut self, core: usize, ops: FailedOps, polls: u64) {
+        if self.parking {
+            self.inner.charge_failed_polls(core, ops, polls);
+        }
+    }
+}
+
+/// Runs `source()` on Phentos bare and through both `Forwarding` decorators, and checks that
+/// each gives the bare run's result and observer events.
+fn assert_decorators_keep_the_bare_run(harness: &Harness, source: &dyn Fn() -> Box<dyn TaskSource>) {
+    for obs in [None, Some(ObsConfig::default()), Some(ObsConfig::full())] {
+        let run = |parking: Option<bool>| {
+            let (mut runtime, mut fabric) = machine(harness, Platform::Phentos, source());
+            let mut logged = obs.map(|config| Logged { recorder: Recorder::new(config), events: Vec::new() });
+            let observer = logged.as_mut().map(|l| l as &mut dyn Observer);
+            let (result, stats) = match parking {
+                None => run_machine_counted(&harness.machine, runtime.as_mut(), fabric.as_mut(), observer),
+                Some(parking) => {
+                    let mut runtime = Forwarding { inner: runtime.as_mut(), parking };
+                    let mut fabric = Forwarding { inner: fabric.as_mut(), parking };
+                    run_machine_counted(&harness.machine, &mut runtime, &mut fabric, observer)
+                }
+            };
+            (result, stats, logged.map(|l| l.events))
+        };
+        let (bare, bare_stats, bare_events) = run(None);
+        assert!(bare_stats.parks > 0, "the bare run parks");
+        for parking in [false, true] {
+            let what = format!("{} cores, {obs:?}, parking hooks {parking}", harness.cores());
+            let (result, stats, events) = run(Some(parking));
+            assert_eq!(result, bare, "{what}: results differ");
+            assert_eq!(events, bare_events, "{what}: observer events differ");
+            let polls = |s: EngineStats| s.steps() + s.skipped_polls;
+            assert_eq!(polls(stats), polls(bare_stats), "{what}: every poll is stepped or charged");
+            assert_eq!(stats.parks > 0, parking, "{what}: only the second decorator parks");
+        }
+    }
+}
+
+/// Every idle fast-forward hook a decorator may leave out defaults to an answer that is exact:
+/// a run through a decorator that forwards no parking hook (it steps every poll) and through
+/// one that forwards all but the newest ones gives the bare run's report and observer events.
+#[test]
+fn decorators_that_leave_hooks_out_keep_the_bare_run() {
+    let tracker = TrackerConfig::new(16, 1024);
+    let spec = SynthSpec { family: SynthFamily::Chain, tasks: 5, task_cycles: 1_500, jitter: 0.25 };
+    let harness = Harness::with_cores(16).with_tracker(tracker);
+    assert_decorators_keep_the_bare_run(&harness, &|| tenant_source(spec, 8, 2, tracker, true));
+    let fork_join = spec_from(1, 3, 12, 800).generate(&mut SimRng::new(5));
+    assert_decorators_keep_the_bare_run(&Harness::with_cores(4), &|| Box::new(MaterializedSource::new(&fork_join)));
 }

@@ -33,13 +33,11 @@ pub enum WorkloadSpec {
         /// Input label as in Figure 9 (e.g. `"4K B64"`).
         input: &'static str,
     },
-    /// A synthetic graph family (see [`crate::synth`]).
+    /// A synthetic graph family (see [`crate::synth`]) whose task count is multiplied by
+    /// `ceil(cores / 8)`, so the per-core work matches the 8-core baseline.
     Synth {
         /// The generator parameters.
         spec: SynthSpec,
-        /// When true (the default from [`WorkloadSpec::synth`]), the task count is multiplied
-        /// by `ceil(cores / 8)` so the per-core work matches the 8-core baseline.
-        scale_with_cores: bool,
     },
     /// A fixed, pre-built program replayed identically in every cell (no core-count context).
     Fixed {
@@ -60,12 +58,7 @@ impl WorkloadSpec {
 
     /// A synthetic workload whose task count scales with the cell's core count.
     pub fn synth(spec: SynthSpec) -> Self {
-        WorkloadSpec::Synth { spec, scale_with_cores: true }
-    }
-
-    /// A synthetic workload with a fixed task count across all core counts.
-    pub fn synth_fixed_size(spec: SynthSpec) -> Self {
-        WorkloadSpec::Synth { spec, scale_with_cores: false }
+        WorkloadSpec::Synth { spec }
     }
 
     /// A fixed program.
@@ -74,18 +67,11 @@ impl WorkloadSpec {
     }
 
     /// Row label of this workload in reports. Labels are injective over distinct specs (the
-    /// synthetic name carries every parameter, and the fixed-size variant is marked), so rows
-    /// never collide within one sweep.
+    /// synthetic name carries every parameter), so rows never collide within one sweep.
     pub fn label(&self) -> String {
         match self {
             WorkloadSpec::Catalog { benchmark, input } => format!("{benchmark} {input}"),
-            WorkloadSpec::Synth { spec, scale_with_cores } => {
-                if *scale_with_cores {
-                    spec.name()
-                } else {
-                    format!("{} fixed-size", spec.name())
-                }
-            }
+            WorkloadSpec::Synth { spec } => spec.name(),
             WorkloadSpec::Fixed { label, .. } => label.clone(),
         }
     }
@@ -94,7 +80,7 @@ impl WorkloadSpec {
     pub fn family(&self) -> String {
         match self {
             WorkloadSpec::Catalog { benchmark, .. } => (*benchmark).to_string(),
-            WorkloadSpec::Synth { spec, .. } => spec.family.key().to_string(),
+            WorkloadSpec::Synth { spec } => spec.family.key().to_string(),
             WorkloadSpec::Fixed { family, .. } => family.clone(),
         }
     }
@@ -108,13 +94,13 @@ impl WorkloadSpec {
             WorkloadSpec::Catalog { benchmark, input } => entry_for_cores(benchmark, input, cores)
                 .unwrap_or_else(|| panic!("no catalog entry named '{benchmark} {input}'"))
                 .program,
-            WorkloadSpec::Synth { spec, scale_with_cores } => {
-                let mut sized = *spec;
-                if *scale_with_cores {
-                    // Same scaling rule as the catalog's core-count context, so catalog and
-                    // synthetic workloads in one sweep grow in lockstep.
-                    sized.tasks = spec.tasks * tis_workloads::catalog::parallel_scale_for_cores(cores);
-                }
+            WorkloadSpec::Synth { spec } => {
+                // Same scaling rule as the catalog's core-count context, so catalog and
+                // synthetic workloads in one sweep grow in lockstep.
+                let sized = SynthSpec {
+                    tasks: spec.tasks * tis_workloads::catalog::parallel_scale_for_cores(cores),
+                    ..*spec
+                };
                 sized.generate(rng)
             }
             WorkloadSpec::Fixed { program, .. } => program.clone(),
@@ -130,7 +116,7 @@ impl WorkloadSpec {
                     "no catalog entry named '{benchmark} {input}'"
                 );
             }
-            WorkloadSpec::Synth { spec, .. } => spec.assert_params(),
+            WorkloadSpec::Synth { spec } => spec.assert_params(),
             WorkloadSpec::Fixed { program, .. } => {
                 program.validate().expect("fixed sweep program must be valid");
                 // Hand-supplied programs get the same preflight the generated
@@ -317,16 +303,11 @@ pub struct Sweep {
     /// Per-cell opt-in: grid indices of the cells to observe when [`Sweep::obs`] engages.
     /// Empty means *every* cell; tracing one heavy sweep cell costs nothing for the others.
     pub observe_cells: Vec<usize>,
-    /// Whether every cell's schedule is validated against the reference dependence graph
-    /// (on by default; sweeps exist to explore, and an invalid schedule is a finding, not a
-    /// data point).
-    pub validate: bool,
 }
 
 impl Sweep {
     /// Creates a sweep with the paper's defaults on every axis: 8 cores, the snooping-bus
-    /// memory model, the Phentos platform, the prototype tracker capacities, no workloads,
-    /// validation on.
+    /// memory model, the Phentos platform, the prototype tracker capacities, no workloads.
     pub fn new(name: impl Into<String>) -> Self {
         Sweep {
             name: name.into(),
@@ -341,7 +322,6 @@ impl Sweep {
             analysis: AnalysisConfig::off(),
             obs: None,
             observe_cells: Vec::new(),
-            validate: true,
         }
     }
 
@@ -422,13 +402,6 @@ impl Sweep {
     /// The observer config cell `index` runs under, or `None` for an unobserved cell.
     pub fn cell_obs(&self, index: usize) -> Option<ObsConfig> {
         self.obs.filter(|_| self.observe_cells.is_empty() || self.observe_cells.contains(&index))
-    }
-
-    /// Disables per-cell schedule validation (validation costs one reference-graph
-    /// construction and check per cell; heavy sweeps that only read makespans may skip it).
-    pub fn without_validation(mut self) -> Self {
-        self.validate = false;
-        self
     }
 
     /// The axes in grid order, slowest-varying first, each as what an empty axis lacks and the
@@ -747,8 +720,6 @@ mod tests {
         let synth = WorkloadSpec::synth(spec);
         assert_eq!(synth.family(), "synth-forkjoin");
         assert_eq!(synth.instantiate(64, &mut SimRng::new(2)).task_count(), 16 * 8);
-        let fixed_size = WorkloadSpec::synth_fixed_size(spec);
-        assert_eq!(fixed_size.instantiate(64, &mut SimRng::new(2)).task_count(), 16);
 
         let fixed = WorkloadSpec::fixed("probe", "micro", p8.clone());
         assert_eq!(fixed.label(), "probe");

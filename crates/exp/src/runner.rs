@@ -116,7 +116,7 @@ pub fn workers_from_env() -> usize {
 /// # Panics
 ///
 /// Panics if the sweep definition is invalid ([`Sweep::check`]), if any cell's simulation
-/// deadlocks or exceeds its cycle cap, or if validation is enabled and a schedule violates the
+/// deadlocks or exceeds its cycle cap, or if a single-program cell's schedule violates the
 /// reference dependence graph.
 pub fn run_sweep_with_workers(sweep: &Sweep, workers: usize) -> SweepReport {
     sweep.check();
@@ -343,7 +343,7 @@ impl<'a> CellSetup<'a> {
     }
 }
 
-/// Runs a single-program cell, validating its schedule and race-checking its trace when the
+/// Runs a single-program cell, validating its schedule, and race-checking its trace when the
 /// sweep asks for it.
 fn run_cell(setup: &CellSetup<'_>, program: &TaskProgram) -> CellRun {
     let sweep = setup.sweep;
@@ -358,11 +358,9 @@ fn run_cell(setup: &CellSetup<'_>, program: &TaskProgram) -> CellRun {
         recorder.as_mut().map(|r| r as &mut dyn Observer),
     );
     let report = result.unwrap_or_else(|e| panic!("{} failed: {e}", setup.context()));
-    if sweep.validate {
-        report
-            .validate_against(program)
-            .unwrap_or_else(|e| panic!("{} produced an invalid schedule: {e}", setup.context()));
-    }
+    report
+        .validate_against(program)
+        .unwrap_or_else(|e| panic!("{} produced an invalid schedule: {e}", setup.context()));
     // Dynamic race check over the dispatch/retire trace. A detected race means the
     // platform executed a conflicting pair without a happens-before path — like a
     // validation failure, that is a bug to surface, not a data point to record.
@@ -567,8 +565,7 @@ mod tests {
         // the wrong cells differs from the direct computation somewhere.
         let sweep = small_sweep()
             .over_memory_models([MemoryModel::SnoopBus, MemoryModel::directory_mesh()])
-            .over_trackers([TrackerConfig::default(), TrackerConfig::new(64, 256)])
-            .without_validation();
+            .over_trackers([TrackerConfig::default(), TrackerConfig::new(64, 256)]);
         let report = sweep.run();
         let chain = task_chain(OVERHEAD_PROBE_TASKS, 1);
         for (cell, spec) in report.cells.iter().zip(sweep.cells()) {

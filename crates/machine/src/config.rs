@@ -1,7 +1,6 @@
 //! Machine configuration.
 
 use tis_mem::{CacheConfig, FaultConfig, MemLatencies, MemoryModel};
-use tis_sim::Frequency;
 
 use crate::cost::CostModel;
 
@@ -14,10 +13,6 @@ use crate::cost::CostModel;
 pub struct MachineConfig {
     /// Number of cores (and hardware threads; one runtime thread is pinned per core).
     pub cores: usize,
-    /// Core clock frequency.
-    pub core_clock: Frequency,
-    /// DRAM clock frequency (used for documentation and latency conversions).
-    pub memory_clock: Frequency,
     /// Geometry of each core's private L1 data cache.
     pub l1: CacheConfig,
     /// Latency parameters of the coherent memory system.
@@ -41,8 +36,6 @@ impl MachineConfig {
     pub fn rocket_octacore() -> Self {
         MachineConfig {
             cores: 8,
-            core_clock: Frequency::ROCKET_FPGA,
-            memory_clock: Frequency::ZCU102_DDR,
             l1: CacheConfig::rocket_l1d(),
             mem_latencies: MemLatencies::default(),
             memory_model: MemoryModel::SnoopBus,
@@ -102,8 +95,6 @@ mod tests {
     fn default_matches_paper_prototype() {
         let c = MachineConfig::default();
         assert_eq!(c.cores, 8);
-        assert_eq!(c.core_clock.mhz(), 80);
-        assert_eq!(c.memory_clock.mhz(), 667);
         assert_eq!(c.l1, CacheConfig::rocket_l1d());
         assert_eq!(c.memory_model, MemoryModel::SnoopBus, "figures are pinned to the snoop model");
         c.validate();
@@ -121,7 +112,6 @@ mod tests {
     fn core_count_override() {
         let c = MachineConfig::rocket_with_cores(4);
         assert_eq!(c.cores, 4);
-        assert_eq!(c.core_clock.mhz(), 80);
         MachineConfig::small_test().validate();
     }
 

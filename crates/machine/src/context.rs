@@ -35,16 +35,6 @@ impl CoreStats {
     pub fn total_cycles(&self) -> u64 {
         self.payload_cycles + self.runtime_cycles + self.idle_cycles
     }
-
-    /// Fraction of accounted time spent running payloads.
-    pub fn payload_fraction(&self) -> f64 {
-        let t = self.total_cycles();
-        if t == 0 {
-            0.0
-        } else {
-            self.payload_cycles as f64 / t as f64
-        }
-    }
 }
 
 /// The micro-operation interface a runtime agent uses to spend cycles on its core.
@@ -338,12 +328,8 @@ mod tests {
 
     #[test]
     fn stats_totals_and_fractions() {
-        let mut s = CoreStats::default();
-        assert_eq!(s.payload_fraction(), 0.0);
-        s.payload_cycles = 75;
-        s.runtime_cycles = 20;
-        s.idle_cycles = 5;
+        assert_eq!(CoreStats::default().total_cycles(), 0);
+        let s = CoreStats { payload_cycles: 75, runtime_cycles: 20, idle_cycles: 5, ..Default::default() };
         assert_eq!(s.total_cycles(), 100);
-        assert!((s.payload_fraction() - 0.75).abs() < 1e-12);
     }
 }

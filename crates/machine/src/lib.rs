@@ -47,7 +47,4 @@ pub use engine::{
     EngineError, EngineStats, PollLoop, PollTouch, RuntimeSystem,
 };
 pub use fabric::{FabricStats, FailedOps, InternalEvents, NullFabric, PollChanges, SchedulerFabric};
-pub use report::{
-    mtt_speedup_bound, mtt_speedup_bound_from_throughput, CoreUtilisation, ExecutionReport,
-    TaskLifetimeBreakdown,
-};
+pub use report::{mtt_speedup_bound, mtt_speedup_bound_from_throughput, CoreUtilisation, ExecutionReport};

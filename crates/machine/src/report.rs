@@ -62,41 +62,6 @@ impl ExecutionReport {
         self.total_cycles as f64 / self.tasks_retired as f64
     }
 
-    /// Total cycles spent executing task payloads across all cores.
-    pub fn total_payload_cycles(&self) -> u64 {
-        self.core_stats.iter().map(|s| s.payload_cycles).sum()
-    }
-
-    /// Mean per-task scheduling overhead once the payload time is subtracted out:
-    /// `(sum over cores of busy time − payload time) / tasks`. This matches the paper's
-    /// definition of lifetime overhead for runs where cores are never starved.
-    pub fn lifetime_overhead_per_task(&self) -> f64 {
-        if self.tasks_retired == 0 {
-            return 0.0;
-        }
-        let busy: u64 = self
-            .core_stats
-            .iter()
-            .map(|s| {
-                s.payload_cycles
-                    .checked_add(s.runtime_cycles)
-                    .and_then(|a| a.checked_add(s.idle_cycles))
-                    .expect("per-core cycle totals overflow u64")
-            })
-            .sum();
-        let payload = self.total_payload_cycles();
-        (busy.saturating_sub(payload)) as f64 / self.tasks_retired as f64
-    }
-
-    /// Fraction of machine-cycles (cores × makespan) spent in task payloads.
-    pub fn payload_utilisation(&self) -> f64 {
-        let capacity = self.total_cycles.saturating_mul(self.cores as u64);
-        if capacity == 0 {
-            return 0.0;
-        }
-        self.total_payload_cycles() as f64 / capacity as f64
-    }
-
     /// Per-core busy/idle split of the makespan: each core's busy time is its accounted
     /// payload + runtime cycles (clamped to the makespan), and its idle time is the remainder —
     /// so by construction busy + idle sums to exactly `cores × total_cycles`, with parked
@@ -154,17 +119,6 @@ impl ExecutionReport {
         let throughputs: Vec<f64> = self.tenants.iter().map(|t| t.throughput()).collect();
         jain_fairness(&throughputs)
     }
-
-    /// One-line human-readable summary.
-    pub fn summary(&self) -> String {
-        format!(
-            "{:<10} {:>12} cycles, {:>6} tasks, {:>5.2} payload utilisation",
-            self.runtime,
-            self.total_cycles,
-            self.tasks_retired,
-            self.payload_utilisation()
-        )
-    }
 }
 
 /// Jain's fairness index of a set of non-negative allocations: `(Σx)² / (n·Σx²)`.
@@ -192,26 +146,6 @@ pub struct CoreUtilisation {
     pub busy_cycles: u64,
     /// Cycles the core was idle (or parked past the end of the program) within the makespan.
     pub idle_cycles: u64,
-}
-
-/// Breakdown of where one task's lifetime overhead went; filled by runtimes that instrument
-/// their scheduling paths (used by the ablation benches).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TaskLifetimeBreakdown {
-    /// Cycles spent creating and submitting the task.
-    pub submit: Cycle,
-    /// Cycles spent fetching the task on the worker side (including failed polls attributable
-    /// to it).
-    pub fetch: Cycle,
-    /// Cycles spent retiring the task and waking successors.
-    pub retire: Cycle,
-}
-
-impl TaskLifetimeBreakdown {
-    /// Total per-task overhead.
-    pub fn total(&self) -> Cycle {
-        self.submit + self.fetch + self.retire
-    }
 }
 
 /// The MTT-derived maximum speedup bound of Section VI-B2, in its single-core-overhead form:
@@ -284,19 +218,6 @@ mod tests {
     }
 
     #[test]
-    fn lifetime_overhead_subtracts_payload() {
-        let mut r = report_with(Vec::new(), 1_000, 4);
-        r.core_stats[0].payload_cycles = 400;
-        r.core_stats[0].runtime_cycles = 100;
-        r.core_stats[1].payload_cycles = 200;
-        r.core_stats[1].runtime_cycles = 60;
-        r.core_stats[1].idle_cycles = 40;
-        // busy = 400+100+200+60+40 = 800; payload = 600; overhead per task = 200/4.
-        assert!((r.lifetime_overhead_per_task() - 50.0).abs() < 1e-12);
-        assert!((r.payload_utilisation() - 600.0 / 2_000.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn validation_round_trip() {
         let mut b = ProgramBuilder::new("p");
         b.spawn(Payload::compute(10), vec![]);
@@ -361,19 +282,6 @@ mod tests {
         assert_eq!(u[1], CoreUtilisation { busy_cycles: 1_000, idle_cycles: 0 });
         let total: u64 = u.iter().map(|c| c.busy_cycles + c.idle_cycles).sum();
         assert_eq!(total, r.total_cycles * r.cores as u64);
-    }
-
-    #[test]
-    fn breakdown_total() {
-        let b = TaskLifetimeBreakdown { submit: 10, fetch: 20, retire: 5 };
-        assert_eq!(b.total(), 35);
-    }
-
-    #[test]
-    fn summary_contains_runtime_and_tasks() {
-        let r = report_with(Vec::new(), 500, 10);
-        let s = r.summary();
-        assert!(s.contains("test") && s.contains("10"));
     }
 
     #[test]

@@ -12,11 +12,6 @@ pub fn line_of(addr: Addr) -> u64 {
     addr / LINE_SIZE
 }
 
-/// Returns the first byte address of the line containing `addr`.
-pub fn line_base(addr: Addr) -> Addr {
-    addr & !(LINE_SIZE - 1)
-}
-
 /// Returns the distinct cache lines an access of `bytes` bytes at `addr` touches, in order. A
 /// zero-byte access touches the line containing `addr`.
 pub fn line_range(addr: Addr, bytes: u64) -> std::ops::RangeInclusive<u64> {
@@ -38,8 +33,6 @@ mod tests {
         assert_eq!(line_of(0), 0);
         assert_eq!(line_of(63), 0);
         assert_eq!(line_of(64), 1);
-        assert_eq!(line_base(0x1234), (0x1200 + 0x30 - 0x30) & !(LINE_SIZE - 1));
-        assert_eq!(line_base(127), 64);
     }
 
     #[test]

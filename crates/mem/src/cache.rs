@@ -82,23 +82,6 @@ pub struct CacheStats {
     pub snoop_invalidations: u64,
 }
 
-impl CacheStats {
-    /// Total number of processor accesses observed.
-    pub fn accesses(&self) -> u64 {
-        self.hits + self.misses + self.upgrades
-    }
-
-    /// Hit rate over all accesses, or 1.0 when idle.
-    pub fn hit_rate(&self) -> f64 {
-        let a = self.accesses();
-        if a == 0 {
-            1.0
-        } else {
-            self.hits as f64 / a as f64
-        }
-    }
-}
-
 /// Tag of a way that holds no line. A line number is a byte address divided by [`LINE_SIZE`], so
 /// no real line ever reaches it.
 const EMPTY: u64 = u64::MAX;
@@ -371,16 +354,6 @@ mod tests {
         c.snoop_slot(slot, MesiState::Shared, true);
         assert_eq!(c.state_of(0x3000), MesiState::Shared);
         assert_eq!(c.resident_lines(), 1);
-    }
-
-    #[test]
-    fn stats_hit_rate() {
-        let mut s = CacheStats::default();
-        assert_eq!(s.hit_rate(), 1.0);
-        s.hits = 3;
-        s.misses = 1;
-        assert_eq!(s.accesses(), 4);
-        assert!((s.hit_rate() - 0.75).abs() < 1e-12);
     }
 
     #[test]

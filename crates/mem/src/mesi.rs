@@ -18,16 +18,6 @@ pub enum MesiState {
 }
 
 impl MesiState {
-    /// Whether the line can satisfy a read hit in this state.
-    pub fn can_read(self) -> bool {
-        self != MesiState::Invalid
-    }
-
-    /// Whether the line can satisfy a write hit without a coherence transaction.
-    pub fn can_write(self) -> bool {
-        matches!(self, MesiState::Modified | MesiState::Exclusive)
-    }
-
     /// Whether the line holds dirty data that must be written back before eviction or transfer.
     pub fn is_dirty(self) -> bool {
         self == MesiState::Modified
@@ -44,13 +34,6 @@ pub enum AccessKind {
     /// An atomic read-modify-write (`amoadd`, `lr/sc`, …). Coherence-wise this behaves like a
     /// store (needs ownership) but the latency model charges extra serialization cycles.
     Atomic,
-}
-
-impl AccessKind {
-    /// Whether the access requires exclusive ownership of the line.
-    pub fn needs_ownership(self) -> bool {
-        !matches!(self, AccessKind::Read)
-    }
 }
 
 /// What the local cache must do to satisfy an access, given the line's current local state.
@@ -109,11 +92,8 @@ mod tests {
 
     #[test]
     fn state_predicates() {
-        assert!(Modified.can_read() && Modified.can_write() && Modified.is_dirty());
-        assert!(Exclusive.can_read() && Exclusive.can_write() && !Exclusive.is_dirty());
-        assert!(Shared.can_read() && !Shared.can_write());
-        assert!(!Invalid.can_read() && !Invalid.can_write());
-        assert!(Atomic.needs_ownership() && Write.needs_ownership() && !Read.needs_ownership());
+        assert!(Modified.is_dirty());
+        assert!(!Exclusive.is_dirty() && !Shared.is_dirty() && !Invalid.is_dirty());
     }
 
     #[test]

@@ -23,7 +23,7 @@ use tis_machine::fabric::{FabricOutcome, SchedulerFabric};
 use tis_machine::{CoreCtx, CoreStatus, RuntimeSystem};
 use tis_obs::TaskStage;
 use tis_picos::{encode_prefix_into, DependenceTracker, PicosId, SubmittedTask, TrackerConfig};
-use tis_sim::{FxHashMap, TimedQueue};
+use tis_sim::TimedQueue;
 use tis_taskmodel::{ExecRecord, MaterializedSource, ProgramOp, SourcePoll, TaskProgram, TaskSource, TaskSpec};
 
 use crate::shared::{addrs, CentralEntry, CentralReadyQueue, NanosLock};
@@ -97,7 +97,6 @@ pub struct Nanos {
     dep_lock: NanosLock,
     ready_queue: CentralReadyQueue,
     sw_tracker: DependenceTracker,
-    sw_ids: FxHashMap<u64, PicosId>,
     workers: Vec<NanosWorker>,
     records: Vec<ExecRecord>,
     /// Whether per-task [`ExecRecord`]s are collected. On by default; streamed million-task
@@ -147,7 +146,6 @@ impl Nanos {
                 task_memory_entries: 1 << 16,
                 address_table_entries: 1 << 16,
             }),
-            sw_ids: FxHashMap::default(),
             workers: vec![NanosWorker::default(); cores],
             records: Vec::new(),
             collect_records: true,
@@ -155,11 +153,6 @@ impl Nanos {
             sw_woken_scratch: Vec::new(),
             sw_submit_scratch: SubmittedTask::new(0, Vec::new()),
         }
-    }
-
-    /// Convenience constructor with default tuning.
-    pub fn with_defaults(program: &TaskProgram, cores: usize, variant: NanosVariant) -> Self {
-        Nanos::new(program, cores, variant, NanosTuning::default())
     }
 
     /// The variant being modelled.
@@ -212,7 +205,7 @@ impl Nanos {
                 .expect("pending software retirement refers to an in-flight task");
             for &w in &self.sw_woken_scratch {
                 let sw = self.sw_tracker.sw_id(w).expect("woken task is in flight");
-                woken_entries.push(CentralEntry { sw_id: sw, picos_id: None, available_at: t });
+                woken_entries.push(CentralEntry { sw_id: sw, picos_id: w.0, available_at: t });
             }
         }
         if !woken_entries.is_empty() {
@@ -235,8 +228,9 @@ impl Nanos {
     }
 
     /// Software dependence inference at submission (Nanos-SW): hash probes and dependency-object
-    /// maintenance under the domain lock. Returns whether the task starts ready.
-    fn sw_submit(&mut self, ctx: &mut CoreCtx<'_>, spec: &TaskSpec) -> bool {
+    /// maintenance under the domain lock. Returns the task's software-domain ID and whether the
+    /// task starts ready.
+    fn sw_submit(&mut self, ctx: &mut CoreCtx<'_>, spec: &TaskSpec) -> (PicosId, bool) {
         self.process_sw_pending(ctx);
         self.dep_lock.acquire(ctx);
         ctx.spend(self.tuning.sw_dependence_cycles(spec.dep_count()));
@@ -250,13 +244,12 @@ impl Nanos {
         self.sw_submit_scratch.sw_id = spec.id.raw();
         self.sw_submit_scratch.deps.clear();
         self.sw_submit_scratch.deps.extend_from_slice(&spec.deps);
-        let (pid, ready) = self
+        let inserted = self
             .sw_tracker
             .insert(&self.sw_submit_scratch)
             .expect("software dependence domain has effectively unbounded capacity");
-        self.sw_ids.insert(spec.id.raw(), pid);
         self.dep_lock.release(ctx);
-        ready
+        inserted
     }
 
     /// Hardware submission through the fabric (Nanos-RV / Nanos-AXI). Returns `false` when the
@@ -322,7 +315,7 @@ impl Nanos {
         // directly: push under the lock, then pop it back out (Section V-A).
         self.charge_plugin_calls(ctx);
         self.sched_lock.acquire(ctx);
-        self.ready_queue.push(ctx, CentralEntry { sw_id, picos_id: Some(picos_id), available_at: ctx.now() });
+        self.ready_queue.push(ctx, CentralEntry { sw_id, picos_id, available_at: ctx.now() });
         self.sched_lock.release(ctx);
         self.sched_lock.acquire(ctx);
         let entry = self.ready_queue.pop(ctx);
@@ -352,27 +345,18 @@ impl Nanos {
         // Retirement.
         ctx.spend(self.tuning.retire_bookkeeping);
         self.charge_plugin_calls(ctx);
-        match entry.picos_id {
-            Some(pid) => {
-                let lat = fabric.retire_task(core, pid, ctx.now());
-                ctx.spend(lat);
-            }
-            None => {
-                // Software release: walk the dependence domain under its lock. The actual
-                // removal from the tracker is deferred to `process_sw_pending` so that a core
-                // whose clock still lags this instant keeps seeing the task as in flight.
-                self.dep_lock.acquire(ctx);
-                ctx.spend(ctx.costs().hash_probe * dep_count.max(1) as u64);
-                self.dep_lock.release(ctx);
-                // The mapping is dead once the retirement is scheduled: prune it, or a
-                // million-task stream grows the map without bound.
-                let pid = self
-                    .sw_ids
-                    .remove(&entry.sw_id)
-                    .expect("software-tracked task has a registered Picos ID");
-                self.sw_pending.schedule(ctx.now(), pid);
-                self.process_sw_pending(ctx);
-            }
+        if self.variant.uses_hardware() {
+            let lat = fabric.retire_task(core, entry.picos_id, ctx.now());
+            ctx.spend(lat);
+        } else {
+            // Software release: walk the dependence domain under its lock. The actual removal
+            // from the tracker is deferred to `process_sw_pending` so that a core whose clock
+            // still lags this instant keeps seeing the task as in flight.
+            self.dep_lock.acquire(ctx);
+            ctx.spend(ctx.costs().hash_probe * dep_count.max(1) as u64);
+            self.dep_lock.release(ctx);
+            self.sw_pending.schedule(ctx.now(), PicosId(entry.picos_id));
+            self.process_sw_pending(ctx);
         }
         ctx.spend(ctx.costs().heap_free);
         ctx.atomic(addrs::TASKWAIT_COUNTER);
@@ -421,13 +405,13 @@ impl Nanos {
                 let submitted = if self.variant.uses_hardware() {
                     self.hw_submit(ctx, fabric, &spec)
                 } else {
-                    let ready = self.sw_submit(ctx, &spec);
+                    let (pid, ready) = self.sw_submit(ctx, &spec);
                     if ready {
                         ctx.observe_task_at(ctx.now(), TaskStage::Ready, spec.id.raw());
                         self.sched_lock.acquire(ctx);
                         self.ready_queue.push(
                             ctx,
-                            CentralEntry { sw_id: spec.id.raw(), picos_id: None, available_at: ctx.now() },
+                            CentralEntry { sw_id: spec.id.raw(), picos_id: pid.0, available_at: ctx.now() },
                         );
                         self.sched_lock.release(ctx);
                     }
@@ -562,7 +546,7 @@ mod tests {
 
     fn run_variant(program: &TaskProgram, cores: usize, variant: NanosVariant) -> ExecutionReport {
         let cfg = MachineConfig::rocket_with_cores(cores);
-        let mut runtime = Nanos::with_defaults(program, cores, variant);
+        let mut runtime = Nanos::new(program, cores, variant, NanosTuning::default());
         match variant {
             NanosVariant::Software => {
                 run_machine(&cfg, &mut runtime, &mut NullFabric::new()).expect("nanos-sw run")

@@ -95,14 +95,6 @@ impl NanosLock {
         self.last_release = ctx.now();
     }
 
-    /// Fraction of acquisitions that hit the contended (futex) path.
-    pub fn contention_rate(&self) -> f64 {
-        if self.acquisitions == 0 {
-            0.0
-        } else {
-            self.contended_acquisitions as f64 / self.acquisitions as f64
-        }
-    }
 }
 
 /// The Scheduler singleton's central ready queue.
@@ -113,8 +105,6 @@ impl NanosLock {
 #[derive(Debug, Clone, Default)]
 pub struct CentralReadyQueue {
     entries: VecDeque<CentralEntry>,
-    /// Highest occupancy observed.
-    pub high_water: usize,
     /// Total pushes.
     pub pushes: u64,
     /// Total pops.
@@ -126,8 +116,9 @@ pub struct CentralReadyQueue {
 pub struct CentralEntry {
     /// Software task identifier.
     pub sw_id: u64,
-    /// Hardware Picos ID when the task came from the fabric (`None` under Nanos-SW).
-    pub picos_id: Option<u32>,
+    /// ID of the task in the tracker that resolved it: Picos' ID under Nanos-RV and Nanos-AXI,
+    /// the software dependence domain's ID under Nanos-SW.
+    pub picos_id: u32,
     /// Simulated cycle from which the entry is visible to consumers. Cores are stepped in a
     /// relaxed time order, so entries pushed by a core whose clock runs ahead must not be popped
     /// by a core whose clock is still behind that instant.
@@ -158,7 +149,6 @@ impl CentralReadyQueue {
         ctx.write(addrs::READY_QUEUE_ENTRIES + slot * 16, 16);
         self.entries.push_back(entry);
         self.pushes += 1;
-        self.high_water = self.high_water.max(self.entries.len());
     }
 
     /// Pops the oldest entry that is visible at the caller's current cycle, charging the header
@@ -211,7 +201,6 @@ mod tests {
         let t1 = ctx1.finish() - (t0 + 10);
         assert!(t1 > costs.futex_wait / 2, "contended acquisition must pay the kernel, took {t1}");
         assert_eq!(lock.contended_acquisitions, 1);
-        assert!(lock.contention_rate() > 0.0);
     }
 
     #[test]
@@ -220,15 +209,14 @@ mod tests {
         let mut q = CentralReadyQueue::new();
         let mut ctx = CoreCtx::new(0, 0, &mut mem, &mut dram, &costs, &mut stats[0]);
         assert!(q.pop(&mut ctx).is_none());
-        q.push(&mut ctx, CentralEntry { sw_id: 1, picos_id: None, available_at: 0 });
-        q.push(&mut ctx, CentralEntry { sw_id: 2, picos_id: Some(9), available_at: 0 });
+        q.push(&mut ctx, CentralEntry { sw_id: 1, picos_id: 0, available_at: 0 });
+        q.push(&mut ctx, CentralEntry { sw_id: 2, picos_id: 9, available_at: 0 });
         assert_eq!(q.len(), 2);
         assert_eq!(q.pop(&mut ctx).unwrap().sw_id, 1);
-        assert_eq!(q.pop(&mut ctx).unwrap().picos_id, Some(9));
+        assert_eq!(q.pop(&mut ctx).unwrap().picos_id, 9);
         assert!(q.is_empty());
         assert_eq!(q.pushes, 2);
         assert_eq!(q.pops, 2);
-        assert_eq!(q.high_water, 2);
     }
 
     #[test]
@@ -241,7 +229,7 @@ mod tests {
         for i in 0..10u64 {
             let (s0, rest) = stats.split_at_mut(1);
             let mut producer = CoreCtx::new(0, i * 1_000, &mut mem, &mut dram, &costs, &mut s0[0]);
-            q.push(&mut producer, CentralEntry { sw_id: i, picos_id: None, available_at: i * 1_000 });
+            q.push(&mut producer, CentralEntry { sw_id: i, picos_id: 0, available_at: i * 1_000 });
             producer.finish();
             let mut consumer = CoreCtx::new(1, i * 1_000 + 500, &mut mem, &mut dram, &costs, &mut rest[0]);
             let before = consumer.now();

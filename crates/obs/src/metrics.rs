@@ -68,11 +68,6 @@ impl MetricsRegistry {
         &self.samples
     }
 
-    /// Number of coherence transactions seen on the event stream.
-    pub fn coherence_transactions(&self) -> u64 {
-        self.coherence_reads + self.coherence_writes + self.coherence_atomics
-    }
-
     /// Number of NoC legs seen on the event stream.
     pub fn noc_legs(&self) -> u64 {
         self.noc_legs
@@ -300,7 +295,7 @@ mod tests {
             remote_dirty: false,
         });
         m.record_mem(&MemEvent::NocLeg { cycle: 15, from: 0, to: 3, flits: 4, wait_cycles: 9 });
-        assert_eq!(m.coherence_transactions(), 2);
+        assert_eq!(m.coherence_reads + m.coherence_writes + m.coherence_atomics, 2);
         assert_eq!(m.noc_legs(), 1);
         let doc = Json::parse(&m.to_json("unit", 100).render()).expect("valid JSON");
         assert_eq!(doc.get("counters").unwrap().get("l1_misses"), Some(&Json::UInt(1)));

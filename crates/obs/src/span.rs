@@ -60,16 +60,6 @@ impl TaskSpan {
             _ => true,
         }
     }
-
-    /// Body duration (exec start → exec end), if executed.
-    pub fn body_cycles(&self) -> Option<Cycle> {
-        Some(self.exec_end? - self.exec_start?)
-    }
-
-    /// Full lifetime (submit → retire), if complete.
-    pub fn lifetime_cycles(&self) -> Option<Cycle> {
-        Some(self.retire? - self.submit?)
-    }
 }
 
 /// Builds [`TaskSpan`]s from the task-event stream, in first-submission order.
@@ -159,8 +149,8 @@ mod tests {
         assert!(span.is_complete());
         assert!(span.is_well_formed());
         assert_eq!(span.core, Some(1));
-        assert_eq!(span.body_cycles(), Some(30));
-        assert_eq!(span.lifetime_cycles(), Some(90));
+        assert_eq!((span.exec_start, span.exec_end), (Some(60), Some(90)));
+        assert_eq!((span.submit, span.retire), (Some(5), Some(95)));
         assert_eq!(span.payload_mem_cycles, 12);
         assert!(!c.get(3).unwrap().is_complete());
         // First-submission order, not task-id order.

@@ -3,7 +3,7 @@
 //! This crate provides the low-level building blocks shared by every other crate in the
 //! workspace:
 //!
-//! * [`clock`] — the [`Cycle`] time base and the [`Frequency`] conversion helpers;
+//! * [`clock`] — the [`Cycle`] time base;
 //! * [`stats`] — log-scale histograms and geometric means used by the experiment harnesses;
 //! * [`rng`] — a small, fully deterministic pseudo-random number generator so that simulations
 //!   are reproducible without pulling the `rand` crate into every component;
@@ -46,7 +46,7 @@ pub mod json;
 pub mod rng;
 pub mod stats;
 
-pub use clock::{Cycle, Frequency};
+pub use clock::Cycle;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use hwqueue::{BoundedQueue, TimedQueue};
 pub use inline::InlineVec;

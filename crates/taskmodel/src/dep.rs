@@ -138,12 +138,6 @@ impl Dependence {
     pub fn read_write(addr: DepAddr) -> Self {
         Dependence::new(addr, Direction::InOut)
     }
-
-    /// Whether an earlier task carrying `self` conflicts with a later task carrying `later`
-    /// (i.e. same address and a RAW/WAW/WAR relationship).
-    pub fn conflicts_with(&self, later: &Dependence) -> bool {
-        self.addr == later.addr && self.dir.creates_dependence(later.dir)
-    }
 }
 
 impl core::fmt::Display for Dependence {
@@ -207,18 +201,6 @@ mod tests {
         assert_eq!(Direction::decode(0), None);
         // Only the low two bits participate.
         assert_eq!(Direction::decode(0b101), Some(Direction::In));
-    }
-
-    #[test]
-    fn conflicts_require_same_address() {
-        let a = Dependence::write(0x1000);
-        let b = Dependence::read(0x1000);
-        let c = Dependence::read(0x2000);
-        assert!(a.conflicts_with(&b));
-        assert!(!a.conflicts_with(&c));
-        assert!(!b.conflicts_with(&c));
-        // read-read on same address: not a conflict
-        assert!(!Dependence::read(0x1000).conflicts_with(&b));
     }
 
     #[test]

@@ -149,15 +149,6 @@ impl DepGraph {
         self.phase.get(of.raw() as usize).copied().unwrap_or(0)
     }
 
-    /// Tasks with no predecessors in their phase-constrained graph: the initially-ready set of
-    /// phase 0.
-    pub fn initially_ready(&self) -> Vec<TaskId> {
-        (0..self.task_count())
-            .filter(|&i| self.predecessor_count[i] == 0 && self.phase[i] == 0)
-            .map(|i| TaskId(i as u64))
-            .collect()
-    }
-
     /// Structural statistics: critical path and an ideal-parallelism profile.
     ///
     /// `weights[i]` is the execution cost of task `i` (use `1.0` everywhere for a purely
@@ -427,11 +418,6 @@ impl ExecutionValidator {
         }
         Ok(())
     }
-
-    /// The underlying reference graph.
-    pub fn graph(&self) -> &DepGraph {
-        &self.graph
-    }
 }
 
 /// Checks that no core ran two task bodies at once: each core's records in start order, cores
@@ -543,7 +529,7 @@ mod tests {
         assert!(g.has_edge(TaskId(2), TaskId(3)), "WAR");
         assert!(g.has_edge(TaskId(0), TaskId(3)), "WAW");
         assert_eq!(g.edge_count(), 5);
-        assert_eq!(g.initially_ready(), vec![TaskId(0)]);
+        assert_eq!(g.predecessor_count(TaskId(0)), 0);
         assert_eq!(g.predecessor_count(TaskId(3)), 3);
     }
 
@@ -555,7 +541,7 @@ mod tests {
         }
         let g = b.build().reference_graph();
         assert_eq!(g.edge_count(), 0);
-        assert_eq!(g.initially_ready().len(), 8);
+        assert!((0..8).all(|i| g.predecessor_count(TaskId(i)) == 0));
         let stats = g.stats(&[1.0; 8]);
         assert_eq!(stats.max_width, 8);
         assert!((stats.ideal_parallelism - 8.0).abs() < 1e-9);

@@ -26,11 +26,6 @@ pub struct TaskProgram {
 }
 
 impl TaskProgram {
-    /// Creates a program from raw parts. Most callers should use [`ProgramBuilder`] instead.
-    pub fn from_ops(name: impl Into<String>, ops: Vec<ProgramOp>) -> Self {
-        TaskProgram { name: name.into(), ops }
-    }
-
     /// Human-readable program name (e.g. `"sparselu N32 M4"`).
     pub fn name(&self) -> &str {
         &self.name
@@ -258,14 +253,5 @@ mod tests {
         let mut b = ProgramBuilder::new("bad");
         let deps: Vec<_> = (0..16u64).map(|i| Dependence::new(i * 8, Direction::In)).collect();
         b.spawn(Payload::empty(), deps);
-    }
-
-    #[test]
-    fn from_ops_preserves_order() {
-        let spec = TaskSpec::new(0u64, Payload::compute(1), vec![]);
-        let p = TaskProgram::from_ops("manual", vec![ProgramOp::Spawn(spec), ProgramOp::TaskWait]);
-        assert_eq!(p.ops().len(), 2);
-        assert!(matches!(p.ops()[1], ProgramOp::TaskWait));
-        assert!(p.validate().is_ok());
     }
 }

@@ -45,7 +45,7 @@ pub fn parallel_scale_for_cores(cores: usize) -> usize {
 /// analysis is built on — unchanged. For `cores <= 8` the result is exactly [`paper_catalog`];
 /// the input labels always keep the paper's names so sweep rows stay comparable across core
 /// counts. The input grids themselves live in each benchmark module's `paper_input_sizes`,
-/// so this function cannot drift from the per-module `paper_inputs` generators.
+/// and [`entry_for_cores`] is the only path from a grid entry to its program.
 pub fn paper_catalog_for_cores(cores: usize) -> Vec<WorkloadInstance> {
     let mut all = Vec::with_capacity(37);
     for (label, _, _) in blackscholes::paper_input_sizes() {
@@ -161,24 +161,23 @@ mod tests {
         assert_eq!(parallel_scale_for_cores(8), 1);
         assert_eq!(parallel_scale_for_cores(9), 2);
         assert_eq!(parallel_scale_for_cores(64), 8);
-        // The catalog must agree with the per-module paper_inputs() generators exactly — the
-        // grids have a single source of truth (each module's paper_input_sizes), and this pins
-        // the scale-1 passthrough against those independent generator paths.
+        // The catalog must agree with each module's paper_input_sizes() fed to its generator
+        // exactly — the grids have a single source of truth, and this pins the scale-1
+        // passthrough of entry_for_cores' dispatch against the generators called directly.
         let mut reference: Vec<(&'static str, String, tis_taskmodel::TaskProgram)> = Vec::new();
-        for (input, program) in blackscholes::paper_inputs() {
-            reference.push(("blackscholes", input, program));
+        for (input, options, block) in blackscholes::paper_input_sizes() {
+            reference.push(("blackscholes", input, blackscholes::blackscholes(options, block)));
         }
-        for (input, program) in jacobi::paper_inputs() {
-            reference.push(("jacobi", input, program));
+        for (input, n) in jacobi::paper_input_sizes() {
+            reference.push(("jacobi", input, jacobi::paper_input(n, 1)));
         }
-        for (input, program) in sparselu::paper_inputs() {
-            reference.push(("sparselu", input, program));
+        for (input, nb, m) in sparselu::paper_input_sizes() {
+            reference.push(("sparselu", input, sparselu::sparselu(nb, m)));
         }
-        for (input, program) in stream::paper_inputs(true) {
-            reference.push(("stream-barr", input, program));
-        }
-        for (input, program) in stream::paper_inputs(false) {
-            reference.push(("stream-deps", input, program));
+        for (benchmark, barriers) in [("stream-barr", true), ("stream-deps", false)] {
+            for (input, blocks, elems) in stream::paper_input_sizes() {
+                reference.push((benchmark, input.to_string(), stream::stream(blocks, elems, barriers)));
+            }
         }
         for catalog in [paper_catalog(), paper_catalog_for_cores(1)] {
             assert_eq!(catalog.len(), reference.len());

@@ -56,18 +56,13 @@ pub fn jacobi(n: usize, block_points: usize) -> TaskProgram {
     b.build()
 }
 
-/// The three jacobi inputs of Figure 9 (`N128 B1`, `N256 B1`, `N512 B1`).
+/// The three jacobi input labels of Figure 9 (`N128 B1`, `N256 B1`, `N512 B1`), as
+/// `(label, n)` — the single source of truth for the catalog's jacobi grid.
 ///
 /// The KaStORS input names refer to a 2-D grid of N×N points blocked by rows; one row of the
 /// N-point-per-row grid is the unit of work here, so "B1" spawns one task per row per sweep with
 /// a per-task granularity of roughly `N × 12` cycles — the very fine tasks that motivate the
 /// paper.
-pub fn paper_inputs() -> Vec<(String, TaskProgram)> {
-    paper_inputs_scaled(1)
-}
-
-/// The three jacobi input labels of Figure 9, as `(label, n)` — the single source of truth for
-/// the catalog's jacobi grid.
 pub fn paper_input_sizes() -> Vec<(String, usize)> {
     [128usize, 256, 512].iter().map(|&n| (format!("N{n} B1"), n)).collect()
 }
@@ -102,12 +97,6 @@ pub fn paper_input(n: usize, scale: usize) -> TaskProgram {
     b.build()
 }
 
-/// The Figure 9 jacobi inputs with the parallel dimension multiplied by `scale` (see
-/// [`paper_input`]).
-pub fn paper_inputs_scaled(scale: usize) -> Vec<(String, TaskProgram)> {
-    paper_input_sizes().into_iter().map(|(label, n)| (label, paper_input(n, scale))).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,7 +117,8 @@ mod tests {
 
     #[test]
     fn paper_inputs_are_three_fine_grained_ones() {
-        let inputs = paper_inputs();
+        let inputs: Vec<_> =
+            paper_input_sizes().into_iter().map(|(label, n)| (label, paper_input(n, 1))).collect();
         assert_eq!(inputs.len(), 3);
         for (label, p) in &inputs {
             assert!(label.ends_with("B1"));

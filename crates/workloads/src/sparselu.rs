@@ -107,9 +107,9 @@ pub fn sparselu(nb: usize, m: usize) -> TaskProgram {
     b.build()
 }
 
-/// The ten sparseLU input labels of Figure 9, as `(label, nb, m)` with `N` mapped to the block
-/// count as described in the module docs — the single source of truth for the catalog's
-/// sparseLU grid.
+/// The ten sparseLU input labels of Figure 9 (`N32`/`N128` × `M1,2,4,8,16`), as `(label, nb, m)`
+/// with `N` mapped to the block count as described in the module docs — the single source of
+/// truth for the catalog's sparseLU grid.
 pub fn paper_input_sizes() -> Vec<(String, usize, usize)> {
     let mut out = Vec::new();
     for &(n_label, nb) in &[(32usize, 8usize), (128, 16)] {
@@ -118,11 +118,6 @@ pub fn paper_input_sizes() -> Vec<(String, usize, usize)> {
         }
     }
     out
-}
-
-/// The ten sparseLU inputs of Figure 9 (`N32`/`N128` × `M1,2,4,8,16`).
-pub fn paper_inputs() -> Vec<(String, TaskProgram)> {
-    paper_input_sizes().into_iter().map(|(label, nb, m)| (label, sparselu(nb, m))).collect()
 }
 
 #[cfg(test)]
@@ -149,9 +144,10 @@ mod tests {
 
     #[test]
     fn paper_inputs_are_ten_and_valid() {
-        let inputs = paper_inputs();
+        let inputs = paper_input_sizes();
         assert_eq!(inputs.len(), 10);
-        for (label, p) in &inputs {
+        for (label, nb, m) in inputs {
+            let p = sparselu(nb, m);
             p.validate().unwrap_or_else(|e| panic!("{label}: {e}"));
             assert!(p.task_count() > 50, "{label} should have a real task graph");
             assert!(p.task_count() < 60_000, "{label} must stay simulable");

@@ -102,7 +102,8 @@ pub fn stream(blocks: usize, elems: usize, with_barriers: bool) -> TaskProgram {
     b.build()
 }
 
-/// The six input labels of Figure 9, as `(label, blocks, elements_per_block)`.
+/// The six input labels of Figure 9, as `(label, blocks, elements_per_block)` — the single
+/// source of truth for the catalog's stream-barr and stream-deps grids.
 pub fn paper_input_sizes() -> Vec<(&'static str, usize, usize)> {
     vec![
         ("64", 64, 1024),
@@ -112,14 +113,6 @@ pub fn paper_input_sizes() -> Vec<(&'static str, usize, usize)> {
         ("128x1024", 128, 1024 * 1024 / 64),
         ("4096x4096", 256, 64 * 1024),
     ]
-}
-
-/// The six stream-barr or stream-deps inputs of Figure 9.
-pub fn paper_inputs(with_barriers: bool) -> Vec<(String, TaskProgram)> {
-    paper_input_sizes()
-        .into_iter()
-        .map(|(label, blocks, elems)| (label.to_string(), stream(blocks, elems, with_barriers)))
-        .collect()
 }
 
 #[cfg(test)]
@@ -163,9 +156,10 @@ mod tests {
     #[test]
     fn paper_inputs_cover_six_sizes_each() {
         for barriers in [false, true] {
-            let inputs = paper_inputs(barriers);
+            let inputs = paper_input_sizes();
             assert_eq!(inputs.len(), 6);
-            for (label, p) in &inputs {
+            for (label, blocks, elems) in inputs {
+                let p = stream(blocks, elems, barriers);
                 p.validate().unwrap_or_else(|e| panic!("{label}: {e}"));
                 assert!(p.task_count() <= 8_192, "{label} must stay simulable");
             }

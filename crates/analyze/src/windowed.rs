@@ -28,8 +28,9 @@ use tis_taskmodel::{DepAddr, Dependence, MAX_DEPENDENCES};
 
 use crate::graph::GraphError;
 
-/// Per-address frontier state, the incremental analogue of the map inside
-/// [`conflict_frontier`](crate::conflict_frontier).
+/// Per-address frontier state, the incremental analogue of the address slot of the
+/// [`FrontierWalker`](tis_taskmodel::FrontierWalker) that
+/// [`conflict_frontier`](crate::conflict_frontier) runs.
 ///
 /// The readers since the last write are kept as counts, not a list: a later write only needs
 /// to know how many of them share its phase. Readers arrive in spawn order and phases never

@@ -1,6 +1,6 @@
 //! Criterion microbenchmarks of the core data paths: the Picos dependence tracker, the packet
-//! codec, the RoCC instruction codec, the Picos fabric over each CPU–accelerator link and the
-//! MESI memory system — plus a **tracker regression
+//! codec, the RoCC instruction codec, the Picos fabric over each CPU–accelerator link, the
+//! MESI memory system and the preflight analysis of the Fig. 9 catalog — plus a **tracker regression
 //! guard** that measures the current tracker against a faithful copy of the seed-era
 //! implementation, so the hot-path speedup is measured on every run, not asserted once in a
 //! commit message.
@@ -345,6 +345,19 @@ fn bench_mesi(c: &mut Criterion) {
     }
 }
 
+/// The preflight over the whole Fig. 9 catalog: one `analyze_program` per program, the
+/// set-up cost every Fig. 9 run and every sweep cell pays before it simulates.
+fn bench_preflight(c: &mut Criterion) {
+    let catalog = tis_workloads::paper_catalog();
+    c.bench_function("preflight_fig09_catalog", |b| {
+        b.iter(|| {
+            for w in &catalog {
+                black_box(tis_analyze::analyze_program(&w.program).expect("catalog graphs are sound"));
+            }
+        })
+    });
+}
+
 /// Median nanoseconds per call of `f` over `samples` batches of `batch` calls each.
 fn measure_median_ns(mut f: impl FnMut(), batch: u32, samples: usize) -> f64 {
     // Warm-up.
@@ -525,7 +538,15 @@ fn streaming_host_throughput_guard() {
     }
 }
 
-criterion_group!(benches, bench_tracker, bench_packet_codec, bench_rocc_codec, bench_fabric, bench_mesi);
+criterion_group!(
+    benches,
+    bench_tracker,
+    bench_packet_codec,
+    bench_rocc_codec,
+    bench_fabric,
+    bench_mesi,
+    bench_preflight
+);
 
 fn main() {
     benches();

@@ -364,32 +364,35 @@ fn run_cell(setup: &CellSetup<'_>, program: &TaskProgram) -> CellRun {
     // Dynamic race check over the dispatch/retire trace. A detected race means the
     // platform executed a conflicting pair without a happens-before path — like a
     // validation failure, that is a bug to surface, not a data point to record.
-    let race_pairs_checked = if sweep.analysis.races {
-        let spec_graph = tis_analyze::GraphSpec::from_program(program);
-        let analysis = tis_analyze::detect_races(&spec_graph, &report.records);
-        if !analysis.is_race_free() {
-            let mut detail = String::new();
-            for race in &analysis.races {
-                detail.push_str(&format!("\n  {race}"));
+    // One analyzable graph serves both consumers of the program's happens-before edges: the
+    // race detector and the critical path.
+    let spec_graph = (sweep.analysis.races || recorder.is_some())
+        .then(|| tis_analyze::GraphSpec::from_program(program));
+    let race_pairs_checked = match &spec_graph {
+        Some(spec_graph) if sweep.analysis.races => {
+            let analysis = tis_analyze::detect_races(spec_graph, &report.records);
+            if !analysis.is_race_free() {
+                let mut detail = String::new();
+                for race in &analysis.races {
+                    detail.push_str(&format!("\n  {race}"));
+                }
+                panic!(
+                    "{} raced ({} of {} conflicting pairs unordered, {} unrecorded):{detail}",
+                    setup.context(),
+                    analysis.races.len(),
+                    analysis.pairs_checked,
+                    analysis.pairs_skipped
+                );
             }
-            panic!(
-                "{} raced ({} of {} conflicting pairs unordered, {} unrecorded):{detail}",
-                setup.context(),
-                analysis.races.len(),
-                analysis.pairs_checked,
-                analysis.pairs_skipped
-            );
+            analysis.pairs_checked as u64
         }
-        analysis.pairs_checked as u64
-    } else {
-        0
+        _ => 0,
     };
     // The critical path runs over the program's happens-before edges, the same edges the race
     // detector walks.
-    let obs = recorder.map(|r| {
-        let edges = tis_analyze::GraphSpec::from_program(program).edges;
+    let obs = recorder.zip(spec_graph).map(|(r, spec_graph)| {
         let trace_json = r.perfetto_json(&setup.label(), setup.cell.cores).render();
-        setup.obs_data(&r, &edges, report.total_cycles, Vec::new(), trace_json)
+        setup.obs_data(&r, &spec_graph.edges, report.total_cycles, Vec::new(), trace_json)
     });
     let stats = program.stats(setup.harness.machine.dram_bytes_per_cycle);
     CellRun {

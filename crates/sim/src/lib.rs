@@ -15,7 +15,8 @@
 //! * [`inline`] — [`InlineVec`], a small vector with inline storage for the short lists the
 //!   Picos task memory and address table are made of;
 //! * [`json`] — the dependency-free JSON value tree shared by the benchmark artifacts and the
-//!   observability exports.
+//!   observability exports;
+//! * [`rows`] — [`Rows`], graph adjacency in compressed-row form.
 //!
 //! The whole simulator is single-threaded and deterministic: given the same configuration and the
 //! same seeds, every run produces bit-identical results. This mirrors the methodology of the
@@ -44,6 +45,7 @@ pub mod hwqueue;
 pub mod inline;
 pub mod json;
 pub mod rng;
+pub mod rows;
 pub mod stats;
 
 pub use clock::Cycle;
@@ -52,4 +54,5 @@ pub use hwqueue::{BoundedQueue, TimedQueue};
 pub use inline::InlineVec;
 pub use json::{Json, JsonParseError};
 pub use rng::SimRng;
+pub use rows::Rows;
 pub use stats::{geomean, Histogram};

@@ -6,12 +6,117 @@
 //! [`DepGraph::from_program`] computes that ground truth directly from program order and the
 //! RAW/WAW/WAR rules, and [`ExecutionValidator`] checks that a simulated execution honoured it.
 //! These two types are the backbone of the workspace's correctness tests.
+//!
+//! # One frontier walk
+//!
+//! The RAW/WAW/WAR rules are applied in exactly one place, the [`FrontierWalker`]. Per address
+//! it keeps the last writer and the readers since that write; for each access, in program
+//! order, it names the *conflict frontier*: the last writer, then (for a write) the readers
+//! since that write, oldest first, each task once and never the accessing task itself. The
+//! reference graph's edges are these pairs, deduplicated per task pair, and `tis-analyze`'s
+//! `conflict_frontier` and preflight read the same pairs in the same order.
+//!
+//! The graph is stored as compressed rows ([`tis_sim::Rows`]): one offsets vector and one
+//! targets vector. Frontier pairs arrive grouped by their later task in spawn order, so the
+//! stable counting sort of [`Rows::by_source`] leaves every successor row ascending.
 
-use tis_sim::FxHashMap;
+use tis_sim::{FxHashMap, Rows};
 
-use crate::dep::DepAddr;
+use crate::dep::{DepAddr, Dependence};
 use crate::program::{ProgramOp, TaskProgram};
 use crate::task::TaskId;
+
+/// Marks "no task" and "end of run" in the [`FrontierWalker`]'s slots and links.
+const NONE: u32 = u32::MAX;
+
+/// A task index as stored in the compact graph structures.
+fn index(task: usize) -> u32 {
+    u32::try_from(task).expect("task indices fit in u32")
+}
+
+/// One address's frontier state: its last writer and the run of readers since that write,
+/// a linked list through [`FrontierWalker::links`].
+#[derive(Debug, Clone, Copy)]
+struct AddrSlot {
+    last_writer: u32,
+    first_reader: u32,
+    last_reader: u32,
+}
+
+/// One reader in an address's run, and the link to the next-newer one.
+#[derive(Debug, Clone, Copy)]
+struct ReaderLink {
+    task: u32,
+    next: u32,
+}
+
+/// The sequential-semantics conflict frontier, walked one access at a time.
+///
+/// Feed every task's declared accesses through [`FrontierWalker::access`] in program order
+/// (task indices never decreasing). Each call first names the earlier tasks the access
+/// conflicts with — the address's last writer, then, if the access writes, the readers since
+/// that write, oldest first — each once and never the accessing task itself, and then records
+/// the access. Per address the state is one slot (found through a single map lookup) plus a run
+/// of readers in one shared arena, so a walk allocates nothing per access.
+#[derive(Debug, Clone, Default)]
+pub struct FrontierWalker {
+    slot_of: FxHashMap<DepAddr, u32>,
+    slots: Vec<AddrSlot>,
+    links: Vec<ReaderLink>,
+}
+
+impl FrontierWalker {
+    /// A walker that has seen no access.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Calls `earlier` with each task that `task`'s access `dep` conflicts with, in frontier
+    /// order, then records the access.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `task` does not fit in `u32`.
+    pub fn access(&mut self, task: usize, dep: &Dependence, mut earlier: impl FnMut(usize)) {
+        let task = index(task);
+        let fresh = self.slots.len() as u32;
+        let slot = *self.slot_of.entry(dep.addr).or_insert(fresh) as usize;
+        if slot == self.slots.len() {
+            self.slots.push(AddrSlot { last_writer: NONE, first_reader: NONE, last_reader: NONE });
+        }
+        let st = &mut self.slots[slot];
+        // Readers join a run in walk order, so the run never decreases and its only possible
+        // repeats — of the last writer (an `inout` write reads too) or of one reader — are
+        // adjacent: skipping the task named just before is the per-access dedup.
+        let mut named = st.last_writer;
+        if named != NONE {
+            earlier(named as usize);
+        }
+        if dep.dir.writes() {
+            let mut link = st.first_reader;
+            while link != NONE {
+                let ReaderLink { task: r, next } = self.links[link as usize];
+                if r != task && r != named {
+                    earlier(r as usize);
+                    named = r;
+                }
+                link = next;
+            }
+            st.last_writer = task;
+            st.first_reader = NONE;
+        }
+        if dep.dir.reads() {
+            let link = index(self.links.len());
+            self.links.push(ReaderLink { task, next: NONE });
+            if st.first_reader == NONE {
+                st.first_reader = link;
+            } else {
+                self.links[st.last_reader as usize].next = link;
+            }
+            st.last_reader = link;
+        }
+    }
+}
 
 /// Sequential-semantics dependence graph of a [`TaskProgram`].
 ///
@@ -22,10 +127,11 @@ use crate::task::TaskId;
 /// finished (because the main thread cannot even spawn it until then).
 #[derive(Debug, Clone)]
 pub struct DepGraph {
-    successors: Vec<Vec<usize>>,
-    predecessor_count: Vec<usize>,
+    /// Successor rows, each ascending.
+    successors: Rows,
+    /// Task `i` has `pred_offsets[i + 1] - pred_offsets[i]` direct predecessors.
+    pred_offsets: Vec<u32>,
     phase: Vec<usize>,
-    edge_count: usize,
 }
 
 impl DepGraph {
@@ -36,117 +142,115 @@ impl DepGraph {
     /// Panics if task ids are not dense (0..n in spawn order); the [`crate::ProgramBuilder`]
     /// guarantees density, so a violation indicates a hand-built, inconsistent program.
     pub fn from_program(program: &TaskProgram) -> Self {
+        Self::from_program_with_frontier(program, |_, _, _| {})
+    }
+
+    /// Builds the reference graph for a program and hands every conflict-frontier pair to
+    /// `pair(earlier, later, addr)` in walk order: spawn order, then each task's declaration
+    /// order, then [`FrontierWalker`] order. A pair repeats per shared address; the graph
+    /// holds each task pair once.
+    ///
+    /// # Panics
+    ///
+    /// As [`DepGraph::from_program`].
+    pub fn from_program_with_frontier(
+        program: &TaskProgram,
+        mut pair: impl FnMut(usize, usize, DepAddr),
+    ) -> Self {
         let n = program.task_count();
-        let mut successors: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut predecessor_count = vec![0usize; n];
-        let mut phase = vec![0usize; n];
-        let mut edge_count = 0usize;
-
-        // Per-address tracking of the last writer and of the readers that arrived after it.
-        #[derive(Default)]
-        struct AddrState {
-            last_writer: Option<usize>,
-            readers_since_write: Vec<usize>,
-        }
-        let mut addr_state: FxHashMap<DepAddr, AddrState> = FxHashMap::default();
+        let mut phase = Vec::with_capacity(n);
+        let mut walker = FrontierWalker::new();
+        // Each task's distinct predecessors, grouped by task in spawn order: task i's are
+        // `sources[pred_offsets[i]..pred_offsets[i + 1]]`.
+        let mut sources: Vec<u32> = Vec::new();
+        let mut pred_offsets = Vec::with_capacity(n + 1);
+        pred_offsets.push(0u32);
+        // The last task each task gained a successor edge to: the per-task-pair dedup.
+        let mut last_target = vec![NONE; n];
         let mut current_phase = 0usize;
-        let mut next_index = 0usize;
-
-        let add_edge = |from: usize,
-                            to: usize,
-                            successors: &mut Vec<Vec<usize>>,
-                            predecessor_count: &mut Vec<usize>,
-                            edge_count: &mut usize| {
-            debug_assert!(from < to, "dependence edges always point forward in program order");
-            if !successors[from].contains(&to) {
-                successors[from].push(to);
-                predecessor_count[to] += 1;
-                *edge_count += 1;
-            }
-        };
 
         for op in program.ops() {
             match op {
                 ProgramOp::TaskWait => current_phase += 1,
                 ProgramOp::Spawn(spec) => {
                     let idx = spec.id.raw() as usize;
+                    let next_index = phase.len();
                     assert_eq!(
                         idx, next_index,
                         "task ids must be dense and in spawn order (got {idx}, expected {next_index})"
                     );
-                    next_index += 1;
-                    phase[idx] = current_phase;
+                    phase.push(current_phase);
                     for dep in &spec.deps {
-                        let st = addr_state.entry(dep.addr).or_default();
-                        if dep.dir.reads() {
-                            if let Some(w) = st.last_writer {
-                                add_edge(w, idx, &mut successors, &mut predecessor_count, &mut edge_count);
+                        walker.access(idx, dep, |from| {
+                            debug_assert!(from < idx, "dependence edges always point forward in program order");
+                            pair(from, idx, dep.addr);
+                            if last_target[from] != idx as u32 {
+                                last_target[from] = idx as u32;
+                                sources.push(from as u32);
                             }
-                        }
-                        if dep.dir.writes() {
-                            if let Some(w) = st.last_writer {
-                                add_edge(w, idx, &mut successors, &mut predecessor_count, &mut edge_count);
-                            }
-                            for &r in &st.readers_since_write {
-                                if r != idx {
-                                    add_edge(r, idx, &mut successors, &mut predecessor_count, &mut edge_count);
-                                }
-                            }
-                        }
-                        // Update the address state *after* computing edges against the past.
-                        if dep.dir.writes() {
-                            st.last_writer = Some(idx);
-                            st.readers_since_write.clear();
-                            if dep.dir.reads() {
-                                st.readers_since_write.push(idx);
-                            }
-                        } else {
-                            st.readers_since_write.push(idx);
-                        }
+                        });
                     }
+                    pred_offsets.push(index(sources.len()));
                 }
             }
         }
 
-        DepGraph { successors, predecessor_count, phase, edge_count }
+        let edges = (0..n).flat_map(|to| {
+            let run = &sources[pred_offsets[to] as usize..pred_offsets[to + 1] as usize];
+            run.iter().map(move |&from| (from as usize, to))
+        });
+        let successors = Rows::by_source(n, edges);
+        DepGraph { successors, pred_offsets, phase }
     }
 
     /// Number of tasks (nodes).
     pub fn task_count(&self) -> usize {
-        self.successors.len()
+        self.phase.len()
     }
 
     /// Number of distinct dependence edges.
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.successors.edges()
     }
 
     /// Whether there is a direct dependence edge from `from` to `to`.
     pub fn has_edge(&self, from: TaskId, to: TaskId) -> bool {
-        self.successors
-            .get(from.raw() as usize)
-            .map(|s| s.contains(&(to.raw() as usize)))
-            .unwrap_or(false)
+        let (from, to) = (from.raw() as usize, to.raw());
+        from < self.task_count()
+            && u32::try_from(to).is_ok_and(|to| self.successors.row(from).binary_search(&to).is_ok())
     }
 
-    /// Direct successors of a task.
+    /// Direct successors of a task, in ascending order.
     pub fn successors(&self, of: TaskId) -> impl Iterator<Item = TaskId> + '_ {
-        self.successors
-            .get(of.raw() as usize)
-            .into_iter()
-            .flatten()
-            .map(|&i| TaskId(i as u64))
+        let of = of.raw() as usize;
+        let row = if of < self.task_count() { self.successors.row(of) } else { &[] };
+        row.iter().map(|&i| TaskId(u64::from(i)))
+    }
+
+    /// Every task's direct successors as compressed rows, each row ascending.
+    pub fn successor_rows(&self) -> &Rows {
+        &self.successors
     }
 
     /// Number of direct predecessors (in-degree) of a task.
     pub fn predecessor_count(&self, of: TaskId) -> usize {
-        self.predecessor_count.get(of.raw() as usize).copied().unwrap_or(0)
+        let of = of.raw() as usize;
+        if of < self.task_count() {
+            (self.pred_offsets[of + 1] - self.pred_offsets[of]) as usize
+        } else {
+            0
+        }
     }
 
     /// Taskwait phase of a task: the number of `taskwait` barriers the main thread executed
     /// before spawning it.
     pub fn phase(&self, of: TaskId) -> usize {
         self.phase.get(of.raw() as usize).copied().unwrap_or(0)
+    }
+
+    /// Every task's taskwait phase, in task order.
+    pub fn phases(&self) -> &[usize] {
+        &self.phase
     }
 
     /// Structural statistics: critical path and an ideal-parallelism profile.
@@ -187,8 +291,8 @@ impl DepGraph {
             let start = earliest[i].max(barrier_floor);
             finish[i] = start + weights[i];
             phase_end[ph] = phase_end[ph].max(finish[i]);
-            for &s in &self.successors[i] {
-                earliest[s] = earliest[s].max(finish[i]);
+            for &s in self.successors.row(i) {
+                earliest[s as usize] = earliest[s as usize].max(finish[i]);
             }
         }
         // Propagate barrier floors forward so phase_end is monotone even for empty phases.
@@ -215,7 +319,7 @@ impl DepGraph {
         }
         GraphStats {
             tasks: n,
-            edges: self.edge_count,
+            edges: self.edge_count(),
             phases: max_phase + 1,
             critical_path_weight: critical,
             total_weight: total,
@@ -431,6 +535,81 @@ fn check_cores(mut recs: Vec<ExecRecord>) -> Result<(), ValidationError> {
         }
     }
     Ok(())
+}
+
+/// The reference graph as [`DepGraph::from_program`] built it before the [`FrontierWalker`]:
+/// a `Vec` of successors per task and a `Vec` of readers per address, kept as the oracle of
+/// the walker's differential property test.
+#[cfg(test)]
+struct ReferenceGraph {
+    successors: Vec<Vec<usize>>,
+    predecessor_count: Vec<usize>,
+    phase: Vec<usize>,
+    edge_count: usize,
+}
+
+#[cfg(test)]
+impl ReferenceGraph {
+    fn from_program(program: &TaskProgram) -> Self {
+        let n = program.task_count();
+        let mut g = ReferenceGraph {
+            successors: vec![Vec::new(); n],
+            predecessor_count: vec![0; n],
+            phase: vec![0; n],
+            edge_count: 0,
+        };
+        #[derive(Default)]
+        struct AddrState {
+            last_writer: Option<usize>,
+            readers_since_write: Vec<usize>,
+        }
+        let mut addr_state: FxHashMap<DepAddr, AddrState> = FxHashMap::default();
+        let mut current_phase = 0usize;
+        let add_edge = |g: &mut ReferenceGraph, from: usize, to: usize| {
+            if !g.successors[from].contains(&to) {
+                g.successors[from].push(to);
+                g.predecessor_count[to] += 1;
+                g.edge_count += 1;
+            }
+        };
+        for op in program.ops() {
+            match op {
+                ProgramOp::TaskWait => current_phase += 1,
+                ProgramOp::Spawn(spec) => {
+                    let idx = spec.id.raw() as usize;
+                    g.phase[idx] = current_phase;
+                    for dep in &spec.deps {
+                        let st = addr_state.entry(dep.addr).or_default();
+                        if dep.dir.reads() {
+                            if let Some(w) = st.last_writer {
+                                add_edge(&mut g, w, idx);
+                            }
+                        }
+                        if dep.dir.writes() {
+                            if let Some(w) = st.last_writer {
+                                add_edge(&mut g, w, idx);
+                            }
+                            for &r in &st.readers_since_write {
+                                if r != idx {
+                                    add_edge(&mut g, r, idx);
+                                }
+                            }
+                        }
+                        if dep.dir.writes() {
+                            st.last_writer = Some(idx);
+                            st.readers_since_write.clear();
+                            if dep.dir.reads() {
+                                st.readers_since_write.push(idx);
+                            }
+                        } else {
+                            st.readers_since_write.push(idx);
+                        }
+                    }
+                }
+            }
+        }
+        g
+    }
 }
 
 #[cfg(test)]
@@ -702,8 +881,16 @@ mod proptests {
     use proptest::prelude::*;
 
     fn arbitrary_program(max_tasks: usize, max_addrs: u64) -> impl Strategy<Value = TaskProgram> {
+        arbitrary_program_with(max_tasks, max_addrs, 5)
+    }
+
+    fn arbitrary_program_with(
+        max_tasks: usize,
+        max_addrs: u64,
+        max_deps: usize,
+    ) -> impl Strategy<Value = TaskProgram> {
         let task = (
-            proptest::collection::vec((0..max_addrs, 0..3u8), 0..5),
+            proptest::collection::vec((0..max_addrs, 0..3u8), 0..max_deps),
             1u64..50,
             proptest::bool::ANY,
         );
@@ -805,6 +992,27 @@ mod proptests {
                 }
             }
             prop_assert_eq!(v.check(&recs), v.reference_check(&recs));
+        }
+
+        /// The walker-built graph equals the per-address-`Vec` reference build: the same
+        /// successor rows (ascending), predecessor counts, phases and edge count, on programs of
+        /// 1–60 tasks with 0–6 dependences over 6 addresses in every direction, with taskwaits.
+        #[test]
+        fn walker_graph_matches_the_reference_build(p in arbitrary_program_with(61, 6, 7)) {
+            let g = p.reference_graph();
+            let r = ReferenceGraph::from_program(&p);
+            prop_assert_eq!(g.task_count(), r.successors.len());
+            prop_assert_eq!(g.edge_count(), r.edge_count);
+            prop_assert_eq!(g.phases(), &r.phase[..]);
+            for (i, row) in r.successors.iter().enumerate() {
+                let id = TaskId(i as u64);
+                let got: Vec<usize> = g.successors(id).map(|s| s.raw() as usize).collect();
+                prop_assert_eq!(&got, row);
+                prop_assert_eq!(g.predecessor_count(id), r.predecessor_count[i]);
+                for &s in row {
+                    prop_assert!(g.has_edge(id, TaskId(s as u64)));
+                }
+            }
         }
 
         /// The critical path never exceeds the total weight and parallelism is at least 1.

@@ -53,7 +53,9 @@ pub mod task;
 pub mod tenant;
 
 pub use dep::{DepAddr, Dependence, Direction};
-pub use graph::{DepGraph, ExecRecord, ExecutionValidator, GraphStats, ValidationError};
+pub use graph::{
+    DepGraph, ExecRecord, ExecutionValidator, FrontierWalker, GraphStats, ValidationError,
+};
 pub use program::{ProgramBuilder, ProgramOp, ProgramStats, TaskProgram};
 pub use source::{MaterializedSource, SourcePoll, TaskSource};
 pub use task::{Payload, TaskId, TaskSpec, TaskSpecError, MAX_DEPENDENCES};
